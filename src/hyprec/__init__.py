@@ -24,7 +24,7 @@ from .coeffrec import (
     v_log_product,
     published_recurrence_pair,
 )
-from .errors import DomainError, HyprecError, NonConvergence
+from .errors import DomainError, HyprecError, NonConvergence, ParameterError
 from .hypergeom import (
     EvalResult,
     HypParams,

@@ -6,9 +6,15 @@ qprofile.  Every numeric flag accepts a decimal literal or an exact rational
 subcommands through exact arithmetic end to end.  Output is byte-identical
 for identical inputs.
 
-Exit codes: 0 success, 2 flag validation error, 3 numerical failure
-(domain error or non-convergence), 1 internal error.  The verify subcommand
-instead exits with the number of failing properties (0 on full pass).
+Parameter-domain rules live in the library, not here: a value outside the
+domain raises :class:`hyprec.errors.ParameterError` where the library checks
+it, and flag problems this module finds itself (unparsable or non-finite
+literals, conflicting flags, missing flags) raise the same error.
+
+Exit codes: 0 success, 2 invalid flag or parameter (ParameterError),
+3 numerical failure (any other DomainError, or NonConvergence), 1 internal
+error.  The verify subcommand instead exits with the number of failing
+properties (0 on full pass).
 
 Environment: HYPREC_TERM_CAP overrides the series term cap and
 HYPREC_QUAD_TOL the default quadrature tolerance.
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -25,7 +32,6 @@ from fractions import Fraction
 from . import verify as verify_mod
 from .coeffrec import (
     DEFAULT_N,
-    MAX_N,
     WeightedSeriesSpec,
     cauchy_oracle,
     format_number,
@@ -36,7 +42,7 @@ from .coeffrec import (
     u_theta_plus1,
     v_log_product,
 )
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, ParameterError
 from .hypergeom import (
     HypParams,
     euler_transform_eval,
@@ -65,17 +71,14 @@ FORMATS = ("json", "csv", "plain")
 RATIONAL_COMMANDS = ("coeffs", "classify")
 
 
-class ValidationError(Exception):
-    """A flag-level problem; maps to exit code 2."""
-
-
 def _parse_number(raw: str, exact: bool):
     try:
-        if exact or "/" in raw:
-            return Fraction(raw)
-        return float(raw)
+        value = Fraction(raw) if exact or "/" in raw else float(raw)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"cannot parse numeric literal {raw!r}: {exc}") from exc
+        raise ParameterError(f"cannot parse numeric literal {raw!r}: {exc}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParameterError(f"numeric literal {raw!r} is not finite")
+    return value
 
 
 def _wants_exact(args, flag_names) -> bool:
@@ -86,53 +89,12 @@ def _wants_exact(args, flag_names) -> bool:
     )
 
 
-def _is_near_nonpositive_integer(c) -> bool:
-    if isinstance(c, Fraction):
-        return c <= 0 and c.denominator == 1
-    nearest = round(c)
-    return c <= 1e-12 and abs(c - nearest) < 1e-12 and nearest <= 0
-
-
-def _check_c(c) -> None:
-    if _is_near_nonpositive_integer(c):
-        raise ValidationError(
-            f"c={format_number(c)} is (within 1e-12) zero or a negative integer, "
-            "which is outside the parameter domain"
-        )
-
-
-def _check_theta(theta) -> None:
-    if not -1 <= theta <= 1:
-        raise ValidationError(f"theta must lie in [-1, 1], got {format_number(theta)}")
-
-
-def _check_mean_params(a, b) -> None:
-    if not 0 < a < 1:
-        raise ValidationError(f"a must lie in (0, 1), got {format_number(a)}")
-    if not b > 0:
-        raise ValidationError(f"b must be positive, got {format_number(b)}")
-
-
-def _check_n(n: int) -> None:
-    if n < 0:
-        raise ValidationError(f"n must be nonnegative, got {n}")
-    if n > MAX_N:
-        raise ValidationError(f"n={n} exceeds the hard cap {MAX_N}")
-
-
-def _parse_t_grid(raw: str | None, exact: bool = False):
+def _parse_t_grid(raw: str | None):
     if raw is None:
         return None
-    values = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if piece:
-            values.append(_parse_number(piece, exact))
+    values = [_parse_number(piece.strip(), False) for piece in raw.split(",") if piece.strip()]
     if not values:
-        raise ValidationError("empty t grid")
-    for t in values:
-        if not 0 < t < 1:
-            raise ValidationError(f"grid points must lie in (0, 1), got {format_number(t)}")
+        raise ParameterError("empty t grid")
     return values
 
 
@@ -143,9 +105,9 @@ def _quad_tol_default() -> float:
     try:
         tol = float(raw)
     except ValueError as exc:
-        raise ValidationError(f"{QUAD_TOL_ENV} must be a float, got {raw!r}") from exc
+        raise ParameterError(f"{QUAD_TOL_ENV} must be a float, got {raw!r}") from exc
     if not tol > 0:
-        raise ValidationError(f"{QUAD_TOL_ENV} must be positive, got {raw!r}")
+        raise ParameterError(f"{QUAD_TOL_ENV} must be positive, got {raw!r}")
     return tol
 
 
@@ -155,14 +117,15 @@ def _emit(text: str, sink) -> None:
         sink.write("\n")
 
 
-def _kv_lines(pairs) -> str:
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
-
-
-def _kv_csv(pairs) -> str:
-    header = ",".join(k for k, _ in pairs)
-    row = ",".join(str(v) for _, v in pairs)
-    return f"{header}\n{row}\n"
+def _render(pairs, fmt: str) -> str:
+    """Key/value pairs as a sorted-key JSON object, a one-row CSV, or "k = v" lines."""
+    if fmt == "json":
+        return json.dumps(dict(pairs), sort_keys=True)
+    if fmt == "csv":
+        header = ",".join(k for k, _ in pairs)
+        row = ",".join(str(v) for _, v in pairs)
+        return f"{header}\n{row}\n"
+    return "".join(f"{k} = {v}\n" for k, v in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -171,36 +134,25 @@ def _kv_csv(pairs) -> str:
 
 def _run_coeffs(args, sink) -> int:
     exact = _wants_exact(args, ("a", "b", "c", "p", "theta"))
-    a = _parse_number(args.a, exact)
-    b = _parse_number(args.b, exact)
-    c = _parse_number(args.c, exact)
-    _check_c(c)
-    _check_n(args.n)
-    p = _parse_number(args.p, exact) if args.p is not None else None
-    theta = _parse_number(args.theta, exact) if args.theta is not None else None
-    if theta is not None:
-        _check_theta(theta)
+    params = HypParams(*(_parse_number(raw, exact) for raw in (args.a, args.b, args.c)))
     zero = Fraction(0) if exact else 0.0
-    params = HypParams(a, b, c)
+    p = _parse_number(args.p, exact) if args.p is not None else zero
+    theta = _parse_number(args.theta, exact) if args.theta is not None else None
     family = args.family
     if family == "log":
         if args.p is not None or args.theta is not None:
-            raise ValidationError("--p/--theta do not apply to the log-product family")
+            raise ParameterError("--p/--theta do not apply to the log-product family")
         seq = v_log_product(params, args.n)
     elif family == "theta1":
         if theta is not None and theta != 1:
-            raise ValidationError("family theta1 fixes theta=1")
-        seq = u_theta_plus1(params, p if p is not None else zero, args.n)
+            raise ParameterError("family theta1 fixes theta=1")
+        seq = u_theta_plus1(params, p, args.n)
     elif family == "theta-1":
         if theta is not None and theta != -1:
-            raise ValidationError("family theta-1 fixes theta=-1")
-        seq = u_theta_minus1(params, p if p is not None else zero, args.n)
+            raise ParameterError("family theta-1 fixes theta=-1")
+        seq = u_theta_minus1(params, p, args.n)
     else:
-        spec = WeightedSeriesSpec(
-            params,
-            p if p is not None else zero,
-            theta if theta is not None else zero,
-        )
+        spec = WeightedSeriesSpec(params, p, theta if theta is not None else zero)
         seq = u_general(spec, args.n) if family == "general" else cauchy_oracle(spec, args.n)
     if args.format == "json":
         _emit(to_json(seq), sink)
@@ -220,21 +172,10 @@ def _eval_pairs(result):
 
 
 def _run_eval(args, sink) -> int:
-    a = _parse_number(args.a, False)
-    b = _parse_number(args.b, False)
-    c = _parse_number(args.c, False)
-    _check_c(c)
+    params = HypParams(*(_parse_number(raw, False) for raw in (args.a, args.b, args.c)))
     x = _parse_number(args.x, False)
-    params = HypParams(a, b, c)
     fn = hyp2f1_derivative if args.deriv else hyp2f1
-    result = fn(params, x, args.tol)
-    pairs = _eval_pairs(result)
-    if args.format == "json":
-        _emit(json.dumps({k: v for k, v in pairs}, sort_keys=True), sink)
-    elif args.format == "csv":
-        _emit(_kv_csv(pairs), sink)
-    else:
-        _emit(_kv_lines(pairs), sink)
+    _emit(_render(_eval_pairs(fn(params, x, args.tol)), args.format), sink)
     return 0
 
 
@@ -243,38 +184,27 @@ def _run_near_one(args, sink) -> int:
     b = _parse_number(args.b, False)
     if args.case == "zero-balanced":
         if args.x is None:
-            raise ValidationError("--x is required for the zero-balanced asymptote")
+            raise ParameterError("--x is required for the zero-balanced asymptote")
         value = zero_balanced_asymptote(a, b, _parse_number(args.x, False))
         pairs = (("case", args.case), ("value", format_number(value)))
     else:
         if args.c is None:
-            raise ValidationError(f"--c is required for case {args.case}")
-        c = _parse_number(args.c, False)
-        _check_c(c)
-        params = HypParams(a, b, c)
+            raise ParameterError(f"--c is required for case {args.case}")
+        params = HypParams(a, b, _parse_number(args.c, False))
         if args.case == "value-at-one":
-            value = gauss_value_at_one(params)
-            pairs = (("case", args.case), ("value", format_number(value)))
+            pairs = (("case", args.case), ("value", format_number(gauss_value_at_one(params))))
         else:
             if args.x is None:
-                raise ValidationError("--x is required for the Euler-transform evaluation")
+                raise ParameterError("--x is required for the Euler-transform evaluation")
             result = euler_transform_eval(params, _parse_number(args.x, False), args.tol)
             pairs = (("case", args.case),) + _eval_pairs(result)
-    if args.format == "json":
-        _emit(json.dumps({k: v for k, v in pairs}, sort_keys=True), sink)
-    elif args.format == "csv":
-        _emit(_kv_csv(pairs), sink)
-    else:
-        _emit(_kv_lines(pairs), sink)
+    _emit(_render(pairs, args.format), sink)
     return 0
 
 
 def _run_classify(args, sink) -> int:
     exact = _wants_exact(args, ("a", "b", "m"))
-    a = _parse_number(args.a, exact)
-    b = _parse_number(args.b, exact)
-    m = _parse_number(args.m, exact)
-    _check_mean_params(a, b)
+    a, b, m = (_parse_number(raw, exact) for raw in (args.a, args.b, args.m))
     triple = RegionTriple(MeanParams(a, b), m)
     if args.fuzz:
         label, boundary, (lo, hi) = classify_region_fuzzed(triple)
@@ -286,23 +216,12 @@ def _run_classify(args, sink) -> int:
         payload["boundary"] = boundary
         payload["label_minus_eps"] = lo.label.value
         payload["label_plus_eps"] = hi.label.value
-    if args.format == "json":
-        _emit(json.dumps(payload, sort_keys=True), sink)
-    elif args.format == "csv":
-        _emit(_kv_csv(tuple(sorted(payload.items()))), sink)
-    else:
-        _emit(_kv_lines(tuple(sorted(payload.items()))), sink)
+    _emit(_render(sorted(payload.items()), args.format), sink)
     return 0
 
 
 def _run_mean(args, sink) -> int:
-    a = _parse_number(args.a, False)
-    b = _parse_number(args.b, False)
-    _check_mean_params(a, b)
-    x = _parse_number(args.x, False)
-    y = _parse_number(args.y, False)
-    if not (x > 0 and y > 0):
-        raise ValidationError("x and y must be positive")
+    a, b, x, y = (_parse_number(raw, False) for raw in (args.a, args.b, args.x, args.y))
     mp = MeanParams(a, b)
     series_tol = args.tol if args.tol is not None else 1e-12
     quad_tol = args.tol if args.tol is not None else _quad_tol_default()
@@ -314,24 +233,15 @@ def _run_mean(args, sink) -> int:
     if args.method == "both":
         diff = abs(float(pairs[0][1]) - float(pairs[1][1]))
         pairs.append(("abs_difference", format_number(diff)))
-    if args.format == "json":
-        _emit(json.dumps({k: v for k, v in pairs}, sort_keys=True), sink)
-    elif args.format == "csv":
-        _emit(_kv_csv(tuple(pairs)), sink)
-    else:
-        _emit(_kv_lines(tuple(pairs)), sink)
+    _emit(_render(pairs, args.format), sink)
     return 0
 
 
 def _run_gm_scan(args, sink) -> int:
-    a = _parse_number(args.a, False)
-    b = _parse_number(args.b, False)
-    m = _parse_number(args.m, False)
-    _check_mean_params(a, b)
-    grid = _parse_t_grid(args.tgrid)
+    a, b, m = (_parse_number(raw, False) for raw in (args.a, args.b, args.m))
     report = gm_sign_scan(
         RegionTriple(MeanParams(a, b), m),
-        t_grid=grid,
+        t_grid=_parse_t_grid(args.tgrid),
         tol=args.tol,
         sign_tol=args.sign_tol,
     )
@@ -349,25 +259,21 @@ def _run_gm_scan(args, sink) -> int:
             ("sign_change_t", "-" if report.sign_change_t is None else format_number(report.sign_change_t)),
             ("warning", report.warning or "-"),
         )
-        _emit(_kv_lines(pairs), sink)
+        _emit(_render(pairs, "plain"), sink)
     return 0
 
 
 def _run_qprofile(args, sink) -> int:
-    a = _parse_number(args.a, False)
-    b = _parse_number(args.b, False)
-    _check_mean_params(a, b)
+    mp = MeanParams(_parse_number(args.a, False), _parse_number(args.b, False))
     grid = _parse_t_grid(args.tgrid)
     ts = list(DEFAULT_T_GRID) if grid is None else [float(t) for t in grid]
-    values = q_p0_profile(MeanParams(a, b), ts, args.tol)
-    rows = list(zip(ts, values))
+    rows = list(zip(ts, q_p0_profile(mp, ts, args.tol)))
     if args.format == "json":
-        payload = {"q": [[t, v] for t, v in rows]}
-        _emit(json.dumps(payload, sort_keys=True), sink)
+        _emit(_render((("q", [[t, v] for t, v in rows]),), "json"), sink)
     elif args.format == "csv":
         _emit("t,Q\n" + "\n".join(f"{format_number(t)},{format_number(v)}" for t, v in rows), sink)
     else:
-        _emit(_kv_lines(tuple((f"Q({format_number(t)})", format_number(v)) for t, v in rows)), sink)
+        _emit(_render([(f"Q({format_number(t)})", format_number(v)) for t, v in rows], "plain"), sink)
     return 0
 
 
@@ -391,8 +297,8 @@ _HANDLERS = {
 
 def _positive_float(raw: str) -> float:
     value = float(raw)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {raw}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw}")
     return value
 
 
@@ -493,18 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "rational", False) and args.command not in RATIONAL_COMMANDS:
-        print(
-            f"error: --rational is not supported by {args.command!r} "
-            f"(supported: {', '.join(RATIONAL_COMMANDS)})",
-            file=sys.stderr,
-        )
-        return 2
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "rational", False) and args.command not in RATIONAL_COMMANDS:
+            raise ParameterError(
+                f"--rational is not supported by {args.command!r} "
+                f"(supported: {', '.join(RATIONAL_COMMANDS)})"
+            )
         return _HANDLERS[args.command](args, sys.stdout)
-    except ValidationError as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, NonConvergence) as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 from .hypergeom import HypParams
 from .specfn import pochhammer
 
@@ -82,7 +82,7 @@ class WeightedSeriesSpec:
 
     def __post_init__(self):
         if not -1 <= self.theta <= 1:
-            raise DomainError(f"theta must lie in [-1, 1], got {self.theta!r}")
+            raise ParameterError(f"theta must lie in [-1, 1], got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,9 @@ class CoeffSequence:
 
 def _check_n(n: int) -> None:
     if n < 0:
-        raise DomainError(f"N must be nonnegative, got {n}")
+        raise ParameterError(f"N must be nonnegative, got {n}")
     if n > MAX_N:
-        raise DomainError(f"N={n} exceeds the hard cap {MAX_N}")
+        raise ParameterError(f"N={n} exceeds the hard cap {MAX_N}")
 
 
 def hyp_series_coeffs(params: HypParams, n_max: int) -> list:

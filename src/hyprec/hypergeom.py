@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import specfn
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, ParameterError
 
 __all__ = [
     "DEFAULT_TERM_CAP",
@@ -52,24 +52,37 @@ def term_cap() -> int:
     return cap
 
 
-def _is_nonpositive_integer(c) -> bool:
-    if isinstance(c, Fraction):
+#: Floating c within this distance of 0, -1, -2, ... counts as sitting on a pole.
+POLE_TOL = 1e-12
+
+
+def _is_near_nonpositive_integer(c) -> bool:
+    """Exact test for int and Fraction c; within POLE_TOL for floating c."""
+    if isinstance(c, (int, Fraction)):
         return c <= 0 and c.denominator == 1
-    return c <= 0 and float(c) == int(c)
+    if not math.isfinite(c):
+        raise ParameterError(f"c must be finite, got c={c!r}")
+    nearest = round(c)
+    return nearest <= 0 and abs(c - nearest) < POLE_TOL
 
 
 @dataclass(frozen=True)
 class HypParams:
-    """Parameter triple (a, b, c) of F(a,b;c;x); c must not be 0, -1, -2, ..."""
+    """Parameter triple (a, b, c) of F(a,b;c;x); c must not be 0, -1, -2, ...
+
+    Floating c is also rejected within ``POLE_TOL`` of those poles, where the
+    series terms blow up and the result carries no accuracy.
+    """
 
     a: float
     b: float
     c: float
 
     def __post_init__(self):
-        if _is_nonpositive_integer(self.c):
-            raise DomainError(
-                f"c must not be zero or a negative integer, got c={self.c!r}"
+        if _is_near_nonpositive_integer(self.c):
+            raise ParameterError(
+                f"c={self.c!r} is (within {POLE_TOL:g}) zero or a negative integer, "
+                "which is outside the parameter domain"
             )
 
     def shift_a(self, delta: int) -> "HypParams":

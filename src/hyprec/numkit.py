@@ -6,11 +6,32 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import scipy.special as _sp
-
 from .errors import DomainError, NonConvergence
 
 __all__ = ["QuadResult", "weighted_quad", "central_diff"]
+
+
+def _special():
+    """scipy.special, imported on first use and then bound as ``_sp``.
+
+    Importing it costs about half a second of start-up, and only the
+    Gauss-Jacobi nodes need it.  The ``_sp`` binding (also reachable from
+    outside through the module ``__getattr__``) is what perfbench's tracer
+    replaces to time node computation.
+    """
+    global _sp
+    try:
+        return _sp
+    except NameError:
+        import scipy.special as _sp
+
+        return _sp
+
+
+def __getattr__(name: str):
+    if name == "_sp":
+        return _special()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -42,12 +63,13 @@ def weighted_quad(
         raise DomainError(f"weight exponent b must be positive, got {b!r}")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
+    special = _special()
     scale = 2.0 ** (1.0 - 2.0 * b)
     previous = None
     evaluations = 0
     order = 8
     while order <= max_order:
-        nodes, weights = _sp.roots_jacobi(order, b - 1.0, b - 1.0)
+        nodes, weights = special.roots_jacobi(order, b - 1.0, b - 1.0)
         value = scale * math.fsum(
             w * f(0.5 * (1.0 + u)) for u, w in zip(nodes.tolist(), weights.tolist())
         )

@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import numkit, specfn
 from .compare import rel_with_floor
 from .coeffrec import format_number, u_theta_plus1
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 from .hypergeom import HypParams, hyp2f1
 
 __all__ = [
@@ -76,9 +76,9 @@ class MeanParams:
 
     def __post_init__(self):
         if not 0 < self.a < 1:
-            raise DomainError(f"a must lie in (0, 1), got {self.a!r}")
+            raise ParameterError(f"a must lie in (0, 1), got {self.a!r}")
         if not self.b > 0:
-            raise DomainError(f"b must be positive, got {self.b!r}")
+            raise ParameterError(f"b must be positive, got {self.b!r}")
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,18 @@ class RegionLabel:
     branch: str
 
 
+def _require_positive_args(x: float, y: float) -> None:
+    if not (x > 0 and y > 0):
+        raise ParameterError(f"mean arguments must be positive, got ({x!r}, {y!r})")
+
+
 def mean_series(x: float, y: float, mp: MeanParams, tol: float = 1e-12) -> float:
     """M(x, y) through the series representation max * F(-a,b;2b;t)^(1/a).
 
     Symmetric by construction: the arguments are swapped so that
     t = 1 - min/max always lies in [0, 1).
     """
-    if not (x > 0 and y > 0):
-        raise DomainError(f"mean arguments must be positive, got ({x!r}, {y!r})")
+    _require_positive_args(x, y)
     hi, lo = (x, y) if x >= y else (y, x)
     t = 1.0 - lo / hi
     if t == 0.0:
@@ -123,8 +127,7 @@ def mean_series(x: float, y: float, mp: MeanParams, tol: float = 1e-12) -> float
 
 def mean_quadrature(x: float, y: float, mp: MeanParams, tol: float = 1e-10) -> float:
     """M(x, y) through the Beta-weighted integral representation."""
-    if not (x > 0 and y > 0):
-        raise DomainError(f"mean arguments must be positive, got ({x!r}, {y!r})")
+    _require_positive_args(x, y)
     a, b = mp.a, mp.b
     quad = numkit.weighted_quad(lambda s: (s * x + (1.0 - s) * y) ** a, b, tol)
     return (quad.value / specfn.beta(b, b)) ** (1.0 / a)
@@ -132,7 +135,7 @@ def mean_quadrature(x: float, y: float, mp: MeanParams, tol: float = 1e-10) -> f
 
 def _require_unit_interval(t: float) -> None:
     if not 0 < t < 1:
-        raise DomainError(f"t must lie in (0, 1), got {t!r}")
+        raise ParameterError(f"t must lie in (0, 1), got {t!r}")
 
 
 def g_m(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
@@ -344,8 +347,7 @@ def schur_condition_sample(
     its sign must agree with the sign of ``g_m`` wherever the latter is clear
     of the differentiation noise floor.
     """
-    if not (x > 0 and y > 0):
-        raise DomainError(f"arguments must be positive, got ({x!r}, {y!r})")
+    _require_positive_args(x, y)
     if x == y:
         raise DomainError("the differential criterion needs x != y (limit value is 0)")
     mp, m = triple.mean, triple.m

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import scipy.special as _sp
-
 from .errors import DomainError
 
 __all__ = [
@@ -57,7 +55,9 @@ def ln_gamma(x: float) -> float:
 def digamma(x: float) -> float:
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
     _require_positive("x", x)
-    return float(_sp.digamma(x))
+    import scipy.special  # imported on first use: it costs about half a second of start-up
+
+    return float(scipy.special.digamma(x))
 
 
 def beta(z: float, w: float) -> float:
