@@ -92,7 +92,11 @@ def _wants_exact(args, flag_names) -> bool:
 def _parse_t_grid(raw: str | None):
     if raw is None:
         return None
-    values = [_parse_number(piece.strip(), False) for piece in raw.split(",") if piece.strip()]
+    values = []
+    for piece in raw.split(","):
+        piece = piece.strip()
+        if piece:
+            values.append(_parse_number(piece, False))
     if not values:
         raise ParameterError("empty t grid")
     return values
@@ -134,7 +138,10 @@ def _render(pairs, fmt: str) -> str:
 
 def _run_coeffs(args, sink) -> int:
     exact = _wants_exact(args, ("a", "b", "c", "p", "theta"))
-    params = HypParams(*(_parse_number(raw, exact) for raw in (args.a, args.b, args.c)))
+    a = _parse_number(args.a, exact)
+    b = _parse_number(args.b, exact)
+    c = _parse_number(args.c, exact)
+    params = HypParams(a, b, c)
     zero = Fraction(0) if exact else 0.0
     p = _parse_number(args.p, exact) if args.p is not None else zero
     theta = _parse_number(args.theta, exact) if args.theta is not None else None
@@ -172,10 +179,14 @@ def _eval_pairs(result):
 
 
 def _run_eval(args, sink) -> int:
-    params = HypParams(*(_parse_number(raw, False) for raw in (args.a, args.b, args.c)))
+    a = _parse_number(args.a, False)
+    b = _parse_number(args.b, False)
+    c = _parse_number(args.c, False)
+    params = HypParams(a, b, c)
     x = _parse_number(args.x, False)
     fn = hyp2f1_derivative if args.deriv else hyp2f1
-    _emit(_render(_eval_pairs(fn(params, x, args.tol)), args.format), sink)
+    result = fn(params, x, args.tol)
+    _emit(_render(_eval_pairs(result), args.format), sink)
     return 0
 
 
@@ -192,7 +203,8 @@ def _run_near_one(args, sink) -> int:
             raise ParameterError(f"--c is required for case {args.case}")
         params = HypParams(a, b, _parse_number(args.c, False))
         if args.case == "value-at-one":
-            pairs = (("case", args.case), ("value", format_number(gauss_value_at_one(params))))
+            value = gauss_value_at_one(params)
+            pairs = (("case", args.case), ("value", format_number(value)))
         else:
             if args.x is None:
                 raise ParameterError("--x is required for the Euler-transform evaluation")
@@ -204,7 +216,9 @@ def _run_near_one(args, sink) -> int:
 
 def _run_classify(args, sink) -> int:
     exact = _wants_exact(args, ("a", "b", "m"))
-    a, b, m = (_parse_number(raw, exact) for raw in (args.a, args.b, args.m))
+    a = _parse_number(args.a, exact)
+    b = _parse_number(args.b, exact)
+    m = _parse_number(args.m, exact)
     triple = RegionTriple(MeanParams(a, b), m)
     if args.fuzz:
         label, boundary, (lo, hi) = classify_region_fuzzed(triple)
@@ -221,7 +235,10 @@ def _run_classify(args, sink) -> int:
 
 
 def _run_mean(args, sink) -> int:
-    a, b, x, y = (_parse_number(raw, False) for raw in (args.a, args.b, args.x, args.y))
+    a = _parse_number(args.a, False)
+    b = _parse_number(args.b, False)
+    x = _parse_number(args.x, False)
+    y = _parse_number(args.y, False)
     mp = MeanParams(a, b)
     series_tol = args.tol if args.tol is not None else 1e-12
     quad_tol = args.tol if args.tol is not None else _quad_tol_default()
@@ -238,10 +255,13 @@ def _run_mean(args, sink) -> int:
 
 
 def _run_gm_scan(args, sink) -> int:
-    a, b, m = (_parse_number(raw, False) for raw in (args.a, args.b, args.m))
+    a = _parse_number(args.a, False)
+    b = _parse_number(args.b, False)
+    m = _parse_number(args.m, False)
+    grid = _parse_t_grid(args.tgrid)
     report = gm_sign_scan(
         RegionTriple(MeanParams(a, b), m),
-        t_grid=_parse_t_grid(args.tgrid),
+        t_grid=grid,
         tol=args.tol,
         sign_tol=args.sign_tol,
     )
@@ -264,12 +284,15 @@ def _run_gm_scan(args, sink) -> int:
 
 
 def _run_qprofile(args, sink) -> int:
-    mp = MeanParams(_parse_number(args.a, False), _parse_number(args.b, False))
+    a = _parse_number(args.a, False)
+    b = _parse_number(args.b, False)
     grid = _parse_t_grid(args.tgrid)
     ts = list(DEFAULT_T_GRID) if grid is None else [float(t) for t in grid]
-    rows = list(zip(ts, q_p0_profile(mp, ts, args.tol)))
+    values = q_p0_profile(MeanParams(a, b), ts, args.tol)
+    rows = list(zip(ts, values))
     if args.format == "json":
-        _emit(_render((("q", [[t, v] for t, v in rows]),), "json"), sink)
+        payload = {"q": [[t, v] for t, v in rows]}
+        _emit(json.dumps(payload, sort_keys=True), sink)
     elif args.format == "csv":
         _emit("t,Q\n" + "\n".join(f"{format_number(t)},{format_number(v)}" for t, v in rows), sink)
     else:
@@ -297,8 +320,8 @@ _HANDLERS = {
 
 def _positive_float(raw: str) -> float:
     value = float(raw)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw}")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {raw}")
     return value
 
 

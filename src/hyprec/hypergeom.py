@@ -56,14 +56,20 @@ def term_cap() -> int:
 POLE_TOL = 1e-12
 
 
-def _is_near_nonpositive_integer(c) -> bool:
-    """Exact test for int and Fraction c; within POLE_TOL for floating c."""
+def _require_off_poles(c, tol: float) -> None:
+    """Reject c = 0, -1, -2, ...: exactly for int and Fraction c, within tol for floating c."""
     if isinstance(c, (int, Fraction)):
-        return c <= 0 and c.denominator == 1
-    if not math.isfinite(c):
-        raise ParameterError(f"c must be finite, got c={c!r}")
-    nearest = round(c)
-    return nearest <= 0 and abs(c - nearest) < POLE_TOL
+        on_pole = c <= 0 and c.denominator == 1
+    else:
+        if not math.isfinite(c):
+            raise ParameterError(f"c must be finite, got c={c!r}")
+        nearest = round(c)
+        on_pole = nearest <= 0 and (c == nearest or abs(c - nearest) < tol)
+    if on_pole:
+        raise ParameterError(
+            f"c={c!r} is (within {tol:g}) zero or a negative integer, "
+            "which is outside the parameter domain"
+        )
 
 
 @dataclass(frozen=True)
@@ -79,11 +85,21 @@ class HypParams:
     c: float
 
     def __post_init__(self):
-        if _is_near_nonpositive_integer(self.c):
-            raise ParameterError(
-                f"c={self.c!r} is (within {POLE_TOL:g}) zero or a negative integer, "
-                "which is outside the parameter domain"
-            )
+        _require_off_poles(self.c, POLE_TOL)
+
+    @classmethod
+    def _derived(cls, a, b, c) -> "HypParams":
+        """Parameters the library derives itself, checked against exact poles only.
+
+        Such a c (for instance c = 2b of a mean with tiny b > 0) is never a
+        pole, and the series stays well conditioned there, so the near-pole
+        tolerance meant for caller input must not reject it.
+        """
+        _require_off_poles(c, 0.0)
+        params = object.__new__(cls)
+        for name, value in zip("abc", (a, b, c)):
+            object.__setattr__(params, name, value)
+        return params
 
     def shift_a(self, delta: int) -> "HypParams":
         return HypParams(self.a + delta, self.b, self.c)

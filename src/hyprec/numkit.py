@@ -11,27 +11,19 @@ from .errors import DomainError, NonConvergence
 __all__ = ["QuadResult", "weighted_quad", "central_diff"]
 
 
-def _special():
-    """scipy.special, imported on first use and then bound as ``_sp``.
-
-    Importing it costs about half a second of start-up, and only the
-    Gauss-Jacobi nodes need it.  The ``_sp`` binding (also reachable from
-    outside through the module ``__getattr__``) is what perfbench's tracer
-    replaces to time node computation.
-    """
-    global _sp
-    try:
-        return _sp
-    except NameError:
-        import scipy.special as _sp
-
-        return _sp
-
-
 def __getattr__(name: str):
-    if name == "_sp":
-        return _special()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Import scipy.special on first use (it costs about half a second of start-up).
+
+    It is bound as the module global ``_sp``, which ``weighted_quad`` reads;
+    keep that name, because the benchmark tracer replaces it to time the
+    Gauss-Jacobi node computation.
+    """
+    if name != "_sp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global _sp
+    import scipy.special as _sp
+
+    return _sp
 
 
 @dataclass(frozen=True)
@@ -63,7 +55,7 @@ def weighted_quad(
         raise DomainError(f"weight exponent b must be positive, got {b!r}")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-    special = _special()
+    special = globals().get("_sp") or __getattr__("_sp")
     scale = 2.0 ** (1.0 - 2.0 * b)
     previous = None
     evaluations = 0

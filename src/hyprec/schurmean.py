@@ -121,7 +121,7 @@ def mean_series(x: float, y: float, mp: MeanParams, tol: float = 1e-12) -> float
     if t == 0.0:
         return float(hi)
     a, b = mp.a, mp.b
-    f_val = hyp2f1(HypParams(-a, b, 2 * b), t, tol).value
+    f_val = hyp2f1(HypParams._derived(-a, b, 2 * b), t, tol).value
     return hi * f_val ** (1.0 / a)
 
 
@@ -172,7 +172,7 @@ def g_m_series_reduction_residual(t: float, triple: RegionTriple, tol: float = 1
     _require_unit_interval(t)
     a, b = triple.mean.a, triple.mean.b
     lhs = (
-        2.0 * hyp2f1(HypParams(-a, b, 2 * b), t, tol).value
+        2.0 * hyp2f1(HypParams._derived(-a, b, 2 * b), t, tol).value
         - (1.0 - t) * hyp2f1(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value
     )
     return lhs - hyp2f1(HypParams(1 - a, b, 2 * b + 1), t, tol).value

@@ -38,6 +38,7 @@ _EVAL = (
     ("--a", "0.3", "--b", "0.7", "--c", "1.5", "--x", "0.3", "--deriv"),
     ("--a", "0.5", "--b", "0.5", "--c", "1", "--x", "-0.9", "--tol", "1e-8"),
     ("--a", "-3", "--b", "2", "--c", "1/2", "--x", "0.7"),
+    ("--a", "1", "--b", "1", "--c", "2", "--x", "0.5", "--tol", "inf"),
 )
 _NEAR_ONE = (
     ("--case", "value-at-one", "--a", "0.5", "--b", "0.5", "--c", "2"),
@@ -57,6 +58,7 @@ _MEAN = (
     ("--a", "0.3", "--b", "1.5", "--x", "3", "--y", "0.5", "--method", "quadrature"),
     ("--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2", "--method", "both"),
     ("--a", "0.7", "--b", "0.8", "--x", "2", "--y", "2", "--method", "both", "--tol", "1e-9"),
+    ("--a", "0.5", "--b", "1e-13", "--x", "1", "--y", "2"),
 )
 _GM_SCAN = (
     ("--a", "0.9", "--b", "0.5", "--m", "0"),

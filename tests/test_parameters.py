@@ -18,6 +18,7 @@ from hyprec import (
     RegionTriple,
     WeightedSeriesSpec,
     g_m,
+    g_m_series_reduction_residual,
     gauss_value_at_one,
     hyp2f1,
     mean_quadrature,
@@ -79,6 +80,14 @@ class TestHypParamsPoles:
 def test_construction_checks_raise_parameter_error(build):
     with pytest.raises(ParameterError):
         build()
+
+
+def test_mean_series_accepts_tiny_b():
+    # The internal c = 2b sits within the near-pole tolerance of 0 but is no
+    # pole: F(-a,b;2b;t) stays well conditioned and tends to its b -> 0 limit.
+    triple = RegionTriple(MeanParams(0.5, 1e-13), 0.5)
+    assert mean_series(1.0, 2.0, triple.mean) == pytest.approx(((1 + 2**0.5) / 2) ** 2, rel=1e-12)
+    assert abs(g_m_series_reduction_residual(0.5, triple)) < 1e-11
 
 
 @pytest.mark.parametrize(
