@@ -11,10 +11,14 @@ ground truth for all of them is the O(N^2) Cauchy-product oracle
 
     u_n = sum_k (a)_k (b)_k / (k! (c)_k) * theta^(n-k) (-p)_(n-k) / (n-k)! .
 
-Every routine is written over an abstract field: feed it floats and it runs
-in double precision, feed it ``fractions.Fraction`` (or int) values and every
-coefficient comes back exact.  Exact mode is what certifies the floating
-tolerances, since the higher-order recurrences can amplify rounding.
+Every recurrence is written over an abstract field: feed it floats and it
+runs in double precision, feed it ``fractions.Fraction`` (or int) values and
+every coefficient comes back exact.  Exact mode is what certifies the
+floating tolerances, since the higher-order recurrences can amplify rounding.
+In exact mode the oracle convolves integer numerators over one common
+denominator and normalises once per coefficient, which gives the same
+rationals as summing Fraction products; float mode sums the products in the
+field of the inputs, as the recurrences do.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -293,27 +298,70 @@ def _log_series_coeffs(one, n_max: int) -> list:
     return [0 * one] + [-one / k for k in range(1, n_max + 1)]
 
 
+def _over_common_denominator(seq) -> tuple[list[int], int]:
+    """Integers X_k and D with seq[k] == X_k / D, where D is the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in seq))
+    return [v.numerator * (den // v.denominator) for v in seq], den
+
+
+def _exact_cauchy_product(w, g) -> tuple:
+    """sum_k w[k] g[n-k] for n = 0..len(w)-1, for rational w and g of equal length.
+
+    Both sequences are scaled to integers over their own common denominators
+    D_w and D_g, the integers are convolved, and each sum s_n becomes
+    Fraction(s_n, D_w*D_g): one normalisation per coefficient instead of one
+    per product and partial sum.  Fraction is canonical, so the values are
+    identical to the termwise Fraction sums.
+    """
+    (w_int, d_w), (g_int, d_g) = _over_common_denominator(w), _over_common_denominator(g)
+    den = d_w * d_g
+    g_rev = g_int[::-1]
+    last = len(g_int) - 1
+    return tuple(
+        Fraction(sum(map(operator.mul, w_int[: n + 1], g_rev[last - n :])), den)
+        for n in range(len(w_int))
+    )
+
+
 def cauchy_oracle(spec: WeightedSeriesSpec | LogProductSpec, n_max: int) -> CoeffSequence:
     """Ground-truth coefficients by direct Cauchy-product convolution, O(N^2).
 
-    For a :class:`WeightedSeriesSpec` the binomial factor contributes
-    theta^j (-p)_j / j!; for a :class:`LogProductSpec` it is replaced by the
-    ln(1-x) coefficients -1/j.  The Pochhammer factors are computed as finite
-    products, never via gamma, so exact inputs give exact output.
+    The coefficients w_k = (a)_k (b)_k / (k! (c)_k) of F are convolved with
+    those of the binomial factor, theta^j (-p)_j / j! for a
+    :class:`WeightedSeriesSpec`, or with the ln(1-x) coefficients -1/j for a
+    :class:`LogProductSpec`.  Nothing here uses the recurrences it certifies.
+
+    Exact mode (every parameter an int or Fraction) builds the binomial
+    factor incrementally, g_j = g_(j-1) * theta * (j-1-p) / j, convolves
+    integer numerators over one common denominator per sequence and
+    normalises once per coefficient; the result is the same Fraction, numerator
+    and denominator, as summing Fraction products.  Float mode (any parameter
+    a float) takes the Pochhammer factors as finite products, never via gamma,
+    and sums the products in the field of the inputs.
     """
     _check_n(n_max)
     params = spec.params
+    a, b, c = params.a, params.b, params.c
     w = hyp_series_coeffs(params, n_max)
     if isinstance(spec, LogProductSpec):
-        g = _log_series_coeffs(_one(params.a, params.b, params.c), n_max)
+        exact = is_exact(a, b, c)
+        g = _log_series_coeffs(_one(a, b, c), n_max)
     else:
         p, th = spec.p, spec.theta
-        one = _one(params.a, params.b, params.c, p, th)
-        g = [one * th**j * pochhammer(-p, j) / math.factorial(j) for j in range(n_max + 1)]
-    coeffs = tuple(
-        sum((w[k] * g[n - k] for k in range(n + 1)), start=0 * w[0])
-        for n in range(n_max + 1)
-    )
+        exact = is_exact(a, b, c, p, th)
+        if exact:
+            g = [Fraction(1)]
+            for j in range(1, n_max + 1):
+                g.append(g[-1] * th * (j - 1 - p) / j)
+        else:
+            g = [1.0 * th**j * pochhammer(-p, j) / math.factorial(j) for j in range(n_max + 1)]
+    if exact:
+        coeffs = _exact_cauchy_product(w, g)
+    else:
+        coeffs = tuple(
+            sum((w[k] * g[n - k] for k in range(n + 1)), start=0 * w[0])
+            for n in range(n_max + 1)
+        )
     return CoeffSequence(spec, coeffs, Method.CAUCHY_ORACLE)
 
 

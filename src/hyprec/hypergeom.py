@@ -46,9 +46,12 @@ def term_cap() -> int:
     raw = os.environ.get(TERM_CAP_ENV)
     if raw is None:
         return DEFAULT_TERM_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise ParameterError(f"{TERM_CAP_ENV} must be an integer, got {raw!r}") from exc
     if cap <= 0:
-        raise DomainError(f"{TERM_CAP_ENV} must be a positive integer, got {raw!r}")
+        raise ParameterError(f"{TERM_CAP_ENV} must be a positive integer, got {raw!r}")
     return cap
 
 

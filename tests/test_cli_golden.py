@@ -30,6 +30,7 @@ _COEFFS = (
     ("--a", "0.3", "--b", "0.7", "--c", "1.5", "--p", "-1.5", "--theta", "-1", "--family", "theta-1", "--n", "8"),
     ("--a", "0.3", "--b", "0.7", "--c", "1.5", "--p", "2", "--theta", "0.5", "--n", "6", "--family", "oracle"),
     ("--a", "1/2", "--b", "1/3", "--c", "5/4", "--p=-2/3", "--theta", "1/2", "--n", "6", "--family", "oracle"),
+    ("--family", "oracle", "--a", "1/2", "--b", "1/3", "--c", "5/4", "--p=-2/3", "--theta", "1/2", "--n", "40"),
     ("--a", "-2", "--b", "0.5", "--c", "-2.5", "--n", "4"),
     ("--a", "1", "--b", "1", "--c", "2", "--n", "0"),
 )
@@ -72,6 +73,8 @@ _QPROFILE = (
 _VERIFY = (
     ("--suite", "special-cases", "--seed", "42"),
     ("--suite", "mean", "--seed", "3"),
+    ("--suite", "recurrence", "--seed", "42"),
+    ("--suite", "corollaries", "--seed", "42"),
 )
 
 #: Invalid invocations: (argv, env).  Every one exits 2 or 3 with empty stdout.

@@ -132,6 +132,106 @@ class TestOracleEquivalence:
         assert abs(partial_sum(seq, x) - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
+def fraction_sum_oracle(spec, n_max):
+    """The Cauchy product summed one product at a time, in the field of the inputs.
+
+    A copy of cauchy_oracle before it convolved integer numerators: the
+    binomial factor from pochhammer, one Fraction (or float) per product.
+    """
+    params = spec.params
+    w = hyp_series_coeffs(params, n_max)
+    if isinstance(spec, LogProductSpec):
+        values = (params.a, params.b, params.c)
+    else:
+        values = (params.a, params.b, params.c, spec.p, spec.theta)
+    one = Fraction(1) if all(isinstance(v, (int, Fraction)) for v in values) else 1.0
+    if isinstance(spec, LogProductSpec):
+        g = [0 * one] + [-one / k for k in range(1, n_max + 1)]
+    else:
+        g = [one * spec.theta**j * pochhammer(-spec.p, j) / math.factorial(j) for j in range(n_max + 1)]
+    return tuple(
+        sum((w[k] * g[n - k] for k in range(n + 1)), start=0 * w[0]) for n in range(n_max + 1)
+    )
+
+
+def assert_same_rationals(spec, n_max):
+    got = cauchy_oracle(spec, n_max).coeffs
+    want = fraction_sum_oracle(spec, n_max)
+    assert all(type(v) is Fraction for v in got)
+    assert [(v.numerator, v.denominator) for v in got] == [(v.numerator, v.denominator) for v in want]
+
+
+_SMALL_PRIMES = (1, 2, 3, 5, 7, 11, 13)
+
+
+def _prime_rationals(bound):
+    """Fractions k/d with d a small prime (or 1) and |k/d| <= bound."""
+    return st.sampled_from(_SMALL_PRIMES).flatmap(
+        lambda d: st.integers(-bound * d, bound * d).map(lambda k: Fraction(k, d))
+    )
+
+
+class TestExactOracleReference:
+    """The integer convolution gives the Fraction sum's exact (numerator, denominator) pairs."""
+
+    @given(
+        _prime_rationals(3),
+        _prime_rationals(3),
+        _prime_rationals(4).filter(lambda c: c > 0 or c.denominator != 1),
+        _prime_rationals(3),
+        _prime_rationals(1),
+        st.integers(0, 40),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_exact_specs(self, a, b, c, p, theta, n_max, log):
+        params = HypParams(a, b, c)
+        spec = LogProductSpec(params) if log else WeightedSeriesSpec(params, p, theta)
+        assert_same_rationals(spec, n_max)
+
+    @pytest.mark.parametrize(
+        "spec,n_max",
+        [
+            (spec_of(Fraction(1, 3), Fraction(2, 5), Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)), 0),
+            (spec_of(Fraction(1, 3), Fraction(2, 5), Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)), 1),
+            (spec_of(1, 2, 3, 2, 1), 30),
+            (spec_of(1, 2, 3, -3, -1), 30),
+            (spec_of(Fraction(1, 3), Fraction(2, 5), Fraction(3, 2), Fraction(-7, 3), Fraction(-1)), 30),
+            (spec_of(Fraction(1, 3), Fraction(2, 5), Fraction(3, 2), Fraction(-7, 3), Fraction(0)), 30),
+            (spec_of(Fraction(1, 3), Fraction(2, 5), Fraction(3, 2), Fraction(-7, 3), Fraction(1)), 30),
+            (spec_of(Fraction(1, 3), Fraction(2, 5), Fraction(3, 2), Fraction(0), Fraction(1, 2)), 30),
+            (spec_of(Fraction(1, 3), Fraction(2, 5), Fraction(3, 2), Fraction(3), Fraction(-1, 2)), 30),
+            (spec_of(Fraction(-3), Fraction(2, 5), Fraction(3, 2), Fraction(5, 7), Fraction(1, 3)), 30),
+            (spec_of(Fraction(1, 3), Fraction(2, 5), Fraction(-5, 2), Fraction(5, 7), Fraction(1, 3)), 30),
+            (LogProductSpec(HypParams(Fraction(1, 3), Fraction(2, 5), Fraction(3, 2))), 30),
+            (LogProductSpec(HypParams(1, 1, 2)), 0),
+            (LogProductSpec(HypParams(Fraction(-3), Fraction(2, 5), Fraction(-5, 2))), 30),
+        ],
+        ids=[
+            "n0", "n1", "int-only", "int-only-theta-minus1", "theta-minus1", "theta0", "theta1",
+            "p0", "p-nonneg-integer", "a-minus3", "c-negative-noninteger", "log", "log-n0",
+            "log-terminating-negative-c",
+        ],
+    )
+    def test_edge_cases(self, spec, n_max):
+        assert_same_rationals(spec, n_max)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            spec_of(Fraction(1, 3), Fraction(2, 5), Fraction(3, 2), 0.5, Fraction(1, 2)),
+            spec_of(Fraction(1, 3), Fraction(2, 5), Fraction(3, 2), Fraction(1, 2), 0.5),
+            spec_of(1, 2, 3, -1.5, -1),
+            spec_of(0.3, 0.7, 1.5, Fraction(2), Fraction(1, 2)),
+            LogProductSpec(HypParams(0.3, 0.7, 1.5)),
+        ],
+        ids=["float-p", "float-theta", "int-abc-float-p", "float-abc", "log-float"],
+    )
+    def test_mixed_and_float_paths_unchanged(self, spec):
+        got = cauchy_oracle(spec, 40).coeffs
+        assert all(type(v) is float for v in got)
+        assert got == fraction_sum_oracle(spec, 40)
+
 class TestCorollaries:
     def test_theta_minus1_literals(self):
         seq = u_theta_minus1(HypParams(1.0, 1.0, 2.0), 3.0, 2)

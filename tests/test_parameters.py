@@ -29,6 +29,7 @@ from hyprec import (
 from hyprec.cli import main
 from hyprec.coeffrec import MAX_N
 from hyprec.errors import DomainError, ParameterError
+from hyprec.hypergeom import TERM_CAP_ENV, term_cap
 
 
 def test_parameter_error_is_a_domain_error():
@@ -121,6 +122,18 @@ def test_non_finite_flags_exit_2(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-5"])
+def test_bad_term_cap_is_a_parameter_error(raw, monkeypatch, capsys):
+    monkeypatch.setenv(TERM_CAP_ENV, raw)
+    with pytest.raises(ParameterError):
+        term_cap()
+    code = main(["eval", "--a", "1", "--b", "1", "--c", "2", "--x", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert TERM_CAP_ENV in captured.err
 
 
 def test_import_defers_scipy_and_numpy():
