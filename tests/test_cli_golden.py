@@ -75,6 +75,8 @@ _VERIFY = (
     ("--suite", "mean", "--seed", "3"),
     ("--suite", "recurrence", "--seed", "42"),
     ("--suite", "corollaries", "--seed", "42"),
+    ("--suite", "regions", "--seed", "42"),
+    ("--suite", "monotone-ratio", "--seed", "42"),
 )
 
 #: Invalid invocations: (argv, env).  Every one exits 2 or 3 with empty stdout.
