@@ -5,7 +5,7 @@ recurrence, certified against an exact-rational convolution oracle, plus the
 Schur m-power convexity analysis of the hypergeometric mean they enable.
 """
 
-from .compare import agree, rel_with_floor
+from .compare import rel_with_floor
 from .coeffrec import (
     CoeffSequence,
     LogProductSpec,

@@ -97,8 +97,6 @@ def _parse_t_grid(raw: str | None):
         piece = piece.strip()
         if piece:
             values.append(_parse_number(piece, False))
-    if not values:
-        raise ParameterError("empty t grid")
     return values
 
 

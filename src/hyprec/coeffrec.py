@@ -64,7 +64,6 @@ MAX_N = 10_000
 class Method(str, Enum):
     RECURRENCE = "recurrence"
     CAUCHY_ORACLE = "cauchy-oracle"
-    CLOSED_FORM = "closed-form"
 
 
 def is_exact(*values) -> bool:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["rel_with_floor", "agree"]
+__all__ = ["rel_with_floor"]
 
 
 def rel_with_floor(x, y, floor: float = 1e-14) -> float:
@@ -18,7 +18,3 @@ def rel_with_floor(x, y, floor: float = 1e-14) -> float:
     mag = max(abs(x), abs(y))
     return float(diff / mag) if mag else float("inf")
 
-
-def agree(x, y, rel: float = 1e-10, floor: float = 1e-14) -> bool:
-    """True when x and y agree to the given relative error and absolute floor."""
-    return rel_with_floor(x, y, floor) <= rel

@@ -66,6 +66,11 @@ DEFAULT_T_GRID = tuple(0.02 * k for k in range(1, 50))
 #: Large-t probes used to detect growth direction near t = 1.
 NEAR_ONE_PROBES = (0.9, 0.99, 0.999)
 
+#: Offset in m at which ``classify_region_fuzzed`` reclassifies a triple.
+FUZZ_EPS = 1e-9
+#: Finite-difference step of ``schur_condition_sample``, relative to max(x, y).
+DIFF_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class MeanParams:
@@ -136,6 +141,16 @@ def mean_quadrature(x: float, y: float, mp: MeanParams, tol: float = 1e-10) -> f
 def _require_unit_interval(t: float) -> None:
     if not 0 < t < 1:
         raise ParameterError(f"t must lie in (0, 1), got {t!r}")
+
+
+def _float_t_grid(t_grid) -> tuple[float, ...]:
+    """The t grid (``DEFAULT_T_GRID`` for None) as floats, nonempty and inside (0, 1)."""
+    ts = tuple(float(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid))
+    if not ts:
+        raise ParameterError("the t grid is empty")
+    for t in ts:
+        _require_unit_interval(t)
+    return ts
 
 
 def g_m(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
@@ -230,14 +245,14 @@ def classify_region(triple: RegionTriple) -> RegionLabel:
     return RegionLabel(Region.NEITHER, m0, "")
 
 
-def classify_region_fuzzed(triple: RegionTriple, eps: float = 1e-9):
-    """Classify at m and at m +/- eps; flags triples sitting on a boundary.
+def classify_region_fuzzed(triple: RegionTriple):
+    """Classify at m and at m +/- ``FUZZ_EPS``; flags triples sitting on a boundary.
 
     Returns (center_label, boundary_flag, labels_at_m_minus_plus).
     """
     center = classify_region(triple)
-    lo = classify_region(RegionTriple(triple.mean, triple.m - eps))
-    hi = classify_region(RegionTriple(triple.mean, triple.m + eps))
+    lo = classify_region(RegionTriple(triple.mean, triple.m - FUZZ_EPS))
+    hi = classify_region(RegionTriple(triple.mean, triple.m + FUZZ_EPS))
     boundary = not (lo.label == center.label == hi.label)
     return center, boundary, (lo, hi)
 
@@ -267,9 +282,7 @@ def q_p0_profile(mp: MeanParams, t_grid, tol: float = 1e-12) -> list[float]:
     """
     a, b = mp.a, mp.b
     p0 = a / (2 * b + 1)
-    for t in t_grid:
-        _require_unit_interval(t)
-    return [_q_p0_point(a, b, p0, float(t), tol) for t in t_grid]
+    return [_q_p0_point(a, b, p0, t, tol) for t in _float_t_grid(t_grid)]
 
 
 def q_p0_dn_sequence(mp: MeanParams, n_max: int) -> list:
@@ -337,7 +350,6 @@ def schur_condition_sample(
     y: float,
     triple: RegionTriple,
     tol: float = 1e-12,
-    h_scale: float = 1e-4,
 ) -> float:
     """The Schur m-power differential (y-x) (y^(1-m) dM/dy - x^(1-m) dM/dx).
 
@@ -351,7 +363,7 @@ def schur_condition_sample(
     if x == y:
         raise DomainError("the differential criterion needs x != y (limit value is 0)")
     mp, m = triple.mean, triple.m
-    h = h_scale * max(x, y)
+    h = DIFF_STEP * max(x, y)
     dm_dx = numkit.central_diff(lambda s: mean_series(s, y, mp, tol), x, h)
     dm_dy = numkit.central_diff(lambda s: mean_series(x, s, mp, tol), y, h)
     return (y - x) * (y ** (1.0 - m) * dm_dy - x ** (1.0 - m) * dm_dx)
@@ -434,6 +446,24 @@ def _build_report(
     )
 
 
+def _scan_cell(mean: MeanParams, m_values, ts, tol: float, sign_tol: float) -> list[GmScanReport]:
+    """Reports for (a, b, m) over m_values, evaluating both series once per t."""
+    a, b = mean.a, mean.b
+    f1 = [hyp2f1(HypParams(1 - a, b, 2 * b + 1), t, tol).value for t in ts]
+    f2 = [hyp2f1(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value for t in ts]
+    f1_near = [hyp2f1(HypParams(1 - a, b, 2 * b + 1), t, tol).value for t in NEAR_ONE_PROBES]
+    f2_near = [hyp2f1(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value for t in NEAR_ONE_PROBES]
+    reports = []
+    for m in m_values:
+        g_values = [f1[i] - (1.0 - ts[i]) ** (1.0 - m) * f2[i] for i in range(len(ts))]
+        near = tuple(
+            (t, f1_near[i] - (1.0 - t) ** (1.0 - m) * f2_near[i])
+            for i, t in enumerate(NEAR_ONE_PROBES)
+        )
+        reports.append(_build_report(RegionTriple(mean, m), ts, g_values, near, sign_tol))
+    return reports
+
+
 def gm_sign_scan(
     triple: RegionTriple,
     t_grid=None,
@@ -447,12 +477,7 @@ def gm_sign_scan(
     visible.  Growth direction near t = 1 is probed at t in {0.9, 0.99, 0.999}
     rather than by computing the limit itself.
     """
-    ts = tuple(float(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid))
-    for t in ts:
-        _require_unit_interval(t)
-    g_values = [g_m(t, triple, tol) for t in ts]
-    near = tuple((t, g_m(t, triple, tol)) for t in NEAR_ONE_PROBES)
-    return _build_report(triple, ts, g_values, near, sign_tol)
+    return _scan_cell(triple.mean, (triple.m,), _float_t_grid(t_grid), tol, sign_tol)[0]
 
 
 def schur_grid_scan(
@@ -462,36 +487,22 @@ def schur_grid_scan(
     t_grid=None,
     tol: float = 1e-12,
     sign_tol: float = 1e-8,
-    require_hypothesis: bool = True,
 ) -> list[GmScanReport]:
     """Scan G_m over a full (a, b, m) grid, sharing series work across m.
 
     Both series in G_m depend only on (a, b, t), so for each (a, b) they are
-    evaluated once per grid point and combined per m.  Grid points are
-    processed in the given order (each independent of the others) and reports
-    are returned in that deterministic order.  With ``require_hypothesis``
-    (default) triples with a + b < 1/2 are skipped.
+    evaluated once per grid point and combined per m (``gm_sign_scan`` is the
+    one-m case).  Grid points are processed in the given order and reports are
+    returned in that deterministic order.  Triples with a + b < 1/2, outside
+    the hypothesis of the sign dichotomy, are skipped.
     """
-    ts = tuple(float(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid))
-    for t in ts:
-        _require_unit_interval(t)
+    ts = _float_t_grid(t_grid)
     reports = []
     for a in a_values:
         for b in b_values:
-            if require_hypothesis and a + b < 0.5:
+            if a + b < 0.5:
                 continue
-            f1 = [hyp2f1(HypParams(1 - a, b, 2 * b + 1), t, tol).value for t in ts]
-            f2 = [hyp2f1(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value for t in ts]
-            f1_near = [hyp2f1(HypParams(1 - a, b, 2 * b + 1), t, tol).value for t in NEAR_ONE_PROBES]
-            f2_near = [hyp2f1(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value for t in NEAR_ONE_PROBES]
-            for m in m_values:
-                triple = RegionTriple(MeanParams(a, b), m)
-                g_values = [f1[i] - (1.0 - ts[i]) ** (1.0 - m) * f2[i] for i in range(len(ts))]
-                near = tuple(
-                    (t, f1_near[i] - (1.0 - t) ** (1.0 - m) * f2_near[i])
-                    for i, t in enumerate(NEAR_ONE_PROBES)
-                )
-                reports.append(_build_report(triple, ts, g_values, near, sign_tol))
+            reports.extend(_scan_cell(MeanParams(a, b), m_values, ts, tol, sign_tol))
     return reports
 
 

@@ -26,6 +26,7 @@ from .coeffrec import (
     WeightedSeriesSpec,
     cauchy_oracle,
     hyp_series_coeffs,
+    is_exact,
     partial_sum,
     u_general,
     u_theta_minus1,
@@ -33,6 +34,7 @@ from .coeffrec import (
     v_log_product,
     published_recurrence_pair,
 )
+from .errors import ParameterError
 from .hypergeom import HypParams, hyp2f1
 from .schurmean import (
     MeanParams,
@@ -61,26 +63,16 @@ NOTE = "note"
 
 #: Parameter box shared by the recurrence-level suites.
 PARAM_BOX = ((0.3, 0.7, 1.5), (1.0, 1.0, 2.0), (0.9, 0.2, 2.4), (-0.5, -0.5, 2.0))
-PARAM_BOX_EXACT = (
-    (Fraction(3, 10), Fraction(7, 10), Fraction(3, 2)),
-    (Fraction(1), Fraction(1), Fraction(2)),
-    (Fraction(9, 10), Fraction(1, 5), Fraction(12, 5)),
-    (Fraction(-1, 2), Fraction(-1, 2), Fraction(2)),
-)
 THETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
-THETAS_EXACT = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
+#: The same box as exact rationals: Fraction(str(v)) reads each decimal literal exactly.
+PARAM_BOX_EXACT = tuple(tuple(Fraction(str(v)) for v in abc) for abc in PARAM_BOX)
+THETAS_EXACT = tuple(Fraction(str(v)) for v in THETAS)
 
 
 def _p_set(a, b, c):
-    return (-1 * _unit(a), 0 * _unit(a), _half_like(a), 2 * _unit(a), c - a - b)
-
-
-def _unit(v):
-    return Fraction(1) if isinstance(v, (int, Fraction)) else 1.0
-
-
-def _half_like(v):
-    return Fraction(1, 2) if isinstance(v, (int, Fraction)) else 0.5
+    """Weight exponents -1, 0, 1/2, 2 and c - a - b, in the field of a."""
+    one = Fraction(1) if is_exact(a) else 1.0
+    return (-one, 0 * one, one / 2, 2 * one, c - a - b)
 
 
 @dataclass(frozen=True)
@@ -630,7 +622,7 @@ _SUITE_FUNCS = {
 def verify_driver(suite: str = "all", seed: int = 42) -> VerifySummary:
     """Run the named property suite (or all of them) with a seeded sampler."""
     if suite != "all" and suite not in _SUITE_FUNCS:
-        raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
+        raise ParameterError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     names = SUITES if suite == "all" else (suite,)
     results: list[PropertyResult] = []
     for name in names:

@@ -305,14 +305,6 @@ class TestClassifyAndScans:
 
 
 class TestProcessLevel:
-    def test_determinism(self):
-        args = ("verify", "--suite", "special-cases", "--seed", "42")
-        first = run_proc(*args)
-        second = run_proc(*args)
-        assert first.returncode == 0
-        assert first.stdout == second.stdout
-        assert "known discrepancy" in first.stdout
-
     def test_term_cap_env(self):
         proc = run_proc(
             "eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9",

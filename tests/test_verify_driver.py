@@ -3,38 +3,16 @@ import json
 import pytest
 
 from hyprec import verify
+from hyprec.errors import ParameterError
 
 
-def test_all_suites_pass():
-    summary = verify.verify_driver("all", 42)
-    assert summary.failures == 0
-    assert summary.exit_code == 0
-    names = {(r.suite, r.name) for r in summary.results}
-    assert ("special-cases", "published-recurrence-divergence") in names
-
-
-def test_known_discrepancy_is_note_not_failure():
-    summary = verify.verify_driver("special-cases", 42)
-    record = next(r for r in summary.results if r.name == "published-recurrence-divergence")
-    assert record.status == "note"
-    assert "known discrepancy" in record.note
-    assert summary.failures == 0
-
-
-def test_deterministic_rendering():
-    first = verify.render(verify.verify_driver("all", 42), "plain")
-    second = verify.render(verify.verify_driver("all", 42), "plain")
-    assert first == second
-    j1 = verify.render(verify.verify_driver("monotone-ratio", 7), "json")
-    j2 = verify.render(verify.verify_driver("monotone-ratio", 7), "json")
-    assert j1 == j2
-
-
-def test_single_suite_equals_slice_of_all():
-    full = verify.verify_driver("all", 42)
-    single = verify.verify_driver("regions", 42)
-    full_regions = [r for r in full.results if r.suite == "regions"]
-    assert list(single.results) == full_regions
+def test_deterministic_rendering(verify_run):
+    # A fresh --suite all run against the fixture's one run per suite: the
+    # two are independent, and equal output also shows that each single-suite
+    # run is exactly its slice of the full run.
+    fresh = verify.verify_driver("all", verify_run.seed)
+    for fmt in ("plain", "json", "csv"):
+        assert verify.render(fresh, fmt) == verify.render(verify_run.summary(), fmt)
 
 
 def test_seed_changes_samples_not_correctness():
@@ -42,15 +20,15 @@ def test_seed_changes_samples_not_correctness():
         assert verify.verify_driver("mean", seed).failures == 0
 
 
-def test_json_shape():
-    payload = json.loads(verify.render(verify.verify_driver("recurrence", 42), "json"))
+def test_json_shape(verify_run):
+    payload = json.loads(verify.render(verify_run.summary("recurrence"), "json"))
     assert payload["failures"] == 0
     assert payload["suite"] == "recurrence"
     assert all(set(r) == {"suite", "name", "status", "margin", "note"} for r in payload["results"])
 
 
-def test_csv_shape():
-    text = verify.render(verify.verify_driver("mean", 42), "csv")
+def test_csv_shape(verify_run):
+    text = verify.render(verify_run.summary("mean"), "csv")
     lines = text.splitlines()
     assert lines[0] == "suite,property,status,margin,note"
     assert len(lines) >= 3
@@ -58,4 +36,6 @@ def test_csv_shape():
 
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
+        verify.verify_driver("nonsense", 42)
+    with pytest.raises(ParameterError):
         verify.verify_driver("nonsense", 42)
