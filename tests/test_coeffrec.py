@@ -25,9 +25,11 @@ from hyprec.coeffrec import (
     v_log_product,
     published_recurrence_pair,
 )
+from hyprec.compare import rel_with_floor
 from hyprec.errors import DomainError
-from hyprec.hypergeom import HypParams
+from hyprec.hypergeom import HypParams, hyp2f1
 from hyprec.specfn import pochhammer
+from hyprec.verify import PARAM_BOX, PARAM_BOX_EXACT, THETAS, THETAS_EXACT
 
 
 def spec_of(a, b, c, p, theta):
@@ -67,6 +69,24 @@ class TestSeeds:
 
 
 class TestOracleEquivalence:
+    @pytest.mark.parametrize("abc", PARAM_BOX)
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_float_box(self, abc, theta):
+        a, b, c = abc
+        for p in (-1.0, 0.0, 0.5, 2.0, c - a - b):
+            spec = spec_of(a, b, c, p, theta)
+            rec = u_general(spec, 30).coeffs
+            orc = cauchy_oracle(spec, 30).coeffs
+            assert max(rel_with_floor(x, y) for x, y in zip(rec, orc)) <= 1e-10
+
+    @pytest.mark.parametrize("abc", PARAM_BOX_EXACT)
+    def test_exact_box(self, abc):
+        a, b, c = abc
+        for p in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2), c - a - b):
+            for theta in THETAS_EXACT:
+                spec = spec_of(a, b, c, p, theta)
+                assert u_general(spec, 30).coeffs == cauchy_oracle(spec, 30).coeffs
+
     @given(
         st.fractions(min_value=-2, max_value=2, max_denominator=6),
         st.fractions(min_value=-2, max_value=2, max_denominator=6),
@@ -220,6 +240,20 @@ class TestCorollaries:
         for x, y in zip(cor, gen):
             assert abs(x - y) <= max(1e-14, 1e-12 * max(abs(x), abs(y)))
 
+    @pytest.mark.parametrize("abc", PARAM_BOX_EXACT)
+    def test_specializations_exact(self, abc):
+        a, b, c = abc
+        params = HypParams(a, b, c)
+        for p in (Fraction(-1), Fraction(1, 2), Fraction(2)):
+            assert (
+                u_theta_minus1(params, p, 20).coeffs
+                == u_general(WeightedSeriesSpec(params, p, Fraction(-1)), 20).coeffs
+            )
+            assert (
+                u_theta_plus1(params, p, 20).coeffs
+                == u_general(WeightedSeriesSpec(params, p, Fraction(1)), 20).coeffs
+            )
+
     def test_second_order_satisfies_third_order(self):
         a, b, c, p = Fraction(3, 10), Fraction(7, 10), Fraction(3, 2), Fraction(2)
         u = u_theta_plus1(HypParams(a, b, c), p, 31).coeffs
@@ -232,6 +266,52 @@ class TestCorollaries:
             lam = (n + a - p - 2) * (n + b - p - 2)
             rhs = (xi * u[n] - eta * u[n - 1] + lam * u[n - 2]) / ((n + 1) * (n + c))
             assert u[n + 1] == rhs
+
+    def test_euler_transform_closed_form(self):
+        # (1-x)^(a+b-c) F(a,b;c;x) = F(c-a,c-b;c;x), so u_n has the
+        # Pochhammer-ratio closed form.
+        a, b, c = 0.7, 0.9, 1.2
+        u = u_theta_plus1(HypParams(a, b, c), a + b - c, 15).coeffs
+        for n in range(16):
+            closed = pochhammer(c - a, n) * pochhammer(c - b, n) / (
+                math.factorial(n) * pochhammer(c, n)
+            )
+            assert rel_with_floor(u[n], closed) <= 1e-11
+
+    def test_binomial_closed_form(self):
+        # c = b: F(a,b;b;x) = (1-x)^(-a), so u_n = (a-p)_n / n!.
+        a, b, c, p = Fraction(2, 5), Fraction(11, 10), Fraction(11, 10), Fraction(1, 2)
+        u = u_theta_plus1(HypParams(a, b, c), p, 12).coeffs
+        for n in range(13):
+            assert u[n] == pochhammer(a - p, n) / math.factorial(n)
+
+    def test_degenerate_c_equals_a_ratio(self):
+        a, b, c, p = Fraction(3, 2), Fraction(4, 5), Fraction(3, 2), Fraction(3, 10)
+        u = u_theta_plus1(HypParams(a, b, c), p, 12).coeffs
+        for n in range(1, 12):
+            assert u[n] == (n - 1 + b - p) * u[n - 1] / n
+
+    def test_elliptic_regression_vector(self):
+        # (1-x)^(p/2) F(1/2,1/2;1;x): published seeds a_0=1, a_1=1/4-p/2 and
+        # the 4n^2-denominator recurrence, checked at p in {1, 3}.
+        for p in (1, 3):
+            lit = [Fraction(1), Fraction(1, 4) - Fraction(p, 2)]
+            for n in range(2, 11):
+                lit.append(
+                    Fraction(8 * n * n - 4 * (p + 3) * n + 2 * p + 5, 4 * n * n) * lit[n - 1]
+                    - Fraction((p - 2 * n + 3) ** 2, 4 * n * n) * lit[n - 2]
+                )
+            mapped = u_theta_plus1(
+                HypParams(Fraction(1, 2), Fraction(1, 2), Fraction(1)), Fraction(p, 2), 10
+            ).coeffs
+            assert tuple(lit) == mapped
+        assert mapped[1] == Fraction(1, 4) - Fraction(3, 2)
+
+    def test_ratio_weight_positivity(self):
+        for alpha, beta_ in ((Fraction(9, 10), Fraction(1, 5)), (Fraction(1, 3), Fraction(3, 2))):
+            c = 2 * beta_ + 1
+            u = u_theta_plus1(HypParams(alpha, beta_, c), -alpha / c, 40).coeffs
+            assert all(x > 0 for x in u)
 
 
 class TestLogProduct:
@@ -251,15 +331,46 @@ class TestLogProduct:
         assert rec == oracle
         assert rec == cauchy_oracle(LogProductSpec(params), 20).coeffs
 
+    @pytest.mark.parametrize("abc", PARAM_BOX)
+    def test_float_box_vs_oracle(self, abc):
+        params = HypParams(*abc)
+        rec = v_log_product(params, 20).coeffs
+        orc = cauchy_oracle(LogProductSpec(params), 20).coeffs
+        assert max(rel_with_floor(x, y) for x, y in zip(rec, orc)) <= 1e-11
+
     def test_denominator_guard(self):
         with pytest.raises(DomainError):
             v_log_product(HypParams(0.0, 0.7, 1.5), 5)
 
+    def test_partial_sum_consistency(self):
+        params = HypParams(0.3, 0.7, 1.5)
+        x = 0.3
+        total = partial_sum(v_log_product(params, 60), x)
+        direct = math.log1p(-x) * hyp2f1(params, x, 1e-14).value
+        assert abs(total - direct) <= 1e-8
+
 
 class TestIdentitiesAndRegressions:
+    def test_p_minus1_exact(self):
+        res = p_minus1_identity_residual(
+            HypParams(Fraction(1), Fraction(1), Fraction(2)), Fraction(1, 2), 10
+        )
+        assert all(r == 0 for r in res)
+
     def test_p_minus1_theta_zero_trivial(self):
         res = p_minus1_identity_residual(HypParams(0.3, 0.7, 1.5), 0.0, 10)
         assert max(abs(r) for r in res) <= 1e-16
+
+    def test_p_minus1_float(self):
+        res = p_minus1_identity_residual(HypParams(0.3, 0.7, 1.5), -1.0, 20)
+        assert max(abs(r) for r in res) <= 1e-12
+
+    def test_published_pair_documented_divergence(self):
+        literal, oracle = published_recurrence_pair(Fraction(1), 10)
+        assert literal.coeffs[0] == 1 and oracle.coeffs[0] == 1
+        assert literal.coeffs[1] == Fraction(7, 8)
+        assert oracle.coeffs[1] == Fraction(9, 8)
+        assert literal.coeffs != oracle.coeffs
 
     def test_published_pair_oracle_seed_formula(self):
         # oracle u_1 = ab/c - p*theta = 1/8 + q for any q
@@ -270,6 +381,13 @@ class TestIdentitiesAndRegressions:
     def test_published_pair_needs_two_terms(self):
         with pytest.raises(DomainError):
             published_recurrence_pair(1.0, 1)
+
+    def test_partial_sum_weighted(self):
+        params = HypParams(0.3, 0.7, 1.5)
+        x = 0.3
+        seq = u_theta_plus1(params, 2.0, 60)
+        direct = (1 - x) ** 2.0 * hyp2f1(params, x, 1e-14).value
+        assert abs(partial_sum(seq, x) - direct) <= 1e-8
 
     def test_partial_sum_at_zero(self):
         seq = u_general(spec_of(0.3, 0.7, 1.5, 2.0, 0.5), 5)

@@ -29,6 +29,9 @@ from hyprec.schurmean import (
     q_params_for_mean,
 )
 
+MEAN_GRID = [(0.3, 0.4), (0.9, 0.2), (0.5, 1.5)]
+XY_GRID = [0.5, 1.0, 2.0]
+
 
 def triple(a, b, m):
     return RegionTriple(MeanParams(a, b), m)
@@ -71,6 +74,14 @@ class TestMean:
         diff = abs(mean_series(1.0, 2.0, mp) - mean_quadrature(1.0, 2.0, mp))
         assert diff <= 1e-8
 
+    @pytest.mark.parametrize("ab", MEAN_GRID)
+    def test_series_equals_quadrature_grid(self, ab):
+        mp = MeanParams(*ab)
+        for x in XY_GRID:
+            for y in XY_GRID:
+                diff = abs(mean_series(x, y, mp) - mean_quadrature(x, y, mp))
+                assert diff <= 1e-7
+
     def test_positive_arguments_required(self):
         with pytest.raises(DomainError):
             mean_series(0.0, 1.0, MeanParams(0.5, 0.5))
@@ -82,6 +93,17 @@ class TestGm:
     def test_limit_at_zero(self):
         tr = triple(0.5, 0.5, 0.3)
         assert abs(g_m(1e-8, tr)) <= 1e-7
+
+    def test_slope_at_zero(self):
+        tr = triple(0.5, 0.5, 0.3)
+        m0 = (0.5 + 2 * 0.5) / (1 + 2 * 0.5)
+        assert abs(g_m(1e-5, tr) / 1e-5 - (m0 - 0.3)) <= 1e-3
+
+    @pytest.mark.parametrize("ab", [(0.5, 0.5), (0.9, 0.2), (0.2, 1.4)])
+    def test_g1_negative(self, ab):
+        tr = triple(ab[0], ab[1], 1.0)
+        for t in [0.1 * k for k in range(1, 10)]:
+            assert g_m(t, tr) < 0
 
     def test_alt_form_agrees(self):
         tr = triple(0.2, 0.2, 0.1)
@@ -223,6 +245,25 @@ class TestClassifier:
 
 
 class TestMonotoneRatioMachinery:
+    def test_q_constant_at_half_gap(self):
+        values = q_p0_profile(MeanParams(0.9, 0.4), [0.1, 0.3, 0.5, 0.7, 0.9])
+        assert max(abs(v - 1.0) for v in values) <= 1e-10
+
+    def test_q_monotone_directions(self):
+        grid = [0.1, 0.3, 0.5, 0.7, 0.9]
+        down = q_p0_profile(MeanParams(0.9, 0.2), grid)
+        up = q_p0_profile(MeanParams(0.3, 0.5), grid)
+        assert all(down[i] > down[i + 1] for i in range(4))
+        assert all(up[i] < up[i + 1] for i in range(4))
+
+    def test_dn_exact_seeds_and_signs(self):
+        d = q_p0_dn_sequence(MeanParams(Fraction(9, 10), Fraction(1, 5)), 30)
+        assert d[0] == 0 and d[1] == 0
+        assert all(x < 0 for x in d[2:])
+        d = q_p0_dn_sequence(MeanParams(Fraction(3, 10), Fraction(1, 2)), 30)
+        assert d[0] == 0 and d[1] == 0
+        assert all(x > 0 for x in d[2:])
+
     def test_dn_float_matches_exact(self):
         exact = q_p0_dn_sequence(MeanParams(Fraction(9, 10), Fraction(1, 5)), 15)
         approx = q_p0_dn_sequence(MeanParams(0.9, 0.2), 15)
@@ -269,6 +310,9 @@ class TestMonotoneRatioMachinery:
 
 
 class TestGammaInequality:
+    def test_zero_at_half(self):
+        assert abs(gamma_inequality_margin(0.2, 0.3)) <= 1e-12
+
     def test_signs(self):
         assert gamma_inequality_margin(0.4, 0.3) < 0  # a+b = 0.7 > 1/2
         assert gamma_inequality_margin(0.1, 0.2) > 0  # a+b = 0.3 < 1/2
