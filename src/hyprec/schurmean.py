@@ -74,7 +74,7 @@ DIFF_STEP = 1e-4
 
 @dataclass(frozen=True)
 class MeanParams:
-    """Mean parameters: a in (0, 1), b > 0."""
+    """Mean parameters: a in (0, 1), b > 0 and finite."""
 
     a: float
     b: float
@@ -82,8 +82,8 @@ class MeanParams:
     def __post_init__(self):
         if not 0 < self.a < 1:
             raise ParameterError(f"a must lie in (0, 1), got {self.a!r}")
-        if not self.b > 0:
-            raise ParameterError(f"b must be positive, got {self.b!r}")
+        if not 0 < self.b < math.inf:
+            raise ParameterError(f"b must be positive and finite, got {self.b!r}")
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,7 @@ class TestHypParamsPoles:
     [
         lambda: MeanParams(1.5, 0.5),
         lambda: MeanParams(0.5, 0.0),
+        lambda: MeanParams(0.5, math.inf),
         lambda: WeightedSeriesSpec(HypParams(1, 1, 2), 1, 1.5),
         lambda: u_general(WeightedSeriesSpec(HypParams(1, 1, 2), 1, 0.5), -1),
         lambda: u_general(WeightedSeriesSpec(HypParams(1, 1, 2), 1, 0.5), MAX_N + 1),
@@ -76,7 +77,7 @@ class TestHypParamsPoles:
         lambda: mean_quadrature(1.0, -1.0, MeanParams(0.5, 0.5)),
         lambda: schur_condition_sample(-1.0, 1.0, RegionTriple(MeanParams(0.5, 0.5), 0.5)),
     ],
-    ids=["mean-a", "mean-b", "theta", "n-negative", "n-cap", "t", "series-x", "quad-y", "schur-x"],
+    ids=["mean-a", "mean-b", "mean-b-inf", "theta", "n-negative", "n-cap", "t", "series-x", "quad-y", "schur-x"],
 )
 def test_construction_checks_raise_parameter_error(build):
     with pytest.raises(ParameterError):
