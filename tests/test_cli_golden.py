@@ -60,15 +60,18 @@ _MEAN = (
     ("--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2", "--method", "both"),
     ("--a", "0.7", "--b", "0.8", "--x", "2", "--y", "2", "--method", "both", "--tol", "1e-9"),
     ("--a", "0.5", "--b", "1e-13", "--x", "1", "--y", "2"),
+    ("--a", "0.3", "--b", "0.45", "--x", "1", "--y", "1e6", "--method", "series"),
 )
 _GM_SCAN = (
     ("--a", "0.9", "--b", "0.5", "--m", "0"),
     ("--a", "0.9", "--b", "0.5", "--m", "0.97"),
     ("--a", "0.2", "--b", "0.6", "--m", "1.4", "--tgrid", "0.1, 0.5,0.9", "--sign-tol", "1e-6"),
+    ("--a", "0.5", "--b", "0.5", "--m", "0.8"),
 )
 _QPROFILE = (
     ("--a", "0.9", "--b", "0.4", "--tgrid", "0.2,0.5,0.8"),
     ("--a", "0.3", "--b", "1.1"),
+    ("--a", "0.9", "--b", "0.4"),
 )
 _VERIFY = (
     ("--suite", "special-cases", "--seed", "42"),
@@ -97,16 +100,21 @@ _FAILURES = (
     (("eval", "--a", "1", "--b", "1", "--c", "-1.0000000000001", "--x", "0.5"), None),
     (("eval", "--a", "1", "--b", "1", "--c", "2", "--x", "1.5"), None),
     (("eval", "--a", "1", "--b", "1", "--c", "2", "--x", "1", "--deriv"), None),
+    (("eval", "--a", "1", "--b", "1", "--c", "2", "--x=-1"), None),
     (("eval", "--a", "1", "--b", "1", "--c", "2", "--x", "0.5", "--rational"), None),
     (("eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9"), {"HYPREC_TERM_CAP": "10"}),
     (("near-one", "--case", "value-at-one", "--a", "0.5", "--b", "0.5", "--c", "1"), None),
     (("near-one", "--case", "value-at-one", "--a", "0.5", "--b", "0.5"), None),
     (("near-one", "--case", "value-at-one", "--a", "0.5", "--b", "0.5", "--c", "-4"), None),
+    (("near-one", "--case", "value-at-one", "--a", "0.5", "--b", "0.7", "--c", "1"), None),
     (("near-one", "--case", "zero-balanced", "--a", "0.5", "--b", "0.5"), None),
     (("near-one", "--case", "zero-balanced", "--a", "0.5", "--b", "0.5", "--x", "1.5"), None),
     (("near-one", "--case", "zero-balanced", "--a", "-0.5", "--b", "0.5", "--x", "0.9"), None),
+    (("near-one", "--case", "zero-balanced", "--a", "0", "--b", "0.5", "--x", "0.9"), None),
+    (("near-one", "--case", "zero-balanced", "--a", "0.5", "--b", "0.5", "--x", "0"), None),
     (("near-one", "--case", "euler", "--a", "0.7", "--b", "0.9", "--c", "1.2"), None),
     (("near-one", "--case", "euler", "--a", "0.7", "--b", "0.9", "--c", "1.2", "--x", "1"), None),
+    (("near-one", "--case", "euler", "--a", "0.7", "--b", "0.9", "--c", "1.2", "--x=-1.5"), None),
     (("classify", "--a", "1.5", "--b", "0.5", "--m", "0"), None),
     (("classify", "--a", "0.5", "--b=-1/2", "--m", "0"), None),
     (("classify", "--a", "1", "--b", "0.5", "--m", "0", "--format", "csv", "--rational"), None),
