@@ -11,12 +11,22 @@ entry point:
 
 ``hyp2f1`` itself refuses |x| >= 1 so that each regime remains an explicit,
 separately testable code path.
+
+A fourth path serves the library's own evaluations on [0, 1) (the mean, G_m
+and its scans, the Q profile): ``_hyp2f1_unit`` switches at
+x >= ``CONNECTION_X`` to the 1 - x connection formula (DLMF 15.8.4), whose
+two series in y = 1 - x need a handful of terms where the direct series needs
+thousands.  It keeps the direct series where c - a - b lies within
+``CONNECTION_GAP`` of an integer, and takes y from the caller when the caller
+holds it to more digits than 1 - x does.  The public ``hyp2f1``,
+``hyp2f1_derivative`` and the three near-one entry points never take it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,7 +147,7 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12) -> EvalResult:
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     if abs(x) >= 1:
-        raise DomainError(f"series evaluation requires |x| < 1, got x={x!r}")
+        raise ParameterError(f"series evaluation requires |x| < 1, got x={x!r}")
     a, b, c = params.a, params.b, params.c
     x = float(x)
     cap = term_cap()
@@ -175,14 +185,14 @@ def gauss_value_at_one(params: HypParams) -> float:
     """F(a,b;c;1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)) for c > a+b.
 
     All four gamma arguments must be positive; anything else raises
-    :class:`DomainError` rather than silently extending the domain.
+    :class:`ParameterError` rather than silently extending the domain.
     """
     a, b, c = params.a, params.b, params.c
     if not c > a + b:
-        raise DomainError(f"value at 1 requires c > a+b, got c-a-b={c - a - b!r}")
+        raise ParameterError(f"value at 1 requires c > a+b, got c-a-b={c - a - b!r}")
     for name, arg in (("c", c), ("c-a-b", c - a - b), ("c-a", c - a), ("c-b", c - b)):
         if not arg > 0:
-            raise DomainError(f"gamma argument {name}={arg!r} must be positive")
+            raise ParameterError(f"gamma argument {name}={arg!r} must be positive")
     return math.exp(
         specfn.ln_gamma(c)
         + specfn.ln_gamma(c - a - b)
@@ -197,8 +207,10 @@ def zero_balanced_asymptote(a: float, b: float, x: float) -> float:
     Valid for a, b > 0 and 0 < x < 1; the neglected remainder is
     O((1-x) ln(1-x)), so the approximation is only meaningful near x = 1.
     """
+    if not (a > 0 and b > 0):
+        raise ParameterError(f"asymptote requires a, b > 0, got a={a!r}, b={b!r}")
     if not 0 < x < 1:
-        raise DomainError(f"asymptote requires 0 < x < 1, got x={x!r}")
+        raise ParameterError(f"asymptote requires 0 < x < 1, got x={x!r}")
     return (specfn.r_zero_balanced(a, b) - math.log1p(-x)) / specfn.beta(a, b)
 
 
@@ -211,10 +223,81 @@ def euler_transform_eval(params: HypParams, x: float, tol: float = 1e-12) -> Eva
     """
     a, b, c = params.a, params.b, params.c
     if abs(x) >= 1:
-        raise DomainError(f"Euler transform evaluation requires |x| < 1, got x={x!r}")
+        raise ParameterError(f"Euler transform evaluation requires |x| < 1, got x={x!r}")
     weight = (1.0 - x) ** (c - a - b)
     inner = hyp2f1(HypParams(c - a, c - b, c), x, tol)
     return EvalResult(weight * inner.value, weight * inner.error_bound, inner.terms_used)
+
+
+#: ``_hyp2f1_unit`` answers x >= CONNECTION_X through the connection formula.
+#: Below about x = 0.8 the direct series is both faster and more accurate; at
+#: 0.9 the connection path is about 2x faster and 100x more accurate.
+CONNECTION_X = 0.9
+
+#: c - a - b within this distance of an integer keeps the direct series: the
+#: two gamma ratios grow like 1/distance and cancel, and at 1e-3 the
+#: connection path's worst relative error is still below 1e-12.
+CONNECTION_GAP = 1e-3
+
+
+def _gamma_sign(z: float) -> int:
+    """Sign of Gamma(z) off its poles: +1 for z > 0, alternating on (-n-1, -n)."""
+    return 1 if z > 0 or math.floor(z) % 2 == 0 else -1
+
+
+def _gamma_ratio(num, den, log_scale: float = 0.0) -> tuple[float, float]:
+    """exp(log_scale) prod Gamma(num) / prod Gamma(den), and the size of its log.
+
+    Built from ``math.lgamma`` and the signs, so a large ratio times a small
+    scale does not overflow; 1/Gamma is 0 at the poles of den, and no
+    argument in num may be a pole.  The size, the sum of |ln Gamma|, times
+    the unit roundoff estimates the relative error of the ratio.
+    """
+    if any(z <= 0 and z == math.floor(z) for z in den):
+        return 0.0, 0.0
+    logs = [math.lgamma(z) for z in num] + [-math.lgamma(z) for z in den]
+    sign = math.prod(_gamma_sign(z) for z in (*num, *den))
+    return sign * math.exp(math.fsum([log_scale, *logs])), math.fsum(map(abs, logs))
+
+
+def _hyp2f1_unit(params: HypParams, x: float, tol: float, y: float | None = None) -> EvalResult:
+    """F(a,b;c;x) on 0 <= x < 1 for the library's own evaluations.
+
+    From ``CONNECTION_X`` on this is the 1 - x connection formula (DLMF 15.8.4)
+
+        F(a,b;c;x) = A F(a,b;a+b-c+1;y) + y^(c-a-b) B F(c-a,c-b;c-a-b+1;y),
+        A = G(c) G(c-a-b) / (G(c-a) G(c-b)),   B = G(c) G(a+b-c) / (G(a) G(b)),
+
+    with y = 1 - x and G the gamma function; y^(c-a-b) B is formed in log
+    space, since B alone overflows for large parameters.  Below
+    ``CONNECTION_X``, where c - a - b lies within ``CONNECTION_GAP`` of an
+    integer, and where the parameters are so large that rounding in the
+    gamma ratios exceeds ``tol``, it is ``hyp2f1``.  A caller that holds the
+    complement to more digits than 1 - x passes it as ``y`` (x then only
+    chooses the path).  The error bound combines the truncation bounds of
+    the two series, as ``hyp2f1`` reports its own.
+    """
+    if y is None:
+        y = 1.0 - x
+    a, b, c = params.a, params.b, params.c
+    s = c - a - b
+    if x >= CONNECTION_X and abs(s - round(s)) >= CONNECTION_GAP:
+        scale, scale_size = _gamma_ratio((c, s), (c - a, c - b))
+        weight, weight_size = _gamma_ratio((c, -s), (a, b), s * math.log(y) if y > 0 else -s * math.inf)
+        if sys.float_info.epsilon * max(scale_size, weight_size) <= tol:
+            first = hyp2f1(HypParams._derived(a, b, 1 - s), y, tol)
+            second = hyp2f1(HypParams._derived(c - a, c - b, 1 + s), y, tol)
+            return EvalResult(
+                scale * first.value + weight * second.value,
+                abs(scale) * first.error_bound + abs(weight) * second.error_bound,
+                first.terms_used + second.terms_used,
+            )
+    if x >= 1:
+        raise NonConvergence(
+            f"F({a},{b};{c};x) at 1-x={y!r}: x rounds to 1, where the direct series "
+            "cannot answer, and the connection formula does not apply"
+        )
+    return hyp2f1(params, x, tol)
 
 
 def contiguous_residual(params: HypParams, x: float, tol: float = 1e-12) -> float:

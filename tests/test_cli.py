@@ -151,9 +151,17 @@ class TestValidation:
         assert code == 2
         assert "--rational" in err
 
-    def test_domain_failure_exits_3(self, capsys):
+    def test_out_of_disc_x_exits_2(self, capsys):
         code, _, err = run_main(
             capsys, "eval", "--a", "1", "--b", "1", "--c", "2", "--x", "1.5"
+        )
+        assert code == 2
+        assert "|x| < 1" in err
+
+    def test_numerical_failure_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPREC_TERM_CAP", "10")
+        code, _, err = run_main(
+            capsys, "eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9"
         )
         assert code == 3
         assert "numerical failure" in err
@@ -221,7 +229,8 @@ class TestEvalAndNearOne:
             capsys,
             "near-one", "--case", "value-at-one", "--a", "0.5", "--b", "0.5", "--c", "1",
         )
-        assert code == 3
+        assert code == 2
+        assert "c > a+b" in err
 
 
 class TestClassifyAndScans:

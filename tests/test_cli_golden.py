@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from hyprec.cli import main
+from hyprec.schurmean import DEFAULT_T_GRID
 
 GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
 FORMATS = ("json", "csv", "plain")
@@ -207,6 +208,92 @@ def test_failures_print_nothing():
     for case_id, argv, _ in _CASES:
         if expected[case_id]["exit"] in (2, 3):
             assert expected[case_id]["stdout"] == "", case_id
+
+
+#: The values the matrix held before internal evaluations at t >= 0.9 moved
+#: to the 1 - t connection formula, for each json case that changed (the csv
+#: and plain cases print the same numbers).  Keys: a scan report field, the t
+#: of a near-one probe or Q profile point, or a verify record's name.
+_BEFORE_CONNECTION = {
+    "gm-scan --a 0.9 --b 0.5 --m 0 --format json": {
+        "gm_max": 1.0146864592429472, 0.9: 0.9182722879071789,
+        0.99: 1.0275639951858249, 0.999: 1.0395766571597287,
+    },
+    "gm-scan --a 0.9 --b 0.5 --m 0.97 --format json": {
+        "gm_min": -0.042628395786707296, 0.9: -0.03823034781498724,
+        0.99: -0.034891160191787396, 0.999: 0.0055818732851344866,
+    },
+    "gm-scan --a 0.2 --b 0.6 --m 1.4 --tgrid 0.1, 0.5,0.9 --sign-tol 1e-6 --format json": {
+        "gm_min": -6.584716867415352, 0.9: -6.584716867415352,
+        0.99: -45.360518230195815, 0.999: -228.50076380374537,
+    },
+    "qprofile --a 0.3 --b 1.1 --format json": {
+        0.9: 1.0262221575072161, 0.92: 1.0338412235085708, 0.9400000000000001: 1.0453588466838768,
+        0.96: 1.0648709499136382, 0.98: 1.107003472367265,
+    },
+    "qprofile --a 0.9 --b 0.4 --format json": {
+        0.9: 1.000000000000323, 0.92: 1.0000000000006644, 0.9400000000000001: 1.0000000000013438,
+        0.96: 1.0000000000012452, 0.98: 1.0000000000023326,
+    },
+    "verify --suite regions --seed 42 --format json": {"gm-representation-agreement": 1.481836875427689e-11},
+    "verify --suite monotone-ratio --seed 42 --format json": {"q-constant-at-half-gap": 3.2307490016592055e-13},
+}
+
+
+def _flags(case_id):
+    argv = next(argv for cid, argv, _ in _CASES if cid == case_id)
+    return {argv[i][2:]: argv[i + 1] for i in range(1, len(argv) - 1) if argv[i].startswith("--")}
+
+
+@pytest.mark.parametrize("case_id", list(_BEFORE_CONNECTION))
+def test_moved_values_are_no_farther_from_mpmath(case_id):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    before = _BEFORE_CONNECTION[case_id]
+    now = json.loads(_expected()[case_id]["stdout"])
+    if case_id.startswith("verify"):
+        # A verify margin is itself a worst deviation from an exact identity.
+        margins = {r["name"]: r["margin"] for r in now["results"]}
+        for name, old in before.items():
+            assert margins[name] <= old, name
+        return
+    flags = _flags(case_id)
+    a, b = mpmath.mpf(float(flags["a"])), mpmath.mpf(float(flags["b"]))
+    if case_id.startswith("gm-scan"):
+        m = mpmath.mpf(float(flags["m"]))
+
+        def exact(t):
+            t = mpmath.mpf(t)
+            return mpmath.hyp2f1(1 - a, b, 2 * b + 1, t) - (1 - t) ** (1 - m) * mpmath.hyp2f1(1 - a, b + 1, 2 * b + 1, t)
+
+        raw = flags.get("tgrid")
+        grid = DEFAULT_T_GRID if raw is None else [float(p) for p in raw.split(",") if p.strip()]
+        exact_grid = [exact(t) for t in grid]
+        pairs = {"gm_min": (now["gm_min"], min(exact_grid)), "gm_max": (now["gm_max"], max(exact_grid))}
+        pairs.update({t: (g, exact(t)) for t, g in now["near_one"]})
+    else:
+
+        def exact(t):
+            t = mpmath.mpf(t)
+            ratio = mpmath.hyp2f1(a, b, 2 * b + 1, t) / mpmath.hyp2f1(a, b + 1, 2 * b + 1, t)
+            return (1 - t) ** (-a / (2 * b + 1)) * ratio
+
+        pairs = {t: (q, exact(t)) for t, q in now["q"]}
+    for key, old in before.items():
+        value, ref = pairs[key]
+        assert abs(value - ref) <= abs(old - ref), key
+
+
+def test_mean_at_ratio_1e6_matches_mpmath():
+    # Exited 3 (NonConvergence) while t = 1 - 1e-6 went to the direct series.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    case_id = "mean --a 0.3 --b 0.45 --x 1 --y 1e6 --method series --format json"
+    assert _expected()[case_id]["exit"] == 0
+    value = float(json.loads(_expected()[case_id]["stdout"])["series"])
+    a, b = mpmath.mpf(0.3), mpmath.mpf(0.45)
+    ref = 10**6 * mpmath.hyp2f1(-a, b, 2 * b, 1 - mpmath.mpf(10) ** -6) ** (1 / a)
+    assert abs(value - ref) <= 1e-12 * ref
 
 
 if __name__ == "__main__":

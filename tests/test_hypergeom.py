@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyprec import hypergeom, numkit
-from hyprec.errors import DomainError, NonConvergence
+from hyprec.errors import DomainError, NonConvergence, ParameterError
 from hyprec.hypergeom import (
+    CONNECTION_GAP,
+    CONNECTION_X,
     HypParams,
+    _hyp2f1_unit,
     contiguous_residual,
     df_relation_residuals,
     euler_transform_eval,
@@ -275,3 +278,105 @@ class TestContiguousAndDerivativeRelations:
         df_minus = hyp2f1_derivative(params.shift_a(-1), x, 1e-13).value
         assert abs(x * df_mid + a * f_mid - a * f_plus) <= 1e-9
         assert abs(x * df_minus - (a - 1) * (f_mid - f_minus)) <= 1e-9
+
+
+def _family(k, a, b):
+    """The four parameter triples the library evaluates, in mean coordinates (a, b)."""
+    return ((1 - a, b, 2 * b + 1), (1 - a, b + 1, 2 * b + 1), (-a, b, 2 * b), (a + 2 * b, b, 2 * b + 1))[k]
+
+
+#: The a + b at which each family's c - a - b equals a given excess.
+_SUM_FOR_EXCESS = (lambda e: e, lambda e: e + 1, lambda e: e, lambda e: 1 - e)
+
+#: Bound on the connection path's relative error against mpmath.  Seeded
+#: searches over the box below found at most 1.4e-12, at c - a - b just
+#: outside the integer gap; the direct series it replaces is off by up to
+#: ~7e-8 at t >= 0.99.
+CONNECTION_REL_TOL = 5e-12
+
+
+class TestConnectionFormula:
+    """``_hyp2f1_unit``: the 1 - x connection formula for the library's near-one evaluations."""
+
+    @given(
+        st.integers(0, 3),
+        st.floats(0.001, 0.999),
+        st.integers(0, 3),
+        st.floats(math.log10(1.01 * CONNECTION_GAP), math.log10(0.5)),
+        st.booleans(),
+        st.floats(-12.0, math.log10(1 - CONNECTION_X)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mpmath(self, family, a, whole, log_dist, below, log_y):
+        # c - a - b = whole -/+ dist, pushed down to just outside CONNECTION_GAP
+        # from an integer; t runs from the crossover up to 1 - 1e-12.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        excess = whole + (-1 if below else 1) * 10**log_dist
+        b = _SUM_FOR_EXCESS[family](excess) - a
+        if not 0.001 < b < 6:
+            return
+        params = HypParams._derived(*_family(family, a, b))
+        y = 10**log_y
+        t = 1.0 - y
+        result = _hyp2f1_unit(params, t, 1e-12)
+        true = mp.hyp2f1(params.a, params.b, params.c, t)
+        assert abs(result.value - true) <= CONNECTION_REL_TOL * abs(true)
+        assert result.terms_used < 100
+
+    def test_complement_keeps_its_digits(self):
+        # t = 1 - 1e-17 rounds to 1; the complement passed as y still answers.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        params = HypParams._derived(-0.5, 0.3, 0.6)
+        result = _hyp2f1_unit(params, 1.0, 1e-12, 1e-17)
+        true = mp.hyp2f1(-0.5, 0.3, 0.6, 1 - mp.mpf(1e-17))
+        assert abs(result.value - true) <= CONNECTION_REL_TOL * abs(true)
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, 0.89])
+    def test_below_crossover_is_the_direct_series(self, x):
+        params = HypParams(0.7, 0.9, 2.3)
+        assert _hyp2f1_unit(params, x, 1e-12) == hyp2f1(params, x, 1e-12)
+
+    @pytest.mark.parametrize("excess", [0.0, 1.0, 1 - CONNECTION_GAP / 2, 2 + CONNECTION_GAP / 2])
+    def test_integer_gap_keeps_the_direct_series(self, excess):
+        params = HypParams(0.3, 0.4, 0.7 + excess)
+        assert _hyp2f1_unit(params, 0.95, 1e-12) == hyp2f1(params, 0.95, 1e-12)
+
+    def test_integer_gap_at_t_rounding_to_one_is_nonconvergence(self):
+        with pytest.raises(NonConvergence):
+            _hyp2f1_unit(HypParams(-0.5, 0.5, 1.0), 1.0, 1e-12, 1e-17)
+
+    def test_large_parameters_keep_the_direct_series(self):
+        # ln Gamma(2001) ~ 1.3e4 leaves ~3e-12 of rounding in the gamma ratios,
+        # above tol, so the direct series answers.
+        params = HypParams(-0.5, 1000.0, 2000.0)
+        assert _hyp2f1_unit(params, 0.95, 1e-12) == hyp2f1(params, 0.95, 1e-12)
+
+    def test_public_series_is_unchanged(self):
+        # hyp2f1 never takes the connection path: F(0.5,0.5;2.3;0.999) still
+        # sums thousands of direct terms, where the connection path needs a few.
+        params = HypParams(0.5, 0.5, 2.3)
+        assert hyp2f1(params, 0.999).terms_used > 1000
+        assert _hyp2f1_unit(params, 0.999, 1e-12).terms_used < 40
+
+
+class TestEntryPointDomains:
+    @pytest.mark.parametrize("x", [1.0, -1.0, 1.5])
+    def test_series_x(self, x):
+        with pytest.raises(ParameterError):
+            hyp2f1(HypParams(1, 1, 2), x)
+
+    @pytest.mark.parametrize("a,b,x", [(0.0, 0.5, 0.9), (0.5, -1.0, 0.9), (0.5, 0.5, 0.0), (0.5, 0.5, 1.5)])
+    def test_zero_balanced(self, a, b, x):
+        with pytest.raises(ParameterError):
+            zero_balanced_asymptote(a, b, x)
+
+    def test_euler_x(self):
+        with pytest.raises(ParameterError):
+            euler_transform_eval(HypParams(0.7, 0.9, 1.2), -1.5)
+
+    @pytest.mark.parametrize("abc", [(0.5, 0.5, 1.0), (0.5, 0.7, 1.0), (3.0, -2.0, 1.5)])
+    def test_value_at_one(self, abc):
+        with pytest.raises(ParameterError):
+            gauss_value_at_one(HypParams(*abc))

@@ -1,7 +1,8 @@
 """Parameter-domain validation: one rule, one place, one error type.
 
-Construction-time checks raise ParameterError (a DomainError), which the CLI
-maps to exit code 2; every other DomainError stays a numerical failure
+Construction-time checks, and the domain checks of the evaluation entry
+points, raise ParameterError (a DomainError), which the CLI maps to exit
+code 2; NonConvergence and any other DomainError stay numerical failures
 (exit code 3).
 """
 
@@ -14,6 +15,7 @@ import pytest
 
 from hyprec import (
     HypParams,
+    euler_transform_eval,
     MeanParams,
     RegionTriple,
     WeightedSeriesSpec,
@@ -25,6 +27,7 @@ from hyprec import (
     mean_series,
     schur_condition_sample,
     u_general,
+    zero_balanced_asymptote,
 )
 from hyprec.cli import main
 from hyprec.coeffrec import MAX_N
@@ -97,13 +100,28 @@ def test_mean_series_accepts_tiny_b():
     [
         lambda: hyp2f1(HypParams(1, 1, 2), 1.5),
         lambda: gauss_value_at_one(HypParams(0.5, 0.5, 1)),
+        lambda: gauss_value_at_one(HypParams(3, -3, 1)),
+        lambda: euler_transform_eval(HypParams(0.7, 0.9, 1.2), -1.0),
+        lambda: zero_balanced_asymptote(0.0, 0.5, 0.9),
+        lambda: zero_balanced_asymptote(0.5, -0.5, 0.9),
+        lambda: zero_balanced_asymptote(0.5, 0.5, 1.0),
     ],
-    ids=["hyp2f1-x", "value-at-one"],
+    ids=["hyp2f1-x", "value-at-one", "value-at-one-gamma-arg", "euler-x", "zero-balanced-a",
+         "zero-balanced-b", "zero-balanced-x"],
 )
-def test_numerical_domain_failures_are_not_parameter_errors(evaluate):
-    with pytest.raises(DomainError) as info:
+def test_evaluation_domain_checks_raise_parameter_error(evaluate):
+    with pytest.raises(ParameterError):
         evaluate()
-    assert not isinstance(info.value, ParameterError)
+
+
+def test_t_rounding_to_one_is_a_numerical_failure(capsys):
+    # y = 1e-17 is a legal argument, but t = 1 - y rounds to 1 and a + b = 1
+    # keeps the mean on the direct series, which cannot answer there.
+    code = main(["mean", "--a", "0.5", "--b", "0.5", "--x", "1", "--y", "1e-17"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -141,3 +159,14 @@ def test_import_defers_scipy_and_numpy():
     probe = "import sys, hyprec.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_gm_scan_and_mean_series_load_no_scipy():
+    probe = (
+        "import sys; from hyprec.cli import main; "
+        "main(['gm-scan', '--a', '0.3', '--b', '0.9', '--m', '0.5']); "
+        "main(['mean', '--a', '0.3', '--b', '0.45', '--x', '1', '--y', '1e6']); "
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stderr.strip() == "[]"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyprec.errors import DomainError, ParameterError
+from hyprec.errors import DomainError, NonConvergence, ParameterError
 from hyprec.hypergeom import HypParams, hyp2f1
 from hyprec.schurmean import (
     MeanParams,
@@ -140,6 +140,63 @@ class TestGm:
             g_m(0.0, triple(0.5, 0.5, 0.0))
         with pytest.raises(DomainError):
             g_m(1.0, triple(0.5, 0.5, 0.0))
+
+
+class TestNearOne:
+    """Evaluations at t near 1, through the connection formula, against mpmath."""
+
+    @staticmethod
+    def _mp():
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        return mp
+
+    @pytest.mark.parametrize("t", [0.9, 0.999, 0.999999, 1 - 1e-12])
+    def test_g_m_matches_mpmath(self, t):
+        # g_m(0.999999) at (0.3, 0.9) raised NonConvergence on the direct series.
+        mp = self._mp()
+        a, b, m = 0.3, 0.9, 0.5
+        T = mp.mpf(t)
+        true = mp.hyp2f1(1 - a, b, 2 * b + 1, T) - (1 - T) ** (1 - m) * mp.hyp2f1(1 - a, b + 1, 2 * b + 1, T)
+        assert abs(g_m(t, triple(a, b, m)) - true) <= 1e-12 * abs(true)
+
+    @pytest.mark.parametrize("t", [0.95, 0.999999])
+    def test_g_m_alt_and_reduction_near_one(self, t):
+        tr = triple(0.3, 0.4, 0.6)
+        assert g_m_alt(t, tr) == pytest.approx(g_m(t, tr), rel=1e-12)
+        assert abs(g_m_series_reduction_residual(t, tr)) <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-17])
+    def test_mean_series_matches_mpmath(self, ratio):
+        # 1e-6 raised NonConvergence and 1e-17 (t rounds to 1) DomainError on
+        # the direct series; the complement min/max reaches the evaluator intact.
+        mp = self._mp()
+        a, b = 0.5, 0.3
+        true = mp.hyp2f1(-a, b, 2 * b, 1 - mp.mpf(ratio)) ** (1 / mp.mpf(a))
+        assert abs(mean_series(1.0, ratio, MeanParams(a, b)) - true) <= 1e-13 * true
+
+    def test_mean_series_integer_sum_stays_on_the_direct_series(self):
+        # a + b = 1 puts c - a - b on an integer: the direct series still answers
+        # at moderate ratios and still gives up near t = 1.
+        mp = self._mp()
+        true = mp.hyp2f1(-0.5, 0.5, 1, mp.mpf(0.99)) ** 2
+        assert abs(mean_series(1.0, 0.01, MeanParams(0.5, 0.5)) - true) <= 1e-9 * true
+        with pytest.raises(NonConvergence):
+            mean_series(1.0, 1e-6, MeanParams(0.5, 0.5))
+
+    def test_q_profile_matches_mpmath(self):
+        mp = self._mp()
+        a, b = 0.3, 1.1
+        ts = [0.9, 0.99, 0.999999]
+        for t, q in zip(ts, q_p0_profile(MeanParams(a, b), ts)):
+            T = mp.mpf(t)
+            true = (1 - T) ** (-a / (2 * b + 1)) * mp.hyp2f1(a, b, 2 * b + 1, T) / mp.hyp2f1(a, b + 1, 2 * b + 1, T)
+            assert abs(q - true) <= 1e-12 * true
+
+    def test_scan_probes_match_g_m(self):
+        report = gm_sign_scan(triple(0.9, 0.5, 0.97))
+        for t, g in report.near_one:
+            assert g == g_m(t, triple(0.9, 0.5, 0.97))
 
 
 def reference_membership(a, b, m):
