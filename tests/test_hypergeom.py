@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyprec import hypergeom, numkit
@@ -314,8 +314,7 @@ class TestConnectionFormula:
         mp.mp.dps = 30
         excess = whole + (-1 if below else 1) * 10**log_dist
         b = _SUM_FOR_EXCESS[family](excess) - a
-        if not 0.001 < b < 6:
-            return
+        assume(0.001 < b < 6)
         params = HypParams._derived(*_family(family, a, b))
         y = 10**log_y
         t = 1.0 - y

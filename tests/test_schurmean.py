@@ -166,12 +166,14 @@ class TestNearOne:
         assert g_m_alt(t, tr) == pytest.approx(g_m(t, tr), rel=1e-12)
         assert abs(g_m_series_reduction_residual(t, tr)) <= 1e-12
 
-    @pytest.mark.parametrize("ratio", [1e-6, 1e-17])
-    def test_mean_series_matches_mpmath(self, ratio):
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-12, 1e-17])
+    @pytest.mark.parametrize("ab", [(0.5, 0.3), (0.05, 0.06)])
+    def test_mean_series_matches_mpmath(self, ab, ratio):
         # 1e-6 raised NonConvergence and 1e-17 (t rounds to 1) DomainError on
-        # the direct series; the complement min/max reaches the evaluator intact.
+        # the direct series.  The complement min/max reaches the evaluator
+        # intact: recomputed as 1 - t it would put (0.05, 0.06) off by 8% at 1e-17.
         mp = self._mp()
-        a, b = 0.5, 0.3
+        a, b = ab
         true = mp.hyp2f1(-a, b, 2 * b, 1 - mp.mpf(ratio)) ** (1 / mp.mpf(a))
         assert abs(mean_series(1.0, ratio, MeanParams(a, b)) - true) <= 1e-13 * true
 
