@@ -17,8 +17,9 @@ and its scans, the Q profile): ``_hyp2f1_unit`` switches at
 x >= ``CONNECTION_X`` to the 1 - x connection formula (DLMF 15.8.4), whose
 two series in y = 1 - x need a handful of terms where the direct series needs
 thousands.  It keeps the direct series where c - a - b lies within
-``CONNECTION_GAP`` of an integer, and takes y from the caller when the caller
-holds it to more digits than 1 - x does.  The public ``hyp2f1``,
+``CONNECTION_GAP`` of an integer, sums each series in y past the pole of its
+c, and takes y from the caller when the caller holds it to more digits than
+1 - x does.  The public ``hyp2f1``,
 ``hyp2f1_derivative`` and the three near-one entry points never take it.
 """
 
@@ -148,8 +149,11 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12) -> EvalResult:
         raise DomainError(f"tol must be positive, got {tol!r}")
     if abs(x) >= 1:
         raise ParameterError(f"series evaluation requires |x| < 1, got x={x!r}")
-    a, b, c = params.a, params.b, params.c
-    x = float(x)
+    return _sum_series(params.a, params.b, params.c, float(x), tol, 0)
+
+
+def _sum_series(a, b, c, x: float, tol: float, settle: int) -> EvalResult:
+    """The direct series of ``hyp2f1``; its tail rule counts no term before the ``settle``-th."""
     cap = term_cap()
     total = 1.0
     term = 1.0
@@ -161,7 +165,7 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12) -> EvalResult:
         total += term
         n += 1
         ratio = abs(factor)
-        if abs(term) <= tol * abs(total) and ratio < 1.0:
+        if abs(term) <= tol * abs(total) and ratio < 1.0 and n >= settle:
             streak += 1
             if streak >= 3:
                 bound = abs(term) * ratio / (1.0 - ratio)
@@ -240,24 +244,14 @@ CONNECTION_X = 0.9
 CONNECTION_GAP = 1e-3
 
 
-def _gamma_sign(z: float) -> int:
-    """Sign of Gamma(z) off its poles: +1 for z > 0, alternating on (-n-1, -n)."""
-    return 1 if z > 0 or math.floor(z) % 2 == 0 else -1
+def _past_pole(a, b, c, y: float, tol: float) -> EvalResult:
+    """F(a,b;c;y) by the direct series, summed past the pole of 1/(c)_n.
 
-
-def _gamma_ratio(num, den, log_scale: float = 0.0) -> tuple[float, float]:
-    """exp(log_scale) prod Gamma(num) / prod Gamma(den), and the size of its log.
-
-    Built from ``math.lgamma`` and the signs, so a large ratio times a small
-    scale does not overflow; 1/Gamma is 0 at the poles of den, and no
-    argument in num may be a pole.  The size, the sum of |ln Gamma|, times
-    the unit roundoff estimates the relative error of the ratio.
+    For c < 0 the terms shrink on the way to n = -c and grow again after it,
+    so the tail rule may only stop once every later denominator c + n is
+    positive.
     """
-    if any(z <= 0 and z == math.floor(z) for z in den):
-        return 0.0, 0.0
-    logs = [math.lgamma(z) for z in num] + [-math.lgamma(z) for z in den]
-    sign = math.prod(_gamma_sign(z) for z in (*num, *den))
-    return sign * math.exp(math.fsum([log_scale, *logs])), math.fsum(map(abs, logs))
+    return _sum_series(a, b, c, y, tol, max(0, math.floor(-c) + 1))
 
 
 def _hyp2f1_unit(params: HypParams, x: float, tol: float, y: float | None = None) -> EvalResult:
@@ -274,19 +268,21 @@ def _hyp2f1_unit(params: HypParams, x: float, tol: float, y: float | None = None
     integer, and where the parameters are so large that rounding in the
     gamma ratios exceeds ``tol``, it is ``hyp2f1``.  A caller that holds the
     complement to more digits than 1 - x passes it as ``y`` (x then only
-    chooses the path).  The error bound combines the truncation bounds of
-    the two series, as ``hyp2f1`` reports its own.
+    chooses the path).  The c of either series in y, 1 -/+ (c - a - b), may
+    be negative, so both sum past their pole before the tail rule may stop.
+    The error bound combines the truncation bounds of the two series, as
+    ``hyp2f1`` reports its own.
     """
     if y is None:
         y = 1.0 - x
     a, b, c = params.a, params.b, params.c
     s = c - a - b
     if x >= CONNECTION_X and abs(s - round(s)) >= CONNECTION_GAP:
-        scale, scale_size = _gamma_ratio((c, s), (c - a, c - b))
-        weight, weight_size = _gamma_ratio((c, -s), (a, b), s * math.log(y) if y > 0 else -s * math.inf)
+        scale, scale_size = specfn.gamma_ratio((c, s), (c - a, c - b), 0.0)
+        weight, weight_size = specfn.gamma_ratio((c, -s), (a, b), s * math.log(y) if y > 0 else -s * math.inf)
         if sys.float_info.epsilon * max(scale_size, weight_size) <= tol:
-            first = hyp2f1(HypParams._derived(a, b, 1 - s), y, tol)
-            second = hyp2f1(HypParams._derived(c - a, c - b, 1 + s), y, tol)
+            first = _past_pole(a, b, 1 - s, y, tol)
+            second = _past_pole(c - a, c - b, 1 + s, y, tol)
             return EvalResult(
                 scale * first.value + weight * second.value,
                 abs(scale) * first.error_bound + abs(weight) * second.error_bound,

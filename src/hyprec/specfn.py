@@ -2,9 +2,11 @@
 
 All functions are restricted to positive real arguments (the only regime the
 rest of the package needs); negative arguments raise :class:`DomainError`.
-The Pochhammer symbol is the exception: it is a finite product, defined for
-every real ``a`` and computed without going through the gamma function, so it
-stays exact when fed :class:`fractions.Fraction` values.
+There are two exceptions.  The Pochhammer symbol is a finite product, defined
+for every real ``a`` and computed without going through the gamma function,
+so it stays exact when fed :class:`fractions.Fraction` values.  The gamma
+ratio of the 1 - x connection formula takes any real argument off the poles
+of its numerator, since that formula's gamma arguments go negative.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "ln_gamma",
     "digamma",
     "beta",
+    "gamma_ratio",
     "r_zero_balanced",
 ]
 
@@ -69,6 +72,34 @@ def beta(z: float, w: float) -> float:
     _require_positive("z", z)
     _require_positive("w", w)
     return math.exp(ln_gamma(z) + ln_gamma(w) - ln_gamma(z + w))
+
+
+def _is_pole(z) -> bool:
+    return z <= 0 and z == math.floor(z)
+
+
+def _gamma_sign(z) -> int:
+    """Sign of Gamma(z) off its poles: +1 for z > 0, alternating on (-n-1, -n)."""
+    return 1 if z > 0 or math.floor(z) % 2 == 0 else -1
+
+
+def gamma_ratio(num, den, log_scale: float) -> tuple[float, float]:
+    """exp(log_scale) prod Gamma(num) / prod Gamma(den), and the size of its log.
+
+    Built from ``math.lgamma`` and the signs, so a large ratio times a small
+    scale does not overflow.  Arguments may be negative: 1/Gamma is 0 at the
+    poles of ``den``, and a pole in ``num`` raises :class:`DomainError`.  The
+    size, the sum of |ln|Gamma||, times the unit roundoff estimates the
+    relative error of the ratio.
+    """
+    for z in num:
+        if _is_pole(z):
+            raise DomainError(f"Gamma has a pole at {z!r} in the numerator")
+    if any(_is_pole(z) for z in den):
+        return 0.0, 0.0
+    logs = [math.lgamma(z) for z in num] + [-math.lgamma(z) for z in den]
+    sign = math.prod(_gamma_sign(z) for z in (*num, *den))
+    return sign * math.exp(math.fsum([log_scale, *logs])), math.fsum(map(abs, logs))
 
 
 def r_zero_balanced(a: float, b: float) -> float:

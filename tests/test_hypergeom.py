@@ -281,17 +281,32 @@ class TestContiguousAndDerivativeRelations:
 
 
 def _family(k, a, b):
-    """The four parameter triples the library evaluates, in mean coordinates (a, b)."""
-    return ((1 - a, b, 2 * b + 1), (1 - a, b + 1, 2 * b + 1), (-a, b, 2 * b), (a + 2 * b, b, 2 * b + 1))[k]
+    """The parameter triples the library evaluates, in mean coordinates (a, b):
+    G_m's three, the mean's, and the Q profile's numerator and denominator."""
+    return (
+        (1 - a, b, 2 * b + 1),
+        (1 - a, b + 1, 2 * b + 1),
+        (-a, b, 2 * b),
+        (a + 2 * b, b, 2 * b + 1),
+        (a, b, 2 * b + 1),
+        (a, b + 1, 2 * b + 1),
+    )[k]
 
 
-#: The a + b at which each family's c - a - b equals a given excess.
-_SUM_FOR_EXCESS = (lambda e: e, lambda e: e + 1, lambda e: e, lambda e: 1 - e)
+#: The b at which each family's c - a - b equals a given excess, for a given a.
+_B_FOR_EXCESS = (
+    lambda e, a: e - a,
+    lambda e, a: e + 1 - a,
+    lambda e, a: e - a,
+    lambda e, a: 1 - e - a,
+    lambda e, a: e - 1 + a,
+    lambda e, a: e + a,
+)
 
 #: Bound on the connection path's relative error against mpmath.  Seeded
 #: searches over the box below found at most 1.4e-12, at c - a - b just
-#: outside the integer gap; the direct series it replaces is off by up to
-#: ~7e-8 at t >= 0.99.
+#: outside the integer gap, and 4.8e-13 for b from 6 to 630; the direct
+#: series it replaces is off by up to ~7e-8 at t >= 0.99.
 CONNECTION_REL_TOL = 5e-12
 
 
@@ -299,9 +314,9 @@ class TestConnectionFormula:
     """``_hyp2f1_unit``: the 1 - x connection formula for the library's near-one evaluations."""
 
     @given(
-        st.integers(0, 3),
+        st.integers(0, 5),
         st.floats(0.001, 0.999),
-        st.integers(0, 3),
+        st.one_of(st.integers(0, 3), st.integers(4, 300)),
         st.floats(math.log10(1.01 * CONNECTION_GAP), math.log10(0.5)),
         st.booleans(),
         st.floats(-12.0, math.log10(1 - CONNECTION_X)),
@@ -309,19 +324,34 @@ class TestConnectionFormula:
     @settings(max_examples=300, deadline=None)
     def test_matches_mpmath(self, family, a, whole, log_dist, below, log_y):
         # c - a - b = whole -/+ dist, pushed down to just outside CONNECTION_GAP
-        # from an integer; t runs from the crossover up to 1 - 1e-12.
+        # from an integer; t runs from the crossover up to 1 - 1e-12, and b up
+        # to a few hundred, where the large-parameter fallback takes over.
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         excess = whole + (-1 if below else 1) * 10**log_dist
-        b = _SUM_FOR_EXCESS[family](excess) - a
-        assume(0.001 < b < 6)
+        b = _B_FOR_EXCESS[family](excess, a)
+        assume(0.001 < b < 300)
         params = HypParams._derived(*_family(family, a, b))
         y = 10**log_y
         t = 1.0 - y
         result = _hyp2f1_unit(params, t, 1e-12)
         true = mp.hyp2f1(params.a, params.b, params.c, t)
         assert abs(result.value - true) <= CONNECTION_REL_TOL * abs(true)
-        assert result.terms_used < 100
+        # A few dozen terms, plus the ~|c - a - b| it takes one of the two
+        # series in y to pass the pole of its c = 1 -/+ (c - a - b).
+        assert result.terms_used < 60 + 2 * abs(excess)
+
+    @pytest.mark.parametrize("b", [25.0, 30.0, 100.0])
+    def test_series_in_y_sums_past_its_pole(self, b):
+        # F(0.5,b;2b+1;0.9) sums F(0.5,b;-b+0.5;0.1): its terms shrink on the
+        # way to the pole at n = b - 0.5 and grow again after it; stopping
+        # before the pole put b = 25 off by 4.8e-9 and b = 30 by 1.4e-10.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        params = HypParams(0.5, b, 2 * b + 1)
+        result = _hyp2f1_unit(params, 0.9, 1e-12)
+        true = mp.hyp2f1(0.5, b, 2 * b + 1, 0.9)
+        assert abs(result.value - true) <= 1e-12 * abs(true)
 
     def test_complement_keeps_its_digits(self):
         # t = 1 - 1e-17 rounds to 1; the complement passed as y still answers.

@@ -195,6 +195,21 @@ class TestNearOne:
             true = (1 - T) ** (-a / (2 * b + 1)) * mp.hyp2f1(a, b, 2 * b + 1, T) / mp.hyp2f1(a, b + 1, 2 * b + 1, T)
             assert abs(q - true) <= 1e-12 * true
 
+    @pytest.mark.parametrize("b", [30.0, 100.0])
+    @pytest.mark.parametrize("t", [0.9, 0.97])
+    def test_large_b_matches_mpmath(self, b, t):
+        # At b = 30 and t = 0.9 the connection path once stopped one of its
+        # series in 1 - t before the pole of its c, off by 1.4e-10.
+        mp = self._mp()
+        a, m = 0.5, 0.8
+        T = mp.mpf(t)
+        true_g = mp.hyp2f1(1 - a, b, 2 * b + 1, T) - (1 - T) ** (1 - m) * mp.hyp2f1(1 - a, b + 1, 2 * b + 1, T)
+        assert abs(g_m(t, triple(a, b, m)) - true_g) <= 1e-12 * abs(true_g)
+        true_q = (1 - T) ** (-a / (2 * b + 1)) * mp.hyp2f1(a, b, 2 * b + 1, T) / mp.hyp2f1(a, b + 1, 2 * b + 1, T)
+        assert abs(q_p0_profile(MeanParams(a, b), [t])[0] - true_q) <= 1e-12 * true_q
+        true_mean = mp.hyp2f1(-a, b, 2 * b, T) ** (1 / mp.mpf(a))
+        assert abs(mean_series(1.0, 1.0 - t, MeanParams(a, b)) - true_mean) <= 1e-12 * true_mean
+
     def test_scan_probes_match_g_m(self):
         report = gm_sign_scan(triple(0.9, 0.5, 0.97))
         for t, g in report.near_one:

@@ -64,6 +64,27 @@ class TestGammaFamilyAnchors:
         with pytest.raises(DomainError):
             fn(x)
 
+    @pytest.mark.parametrize(
+        "num, den",
+        [((2.5,), (0.5,)), ((-0.5, 3.2), (-1.5,)), ((-2.3,), (-3.7, 1.1)), ((7.0, -0.25), (4.5, -5.5))],
+    )
+    def test_gamma_ratio_signs_and_values(self, num, den):
+        value, size = specfn.gamma_ratio(num, den, 0.0)
+        expected = math.prod(map(math.gamma, num)) / math.prod(map(math.gamma, den))
+        assert abs(value - expected) <= 1e-13 * abs(expected)
+        assert size == pytest.approx(sum(abs(math.lgamma(z)) for z in (*num, *den)))
+
+    def test_gamma_ratio_scale_keeps_it_finite(self):
+        # Gamma(200) / Gamma(0.5) overflows alone; times exp(-700) it does not.
+        value, _ = specfn.gamma_ratio((200.0,), (0.5,), -700.0)
+        assert value == pytest.approx(math.exp(math.lgamma(200.0) - math.lgamma(0.5) - 700.0), rel=1e-12)
+
+    def test_gamma_ratio_poles(self):
+        assert specfn.gamma_ratio((1.5,), (0.0, 2.0), 0.0) == (0.0, 0.0)
+        assert specfn.gamma_ratio((1.5,), (-3.0,), 0.0) == (0.0, 0.0)
+        with pytest.raises(DomainError):
+            specfn.gamma_ratio((-2.0,), (1.0,), 0.0)
+
     def test_beta_domain_errors(self):
         with pytest.raises(DomainError):
             specfn.beta(0.0, 1.0)
