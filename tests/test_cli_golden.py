@@ -32,6 +32,12 @@ _COEFFS = (
     ("--a", "0.3", "--b", "0.7", "--c", "1.5", "--p", "2", "--theta", "0.5", "--n", "6", "--family", "oracle"),
     ("--a", "1/2", "--b", "1/3", "--c", "5/4", "--p=-2/3", "--theta", "1/2", "--n", "6", "--family", "oracle"),
     ("--family", "oracle", "--a", "1/2", "--b", "1/3", "--c", "5/4", "--p=-2/3", "--theta", "1/2", "--n", "40"),
+    # The exact oracle's zero windows: the binomial factor ends at j = p, is
+    # 1 alone at theta = 0, and w ends at k = -a.
+    ("--family", "oracle", "--a", "1/3", "--b", "2/5", "--c", "3/2", "--p", "3/1", "--theta", "1/2", "--n", "12"),
+    ("--family", "oracle", "--a", "1/3", "--b", "2/5", "--c", "3/2", "--p=-2/3", "--theta", "0/1", "--n", "8"),
+    ("--family", "oracle", "--a=-2/1", "--b", "2/5", "--c", "3/2", "--p", "3/1", "--theta", "1/2", "--n", "10"),
+    ("--family", "oracle", "--a", "1/3", "--b", "2/5", "--c=-5/2", "--p=-2/3", "--theta", "1/2", "--n", "10"),
     ("--a", "-2", "--b", "0.5", "--c", "-2.5", "--n", "4"),
     ("--a", "1", "--b", "1", "--c", "2", "--n", "0"),
 )
