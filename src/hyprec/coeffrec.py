@@ -15,10 +15,14 @@ Every recurrence is written over an abstract field: feed it floats and it
 runs in double precision, feed it ``fractions.Fraction`` (or int) values and
 every coefficient comes back exact.  Exact mode is what certifies the
 floating tolerances, since the higher-order recurrences can amplify rounding.
-In exact mode the oracle convolves integer numerators over one common
-denominator and normalises once per coefficient, which gives the same
-rationals as summing Fraction products; float mode sums the products in the
-field of the inputs, as the recurrences do.
+In exact mode the oracle sums each u_n by nested Horner over the ratio of
+consecutive summands, a quotient of small integers, so every step multiplies
+a big integer by a small one; it sums only the window of k where neither
+factor vanishes (the binomial factor ends at j = p for an integer p >= 0 and
+at j = 0 for theta = 0, w ends at k = -a for a nonpositive integer a or b)
+and normalises once per coefficient, which gives the same rationals as
+summing Fraction products.  Float mode sums the products in the field of the
+inputs, as the recurrences do.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import csv
 import io
 import json
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -297,29 +300,77 @@ def _log_series_coeffs(one, n_max: int) -> list:
     return [0 * one] + [-one / k for k in range(1, n_max + 1)]
 
 
-def _over_common_denominator(seq) -> tuple[list[int], int]:
-    """Integers X_k and D with seq[k] == X_k / D, where D is the lcm of the denominators."""
-    den = math.lcm(*(v.denominator for v in seq))
-    return [v.numerator * (den // v.denominator) for v in seq], den
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms (the sign may sit in either)."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
-def _exact_cauchy_product(w, g) -> tuple:
-    """sum_k w[k] g[n-k] for n = 0..len(w)-1, for rational w and g of equal length.
+def _exact_cauchy_product(spec: WeightedSeriesSpec | LogProductSpec, n_max: int) -> tuple:
+    """The oracle's u_n = sum_k w_k g_(n-k), n = 0..n_max, for rational parameters.
 
-    Both sequences are scaled to integers over their own common denominators
-    D_w and D_g, the integers are convolved, and each sum s_n becomes
-    Fraction(s_n, D_w*D_g): one normalisation per coefficient instead of one
-    per product and partial sum.  Fraction is canonical, so the values are
-    identical to the termwise Fraction sums.
+    Each u_n is summed by nested Horner over the ratio of its summands,
+
+        T_(k+1) / T_k = [(a+k)(b+k) / ((c+k)(k+1))] * g_(n-k-1) / g_(n-k),
+
+    with g_(j-1)/g_j = j / (theta (j-1-p)) for the binomial factor and
+    j / (j-1) for ln(1-x).  That ratio is P/Q with integers of a few dozen
+    bits, so each step num <- den Q + P num, den <- den Q (from k = k_hi - 1
+    down to k_lo, starting at num = den = 1) multiplies a big integer by a
+    small one, and u_n = T_lo num / den is normalised once.  Only the nonzero
+    window of k is summed: g ends at j = p for an integer p >= 0 and at j = 0
+    for theta = 0, the ln(1-x) factor starts at j = 1, and w ends at k = -a
+    (or -b) for a nonpositive integer a (or b).  Fraction is canonical, so
+    the values are identical to the termwise Fraction sums.
     """
-    (w_int, d_w), (g_int, d_g) = _over_common_denominator(w), _over_common_denominator(g)
-    den = d_w * d_g
-    g_rev = g_int[::-1]
-    last = len(g_int) - 1
-    return tuple(
-        Fraction(sum(map(operator.mul, w_int[: n + 1], g_rev[last - n :])), den)
-        for n in range(len(w_int))
-    )
+    params = spec.params
+    (an, ad), (bn, bd), (cn, cd) = ((v.numerator, v.denominator) for v in (params.a, params.b, params.c))
+    w = hyp_series_coeffs(params, n_max)
+    k_end = n_max
+    for top, bottom in ((an, ad), (bn, bd)):
+        if bottom == 1 and top <= 0:
+            k_end = min(k_end, -top)
+    # w_(k+1)/w_k = (a+k)(b+k) / ((c+k)(k+1)), over the parameters' denominators.
+    w_ratio = [
+        _reduced((an + k * ad) * (bn + k * bd) * cd, ad * bd * (cn + k * cd) * (k + 1))
+        for k in range(k_end)
+    ]
+    if isinstance(spec, LogProductSpec):
+        g = _log_series_coeffs(Fraction(1), n_max)
+        j_lo, j_end = 1, n_max
+        # g_(j-1)/g_j = j/(j-1); g_0 = 0 lies outside the window.
+        g_ratio = [None, None] + [(j, j - 1) for j in range(2, n_max + 1)]
+    else:
+        (pn, pd), (tn, td) = ((v.numerator, v.denominator) for v in (spec.p, spec.theta))
+        j_lo = 0
+        if tn == 0:
+            j_end = 0
+        elif pd == 1 and pn >= 0:
+            j_end = min(n_max, pn)
+        else:
+            j_end = n_max
+        g = [Fraction(1)]
+        for j in range(1, j_end + 1):
+            g.append(g[-1] * Fraction(tn * ((j - 1) * pd - pn), td * pd * j))
+        # g_(j-1)/g_j = j / (theta (j-1-p)).
+        g_ratio = [None] + [
+            _reduced(j * td * pd, tn * ((j - 1) * pd - pn)) for j in range(1, j_end + 1)
+        ]
+    coeffs = []
+    for n in range(n_max + 1):
+        k_lo, k_hi = max(0, n - j_end), min(n - j_lo, k_end)
+        if k_lo > k_hi:
+            coeffs.append(Fraction(0))
+            continue
+        num = den = 1
+        for (wp, wq), (gp, gq) in zip(
+            reversed(w_ratio[k_lo:k_hi]), g_ratio[n - k_hi + 1 : n - k_lo + 1]
+        ):
+            den *= wq * gq
+            num = den + (wp * gp) * num
+        first = w[k_lo] * g[n - k_lo]
+        coeffs.append(Fraction(first.numerator * num, first.denominator * den))
+    return tuple(coeffs)
 
 
 def cauchy_oracle(spec: WeightedSeriesSpec | LogProductSpec, n_max: int) -> CoeffSequence:
@@ -330,37 +381,31 @@ def cauchy_oracle(spec: WeightedSeriesSpec | LogProductSpec, n_max: int) -> Coef
     :class:`WeightedSeriesSpec`, or with the ln(1-x) coefficients -1/j for a
     :class:`LogProductSpec`.  Nothing here uses the recurrences it certifies.
 
-    Exact mode (every parameter an int or Fraction) builds the binomial
-    factor incrementally, g_j = g_(j-1) * theta * (j-1-p) / j, convolves
-    integer numerators over one common denominator per sequence and
-    normalises once per coefficient; the result is the same Fraction, numerator
-    and denominator, as summing Fraction products.  Float mode (any parameter
-    a float) takes the Pochhammer factors as finite products, never via gamma,
-    and sums the products in the field of the inputs.
+    Exact mode (every parameter an int or Fraction) sums each u_n by nested
+    Horner over the term ratio of its summands, which is a quotient of small
+    integers, over the window of k where neither factor vanishes, and
+    normalises once per coefficient; the result is the same Fraction,
+    numerator and denominator, as summing Fraction products.  Float mode (any
+    parameter a float) takes the Pochhammer factors as finite products, never
+    via gamma, and sums the products in the field of the inputs.
     """
     _check_n(n_max)
     params = spec.params
     a, b, c = params.a, params.b, params.c
+    log = isinstance(spec, LogProductSpec)
+    exact = is_exact(a, b, c) if log else is_exact(a, b, c, spec.p, spec.theta)
+    if exact:
+        return CoeffSequence(spec, _exact_cauchy_product(spec, n_max), Method.CAUCHY_ORACLE)
     w = hyp_series_coeffs(params, n_max)
-    if isinstance(spec, LogProductSpec):
-        exact = is_exact(a, b, c)
+    if log:
         g = _log_series_coeffs(_one(a, b, c), n_max)
     else:
         p, th = spec.p, spec.theta
-        exact = is_exact(a, b, c, p, th)
-        if exact:
-            g = [Fraction(1)]
-            for j in range(1, n_max + 1):
-                g.append(g[-1] * th * (j - 1 - p) / j)
-        else:
-            g = [1.0 * th**j * pochhammer(-p, j) / math.factorial(j) for j in range(n_max + 1)]
-    if exact:
-        coeffs = _exact_cauchy_product(w, g)
-    else:
-        coeffs = tuple(
-            sum((w[k] * g[n - k] for k in range(n + 1)), start=0 * w[0])
-            for n in range(n_max + 1)
-        )
+        g = [1.0 * th**j * pochhammer(-p, j) / math.factorial(j) for j in range(n_max + 1)]
+    coeffs = tuple(
+        sum((w[k] * g[n - k] for k in range(n + 1)), start=0 * w[0])
+        for n in range(n_max + 1)
+    )
     return CoeffSequence(spec, coeffs, Method.CAUCHY_ORACLE)
 
 

@@ -128,8 +128,8 @@ class TestOracleEquivalence:
 def fraction_sum_oracle(spec, n_max):
     """The Cauchy product summed one product at a time, in the field of the inputs.
 
-    A copy of cauchy_oracle before it convolved integer numerators: the
-    binomial factor from pochhammer, one Fraction (or float) per product.
+    The reference for small N: the binomial factor from pochhammer, one
+    Fraction (or float) per product.
     """
     params = spec.params
     w = hyp_series_coeffs(params, n_max)
@@ -147,9 +147,37 @@ def fraction_sum_oracle(spec, n_max):
     )
 
 
-def assert_same_rationals(spec, n_max):
+def integer_convolution_oracle(spec, n_max):
+    """The exact Cauchy product as integer numerators convolved over a common denominator.
+
+    A copy of cauchy_oracle's exact mode before it summed by Horner over the
+    term ratio: each factor sequence is scaled to integers over the lcm of its
+    denominators, the integers are convolved, and each sum is normalised once.
+    Fast enough at N = 200, where fraction_sum_oracle is not.
+    """
+    params = spec.params
+    w = hyp_series_coeffs(params, n_max)
+    if isinstance(spec, LogProductSpec):
+        g = [Fraction(0)] + [Fraction(-1, k) for k in range(1, n_max + 1)]
+    else:
+        g = [Fraction(1)]
+        for j in range(1, n_max + 1):
+            g.append(g[-1] * spec.theta * (j - 1 - spec.p) / j)
+
+    def over_common_denominator(seq):
+        den = math.lcm(*(v.denominator for v in seq))
+        return [v.numerator * (den // v.denominator) for v in seq], den
+
+    (w_int, d_w), (g_int, d_g) = over_common_denominator(w), over_common_denominator(g)
+    return tuple(
+        Fraction(sum(w_int[k] * g_int[n - k] for k in range(n + 1)), d_w * d_g)
+        for n in range(n_max + 1)
+    )
+
+
+def assert_same_rationals(spec, n_max, reference=fraction_sum_oracle):
     got = cauchy_oracle(spec, n_max).coeffs
-    want = fraction_sum_oracle(spec, n_max)
+    want = reference(spec, n_max)
     assert all(type(v) is Fraction for v in got)
     assert [(v.numerator, v.denominator) for v in got] == [(v.numerator, v.denominator) for v in want]
 
@@ -165,7 +193,7 @@ def _prime_rationals(bound):
 
 
 class TestExactOracleReference:
-    """The integer convolution gives the Fraction sum's exact (numerator, denominator) pairs."""
+    """The Horner sum over the term ratio gives the Fraction sum's exact (numerator, denominator) pairs."""
 
     @given(
         _prime_rationals(3),
@@ -199,15 +227,31 @@ class TestExactOracleReference:
             (LogProductSpec(HypParams(Fraction(1, 3), Fraction(2, 5), Fraction(3, 2))), 30),
             (LogProductSpec(HypParams(1, 1, 2)), 0),
             (LogProductSpec(HypParams(Fraction(-3), Fraction(2, 5), Fraction(-5, 2))), 30),
+            (spec_of(Fraction(-2), Fraction(2, 5), Fraction(3, 2), Fraction(3), Fraction(1, 2)), 12),
+            (spec_of(Fraction(1, 3), Fraction(-4), Fraction(3, 2), Fraction(5, 7), Fraction(-1, 2)), 30),
+            (spec_of(Fraction(1, 3), Fraction(2, 5), Fraction(3, 2), Fraction(2), Fraction(0)), 30),
+            (LogProductSpec(HypParams(Fraction(-2), Fraction(2, 5), Fraction(3, 2))), 30),
+            (spec_of(-2, 1, 3, 3, -1), 12),
+            (LogProductSpec(HypParams(1, -3, 2)), 12),
         ],
         ids=[
             "n0", "n1", "int-only", "int-only-theta-minus1", "theta-minus1", "theta0", "theta1",
             "p0", "p-nonneg-integer", "a-minus3", "c-negative-noninteger", "log", "log-n0",
-            "log-terminating-negative-c",
+            "log-terminating-negative-c", "a-minus2-and-p3", "b-minus4", "theta0-integer-p",
+            "log-a-minus2", "int-only-both-windows", "log-int-only-b-minus3",
         ],
     )
     def test_edge_cases(self, spec, n_max):
         assert_same_rationals(spec, n_max)
+
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), None], ids=["theta-half", "log"])
+    def test_benchmark_sized_spec(self, theta):
+        # N = 200 with the benchmark's prime denominators (5, 37, 251, 43):
+        # numerators of thousands of bits, against the integer convolution.
+        params = HypParams(Fraction(7, 5), Fraction(-53, 37), Fraction(800, 251))
+        spec = LogProductSpec(params) if theta is None else WeightedSeriesSpec(params, Fraction(-97, 43), theta)
+        assert_same_rationals(spec, 200, integer_convolution_oracle)
+        assert max(v.denominator.bit_length() for v in cauchy_oracle(spec, 200).coeffs) > 1000
 
     @pytest.mark.parametrize(
         "spec",
