@@ -140,7 +140,10 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12) -> EvalResult:
     Stops once three consecutive terms satisfy |term| <= tol*|partial sum|
     while the term ratio stays below 1 in magnitude; this guards against a
     premature stop at a sign change or at an early zero term when a or b sits
-    next to a negative integer.  The reported ``error_bound`` is the geometric
+    next to a negative integer.  For c < -1 no term before the pole of
+    1/(c)_n counts: the terms shrink on the way to n = -c and grow again
+    after it, so the streak starts once every later c + n is positive.
+    The reported ``error_bound`` is the geometric
     tail bound |last term| * rho / (1 - rho) with rho the last term ratio.
     When a or b is a nonpositive integer the series terminates and the result
     is exact up to rounding (error_bound 0).
@@ -149,11 +152,16 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12) -> EvalResult:
         raise DomainError(f"tol must be positive, got {tol!r}")
     if abs(x) >= 1:
         raise ParameterError(f"series evaluation requires |x| < 1, got x={x!r}")
-    return _sum_series(params.a, params.b, params.c, float(x), tol, 0)
+    return _sum_series(params.a, params.b, params.c, float(x), tol)
 
 
-def _sum_series(a, b, c, x: float, tol: float, settle: int) -> EvalResult:
-    """The direct series of ``hyp2f1``; its tail rule counts no term before the ``settle``-th."""
+def _sum_series(a, b, c, x: float, tol: float) -> EvalResult:
+    """The direct series of ``hyp2f1``, summed past the pole of 1/(c)_n.
+
+    The tail rule counts no term before the ``settle``-th, the first n with
+    every later denominator c + n positive; for c > -1 that is no constraint.
+    """
+    settle = max(0, math.floor(-c) + 1)
     cap = term_cap()
     total = 1.0
     term = 1.0
@@ -244,16 +252,6 @@ CONNECTION_X = 0.9
 CONNECTION_GAP = 1e-3
 
 
-def _past_pole(a, b, c, y: float, tol: float) -> EvalResult:
-    """F(a,b;c;y) by the direct series, summed past the pole of 1/(c)_n.
-
-    For c < 0 the terms shrink on the way to n = -c and grow again after it,
-    so the tail rule may only stop once every later denominator c + n is
-    positive.
-    """
-    return _sum_series(a, b, c, y, tol, max(0, math.floor(-c) + 1))
-
-
 def _hyp2f1_unit(params: HypParams, x: float, tol: float, y: float | None = None) -> EvalResult:
     """F(a,b;c;x) on 0 <= x < 1 for the library's own evaluations.
 
@@ -281,8 +279,8 @@ def _hyp2f1_unit(params: HypParams, x: float, tol: float, y: float | None = None
         scale, scale_size = specfn.gamma_ratio((c, s), (c - a, c - b), 0.0)
         weight, weight_size = specfn.gamma_ratio((c, -s), (a, b), s * math.log(y) if y > 0 else -s * math.inf)
         if sys.float_info.epsilon * max(scale_size, weight_size) <= tol:
-            first = _past_pole(a, b, 1 - s, y, tol)
-            second = _past_pole(c - a, c - b, 1 + s, y, tol)
+            first = _sum_series(a, b, 1 - s, y, tol)
+            second = _sum_series(c - a, c - b, 1 + s, y, tol)
             return EvalResult(
                 scale * first.value + weight * second.value,
                 abs(scale) * first.error_bound + abs(weight) * second.error_bound,

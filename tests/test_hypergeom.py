@@ -145,6 +145,27 @@ class TestIndependentOracle:
             allowance = 1e-13 * (1.0 + abs(res.value))
             assert abs(res.value - true) <= 1.25 * res.error_bound + allowance
 
+    @pytest.mark.parametrize(
+        "evaluate,abc,reference",
+        [
+            (hyp2f1, (0.5, 30.0, -29.5), lambda mp: mp.hyp2f1(0.5, 30, -29.5, 0.1)),
+            (hyp2f1_derivative, (-0.5, 29.0, -30.5),
+             lambda mp: mp.mpf(-0.5) * 29 / -30.5 * mp.hyp2f1(0.5, 30, -29.5, 0.1)),
+            (euler_transform_eval, (-30.0, -59.5, -29.5), lambda mp: mp.hyp2f1(-30, -59.5, -29.5, 0.1)),
+        ],
+        ids=["hyp2f1", "derivative", "euler"],
+    )
+    def test_sums_past_the_pole_of_c(self, evaluate, abc, reference):
+        # F(0.5,30;-29.5;0.1): the terms shrink on the way to the pole of
+        # 1/(c)_n at n = 29.5 and grow again after it; stopping at the first
+        # small terms (n = 17) was off by 1.4e-10 with a bound of 1.5e-14.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        res = evaluate(HypParams(*abc), 0.1, 1e-12)
+        true = reference(mp)
+        assert abs(res.value - true) <= 1e-12 * abs(true)
+        assert res.terms_used > 30
+
 
 class TestDerivative:
     def test_at_zero(self):
