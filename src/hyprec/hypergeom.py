@@ -142,9 +142,9 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12) -> EvalResult:
     premature stop at a sign change or at an early zero term when a or b sits
     next to a negative integer.  For c < -1 no term before the pole of
     1/(c)_n counts: the terms shrink on the way to n = -c and grow again
-    after it, so the streak starts once every later c + n is positive.
-    The reported ``error_bound`` is the geometric
-    tail bound |last term| * rho / (1 - rho) with rho the last term ratio.
+    after it, so the streak starts once every later c + n is positive.  The
+    reported ``error_bound`` is the geometric tail bound
+    |last term| * rho / (1 - rho) with rho the last term ratio.
     When a or b is a nonpositive integer the series terminates and the result
     is exact up to rounding (error_bound 0).
     """
