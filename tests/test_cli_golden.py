@@ -38,6 +38,14 @@ _COEFFS = (
     ("--family", "oracle", "--a", "1/3", "--b", "2/5", "--c", "3/2", "--p=-2/3", "--theta", "0/1", "--n", "8"),
     ("--family", "oracle", "--a=-2/1", "--b", "2/5", "--c", "3/2", "--p", "3/1", "--theta", "1/2", "--n", "10"),
     ("--family", "oracle", "--a", "1/3", "--b", "2/5", "--c=-5/2", "--p=-2/3", "--theta", "1/2", "--n", "10"),
+    # The exact recurrences at N = 40, a theta = -1 sequence whose tail is
+    # all zeros, and the log product's denominator vanishing at n = 1.
+    ("--family", "theta1", "--a", "1/3", "--b", "2/5", "--c", "3/2", "--p=-2/3", "--n", "40"),
+    ("--family", "theta-1", "--a", "1/3", "--b", "2/5", "--c", "3/2", "--p=-2/3", "--n", "40"),
+    ("--family", "general", "--theta", "1/2", "--a", "1/3", "--b", "2/5", "--c", "3/2", "--p=-2/3", "--n", "40"),
+    ("--family", "log", "--a", "1/3", "--b", "2/5", "--c", "3/2", "--n", "40"),
+    ("--family", "theta-1", "--a=-2/1", "--b", "2/5", "--c=-5/2", "--p", "3/1", "--n", "12"),
+    ("--family", "log", "--a", "0/1", "--b", "2/5", "--c", "3/2", "--n", "5"),
     ("--a", "-2", "--b", "0.5", "--c", "-2.5", "--n", "4"),
     ("--a", "1", "--b", "1", "--c", "2", "--n", "0"),
 )
