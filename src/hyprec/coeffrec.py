@@ -15,6 +15,19 @@ Every recurrence is written over an abstract field: feed it floats and it
 runs in double precision, feed it ``fractions.Fraction`` (or int) values and
 every coefficient comes back exact.  Exact mode is what certifies the
 floating tolerances, since the higher-order recurrences can amplify rounding.
+Exact inputs are taken as Fractions once, where a routine starts, so int
+inputs never divide as floats.
+
+Each recurrence has one function of n that returns its denominator
+(n+1)(n+c) and its coefficient numerators; float mode calls it every step.
+In exact mode every one of those values is quadratic in n, so the function is
+evaluated at four consecutive n only: scaled to integers over one common
+denominator, the rows then step by integer adds of their second differences.
+The homogeneous recurrences carry their last terms as integer numerators over
+the lcm of every denominator so far, which grows by den / gcd(den, sum) per
+step, so the one large gcd of a step reduces its new coefficient; the log
+product adds gamma_n w_n to a Fraction sum of integer multiples.
+
 In exact mode the oracle sums each u_n by nested Horner over the ratio of
 consecutive summands, a quotient of small integers, so every step multiplies
 a big integer by a small one; it sums only the window of k where neither
@@ -140,6 +153,75 @@ def hyp_series_coeffs(params: HypParams, n_max: int) -> list:
     return w
 
 
+def _check_den(den, n) -> None:
+    if den == 0:
+        raise DomainError(f"recurrence denominator (n+1)(n+c) vanished at n={n}")
+
+
+def _integer_rows(row_at, n0):
+    """The coefficient rows row_at(n), n = n0, n0+1, ..., as integers.
+
+    Every entry of a row is a polynomial of degree at most 2 in n, so the rows
+    at four consecutive n fix all of them: scaled to integers over the lcm of
+    their denominators (which leaves every ratio of entries alone), their
+    third differences vanish, and each next row is two integer adds per entry
+    away.  An entry 1 comes out as that common denominator.
+    """
+    rows = [row_at(n) for n in range(n0, n0 + 4)]
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    r0, r1, r2, r3 = ([v.numerator * (scale // v.denominator) for v in row] for row in rows)
+    if any(x3 - 3 * x2 + 3 * x1 - x0 for x0, x1, x2, x3 in zip(r0, r1, r2, r3)):
+        raise RuntimeError("a recurrence coefficient is not quadratic in n")
+    row = r0
+    d1 = [x1 - x0 for x0, x1 in zip(r0, r1)]
+    d2 = [x2 - 2 * x1 + x0 for x0, x1, x2 in zip(r0, r1, r2)]
+    while True:
+        yield row
+        row = [x + d for x, d in zip(row, d1)]
+        d1 = [d + s for d, s in zip(d1, d2)]
+
+
+def _exact_steps(u: list, row_at, n_max: int) -> None:
+    """Extend the seeds u_0..u_n0 to u_n_max by u_(n+1) = (x_0 u_n + x_1 u_(n-1) + ...) / den.
+
+    The integers (den, x_0, x_1, ...) at n = n0, n0+1, ... come from
+    ``_integer_rows(row_at, n0)``, and the window u_n, u_(n-1), ... is carried
+    as integer numerators over one common denominator, which starts as the
+    seeds' lcm.  A step sums integer products; the common denominator then
+    grows only by den / gcd(den, sum), which keeps it the lcm of every term so
+    far, and den is small, so the one large gcd is the one that reduces each
+    new u_(n+1).
+    """
+    n0 = len(u) - 1
+    if n_max <= n0:
+        return
+    scale = math.lcm(*(v.denominator for v in u))
+    nums = [v.numerator * (scale // v.denominator) for v in reversed(u)]
+    for n, (den, *xs) in zip(range(n0, n_max), _integer_rows(row_at, n0)):
+        _check_den(den, n)
+        total = sum(x * m for x, m in zip(xs, nums))
+        g = math.gcd(den, total)
+        k = den // g
+        scale *= k
+        nums = [total // g] + [m * k for m in nums[:-1]]
+        u.append(Fraction(nums[0], scale))
+
+
+def general_step(a, b, c, p, th, n):
+    """Denominator (n+1)(n+c) and numerators xi, eta, lam of u_general's step at n."""
+    den = (n + 1) * (n + c)
+    xi = (n + a) * (n + b) + th * (2 * n * n - 2 * n * (p - c + 1) - c * p)
+    eta = (
+        2 * n * n
+        + 2 * (a + b - p - 2) * n
+        - (a + b - 1) * p
+        + 2 * (a - 1) * (b - 1)
+        + th * (n - p - 1) * (n - p + c - 2)
+    )
+    lam = (n + a - p - 2) * (n + b - p - 2)
+    return den, xi, eta, lam
+
+
 def u_general(spec: WeightedSeriesSpec, n_max: int) -> CoeffSequence:
     """Coefficients of (1 - theta*x)^p F(a,b;c;x) by the third-order recurrence.
 
@@ -164,6 +246,9 @@ def u_general(spec: WeightedSeriesSpec, n_max: int) -> CoeffSequence:
     _check_n(n_max)
     a, b, c = spec.params.a, spec.params.b, spec.params.c
     p, th = spec.p, spec.theta
+    exact = is_exact(a, b, c, p, th)
+    if exact:
+        a, b, c, p, th = map(Fraction, (a, b, c, p, th))
     u = [_one(a, b, c, p, th)]
     if n_max >= 1:
         u.append(a * b / c - p * th)
@@ -173,21 +258,28 @@ def u_general(spec: WeightedSeriesSpec, n_max: int) -> CoeffSequence:
             - th * p * a * b / c
             + a * b * (b + 1) * (a + 1) / (2 * c * (c + 1))
         )
-    for n in range(2, n_max):
-        den = (n + 1) * (n + c)
-        if den == 0:
-            raise DomainError(f"recurrence denominator (n+1)(n+c) vanished at n={n}")
-        xi = (n + a) * (n + b) + th * (2 * n * n - 2 * n * (p - c + 1) - c * p)
-        eta = (
-            2 * n * n
-            + 2 * (a + b - p - 2) * n
-            - (a + b - 1) * p
-            + 2 * (a - 1) * (b - 1)
-            + th * (n - p - 1) * (n - p + c - 2)
-        )
-        lam = (n + a - p - 2) * (n + b - p - 2)
-        u.append((xi * u[n] - th * eta * u[n - 1] + th * th * lam * u[n - 2]) / den)
+    if exact:
+
+        def row_at(n):
+            den, xi, eta, lam = general_step(a, b, c, p, th, n)
+            return den, xi, -th * eta, th * th * lam
+
+        _exact_steps(u, row_at, n_max)
+    else:
+        for n in range(2, n_max):
+            den, xi, eta, lam = general_step(a, b, c, p, th, n)
+            _check_den(den, n)
+            u.append((xi * u[n] - th * eta * u[n - 1] + th * th * lam * u[n - 2]) / den)
     return CoeffSequence(spec, tuple(u), Method.RECURRENCE)
+
+
+def _theta_minus1_step(a, b, c, p, n):
+    """Denominator (n+1)(n+c) and numerators xi, eta, lam of u_theta_minus1's step at n."""
+    den = (n + 1) * (n + c)
+    xi = -n * n + (a + b - 2 * c + 2 * p + 2) * n + (a * b + c * p)
+    eta = (n + 2 * a + 2 * b - c) * (n - 1) - p * p - (a + b - c + 2) * p + 2 * a * b
+    lam = (n + a - p - 2) * (n + b - p - 2)
+    return den, xi, eta, lam
 
 
 def u_theta_minus1(params: HypParams, p, n_max: int) -> CoeffSequence:
@@ -206,33 +298,31 @@ def u_theta_minus1(params: HypParams, p, n_max: int) -> CoeffSequence:
     """
     _check_n(n_max)
     a, b, c = params.a, params.b, params.c
+    spec = WeightedSeriesSpec(params, p, -_one(a, b, c, p))
+    exact = is_exact(a, b, c, p)
+    if exact:
+        a, b, c, p = map(Fraction, (a, b, c, p))
     u = [_one(a, b, c, p)]
     if n_max >= 1:
         u.append(a * b / c + p)
     if n_max >= 2:
         u.append(p * (p - 1) / 2 + p * a * b / c + a * b * (b + 1) * (a + 1) / (2 * c * (c + 1)))
-    for n in range(2, n_max):
-        den = (n + 1) * (n + c)
-        if den == 0:
-            raise DomainError(f"recurrence denominator (n+1)(n+c) vanished at n={n}")
-        xi = -n * n + (a + b - 2 * c + 2 * p + 2) * n + (a * b + c * p)
-        eta = (n + 2 * a + 2 * b - c) * (n - 1) - p * p - (a + b - c + 2) * p + 2 * a * b
-        lam = (n + a - p - 2) * (n + b - p - 2)
-        u.append((xi * u[n] + eta * u[n - 1] + lam * u[n - 2]) / den)
-    minus_one = -_one(a, b, c, p)
-    return CoeffSequence(
-        WeightedSeriesSpec(params, p, minus_one), tuple(u), Method.RECURRENCE
-    )
+    if exact:
+        _exact_steps(u, lambda n: _theta_minus1_step(a, b, c, p, n), n_max)
+    else:
+        for n in range(2, n_max):
+            den, xi, eta, lam = _theta_minus1_step(a, b, c, p, n)
+            _check_den(den, n)
+            u.append((xi * u[n] + eta * u[n - 1] + lam * u[n - 2]) / den)
+    return CoeffSequence(spec, tuple(u), Method.RECURRENCE)
 
 
-def _two_alpha_beta(a, b, c, p, n):
-    """Numerators 2*alpha_n, beta_n of the theta = 1 second-order recurrence."""
+def _theta_plus1_step(a, b, c, p, n):
+    """Denominator (n+1)(n+c) and numerators of 2 alpha_n and beta_n at theta = 1."""
     den = (n + 1) * (n + c)
-    if den == 0:
-        raise DomainError(f"recurrence denominator (n+1)(n+c) vanished at n={n}")
-    two_alpha = (2 * n * n + (a + b + c - 2 * p - 1) * n + a * b - c * p) / den
-    beta_n = (n + a - p - 1) * (n + b - p - 1) / den
-    return two_alpha, beta_n
+    two_alpha = 2 * n * n + (a + b + c - 2 * p - 1) * n + a * b - c * p
+    beta = (n + a - p - 1) * (n + b - p - 1)
+    return den, two_alpha, beta
 
 
 def u_theta_plus1(params: HypParams, p, n_max: int) -> CoeffSequence:
@@ -248,15 +338,34 @@ def u_theta_plus1(params: HypParams, p, n_max: int) -> CoeffSequence:
     """
     _check_n(n_max)
     a, b, c = params.a, params.b, params.c
+    spec = WeightedSeriesSpec(params, p, _one(a, b, c, p))
+    exact = is_exact(a, b, c, p)
+    if exact:
+        a, b, c, p = map(Fraction, (a, b, c, p))
     u = [_one(a, b, c, p)]
     if n_max >= 1:
         u.append(a * b / c - p)
-    for n in range(1, n_max):
-        two_alpha, beta_n = _two_alpha_beta(a, b, c, p, n)
-        u.append(two_alpha * u[n] - beta_n * u[n - 1])
-    return CoeffSequence(
-        WeightedSeriesSpec(params, p, _one(a, b, c, p)), tuple(u), Method.RECURRENCE
-    )
+    if exact:
+
+        def row_at(n):
+            den, two_alpha, beta = _theta_plus1_step(a, b, c, p, n)
+            return den, two_alpha, -beta
+
+        _exact_steps(u, row_at, n_max)
+    else:
+        for n in range(1, n_max):
+            den, two_alpha, beta = _theta_plus1_step(a, b, c, p, n)
+            _check_den(den, n)
+            u.append(two_alpha / den * u[n] - beta / den * u[n - 1])
+    return CoeffSequence(spec, tuple(u), Method.RECURRENCE)
+
+
+def _log_product_step(a, b, c, p, n):
+    """The theta = 1 row at p = 0 (``p`` is that zero) and gamma_n's numerator and denominator."""
+    den, two_alpha, beta = _theta_plus1_step(a, b, c, p, n)
+    gden = (n + 1) * (n + a - 1) * (n + b - 1) * (n + c)
+    gnum = (c - b - a) * n * n + (a + b - 2 * a * b) * n - c * (a - 1) * (b - 1)
+    return den, two_alpha, beta, gnum, gden
 
 
 def v_log_product(params: HypParams, n_max: int) -> CoeffSequence:
@@ -276,22 +385,41 @@ def v_log_product(params: HypParams, n_max: int) -> CoeffSequence:
     """
     _check_n(n_max)
     a, b, c = params.a, params.b, params.c
+    exact = is_exact(a, b, c)
+    if exact:
+        a, b, c = map(Fraction, (a, b, c))
     one = _one(a, b, c)
-    zero = 0 * one
     p = 0 * one
-    v = [zero]
+    v = [0 * one]
     if n_max >= 1:
         v.append(-one)
     w = hyp_series_coeffs(params, max(n_max - 1, 0))
-    for n in range(1, n_max):
-        gden = (n + 1) * (n + a - 1) * (n + b - 1) * (n + c)
-        if gden == 0:
-            raise DomainError(
-                f"log-product coefficient denominator vanished at n={n} (a={a!r}, b={b!r})"
-            )
-        gnum = (c - b - a) * n * n + (a + b - 2 * a * b) * n - c * (a - 1) * (b - 1)
-        two_alpha, beta_n = _two_alpha_beta(a, b, c, p, n)
-        v.append(two_alpha * v[n] - beta_n * v[n - 1] + gnum * w[n] / gden)
+
+    def vanished(n):
+        return DomainError(
+            f"log-product coefficient denominator vanished at n={n} "
+            f"(a={params.a!r}, b={params.b!r})"
+        )
+
+    if exact:
+
+        def row_at(n):
+            # gamma_n's denominator over (n+1)(n+c) is (n+a-1)(n+b-1), which
+            # is quadratic; the trailing 1 brings out the rows' common scale.
+            den, two_alpha, beta, gnum, gden = _log_product_step(a, b, c, p, n)
+            return den, two_alpha, -beta, gnum, gden / den, 1
+
+        rows = _integer_rows(row_at, 1)
+        for n, (den, x0, x1, gnum, gquot, scale) in zip(range(1, n_max), rows):
+            if den == 0 or gquot == 0:
+                raise vanished(n)
+            v.append((v[n] * x0 + v[n - 1] * x1 + w[n] * (gnum * scale) / gquot) / den)
+    else:
+        for n in range(1, n_max):
+            den, two_alpha, beta, gnum, gden = _log_product_step(a, b, c, p, n)
+            if gden == 0:
+                raise vanished(n)
+            v.append(two_alpha / den * v[n] - beta / den * v[n - 1] + gnum * w[n] / gden)
     return CoeffSequence(LogProductSpec(params), tuple(v), Method.RECURRENCE)
 
 

@@ -25,6 +25,7 @@ from .coeffrec import (
     LogProductSpec,
     WeightedSeriesSpec,
     cauchy_oracle,
+    general_step,
     hyp_series_coeffs,
     is_exact,
     partial_sum,
@@ -204,13 +205,8 @@ def _suite_corollaries(rng: random.Random) -> list[PropertyResult]:
         for p in _p_set(a, b, c):
             u = u_theta_plus1(HypParams(a, b, c), p, 31).coeffs
             for n in range(2, 30):
-                xi = (n + a) * (n + b) + (2 * n * n - 2 * n * (p - c + 1) - c * p)
-                eta = (
-                    2 * n * n + 2 * (a + b - p - 2) * n - (a + b - 1) * p
-                    + 2 * (a - 1) * (b - 1) + (n - p - 1) * (n - p + c - 2)
-                )
-                lam = (n + a - p - 2) * (n + b - p - 2)
-                res = u[n + 1] - (xi * u[n] - eta * u[n - 1] + lam * u[n - 2]) / ((n + 1) * (n + c))
+                den, xi, eta, lam = general_step(a, b, c, p, 1, n)
+                res = u[n + 1] - (xi * u[n] - eta * u[n - 1] + lam * u[n - 2]) / den
                 worst = max(worst, abs(res))
     out.append(_result("corollaries", "order-reduction-residual", worst <= 1e-12, worst,
                        "second-order sequence satisfies the third-order recurrence at theta=1"))

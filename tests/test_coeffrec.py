@@ -270,6 +270,256 @@ class TestExactOracleReference:
         assert got == fraction_sum_oracle(spec, 40)
 
 
+def in_field(*values):
+    """The values as Fractions when every one is exact, else as given, and the field's 1."""
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        return [Fraction(v) for v in values], Fraction(1)
+    return list(values), 1.0
+
+
+def _vanished(n):
+    raise DomainError(f"recurrence denominator (n+1)(n+c) vanished at n={n}")
+
+
+def step_u_general(spec, n_max):
+    """u_general as it stepped before integer rows: xi, eta, lam rebuilt in the field every step."""
+    (a, b, c, p, th), one = in_field(spec.params.a, spec.params.b, spec.params.c, spec.p, spec.theta)
+    u = [one]
+    if n_max >= 1:
+        u.append(a * b / c - p * th)
+    if n_max >= 2:
+        u.append(
+            th * th * p * (p - 1) / 2
+            - th * p * a * b / c
+            + a * b * (b + 1) * (a + 1) / (2 * c * (c + 1))
+        )
+    for n in range(2, n_max):
+        den = (n + 1) * (n + c)
+        if den == 0:
+            _vanished(n)
+        xi = (n + a) * (n + b) + th * (2 * n * n - 2 * n * (p - c + 1) - c * p)
+        eta = (
+            2 * n * n
+            + 2 * (a + b - p - 2) * n
+            - (a + b - 1) * p
+            + 2 * (a - 1) * (b - 1)
+            + th * (n - p - 1) * (n - p + c - 2)
+        )
+        lam = (n + a - p - 2) * (n + b - p - 2)
+        u.append((xi * u[n] - th * eta * u[n - 1] + th * th * lam * u[n - 2]) / den)
+    return tuple(u)
+
+
+def step_u_theta_minus1(params, p, n_max):
+    (a, b, c, p), one = in_field(params.a, params.b, params.c, p)
+    u = [one]
+    if n_max >= 1:
+        u.append(a * b / c + p)
+    if n_max >= 2:
+        u.append(p * (p - 1) / 2 + p * a * b / c + a * b * (b + 1) * (a + 1) / (2 * c * (c + 1)))
+    for n in range(2, n_max):
+        den = (n + 1) * (n + c)
+        if den == 0:
+            _vanished(n)
+        xi = -n * n + (a + b - 2 * c + 2 * p + 2) * n + (a * b + c * p)
+        eta = (n + 2 * a + 2 * b - c) * (n - 1) - p * p - (a + b - c + 2) * p + 2 * a * b
+        lam = (n + a - p - 2) * (n + b - p - 2)
+        u.append((xi * u[n] + eta * u[n - 1] + lam * u[n - 2]) / den)
+    return tuple(u)
+
+
+def _step_two_alpha_beta(a, b, c, p, n):
+    den = (n + 1) * (n + c)
+    if den == 0:
+        _vanished(n)
+    two_alpha = (2 * n * n + (a + b + c - 2 * p - 1) * n + a * b - c * p) / den
+    beta_n = (n + a - p - 1) * (n + b - p - 1) / den
+    return two_alpha, beta_n
+
+
+def step_u_theta_plus1(params, p, n_max):
+    (a, b, c, p), one = in_field(params.a, params.b, params.c, p)
+    u = [one]
+    if n_max >= 1:
+        u.append(a * b / c - p)
+    for n in range(1, n_max):
+        two_alpha, beta_n = _step_two_alpha_beta(a, b, c, p, n)
+        u.append(two_alpha * u[n] - beta_n * u[n - 1])
+    return tuple(u)
+
+
+def step_v_log_product(params, n_max):
+    (a, b, c), one = in_field(params.a, params.b, params.c)
+    p = 0 * one
+    v = [0 * one]
+    if n_max >= 1:
+        v.append(-one)
+    w = hyp_series_coeffs(params, max(n_max - 1, 0))
+    for n in range(1, n_max):
+        gden = (n + 1) * (n + a - 1) * (n + b - 1) * (n + c)
+        if gden == 0:
+            raise DomainError(
+                f"log-product coefficient denominator vanished at n={n} "
+                f"(a={params.a!r}, b={params.b!r})"
+            )
+        gnum = (c - b - a) * n * n + (a + b - 2 * a * b) * n - c * (a - 1) * (b - 1)
+        two_alpha, beta_n = _step_two_alpha_beta(a, b, c, p, n)
+        v.append(two_alpha * v[n] - beta_n * v[n - 1] + gnum * w[n] / gden)
+    return tuple(v)
+
+
+#: kind -> (library call, Fraction-step reference), both of (params, p, theta, n_max).
+RECURRENCES = {
+    "general": (
+        lambda params, p, th, n: u_general(WeightedSeriesSpec(params, p, th), n).coeffs,
+        lambda params, p, th, n: step_u_general(WeightedSeriesSpec(params, p, th), n),
+    ),
+    "theta-1": (
+        lambda params, p, th, n: u_theta_minus1(params, p, n).coeffs,
+        lambda params, p, th, n: step_u_theta_minus1(params, p, n),
+    ),
+    "theta1": (
+        lambda params, p, th, n: u_theta_plus1(params, p, n).coeffs,
+        lambda params, p, th, n: step_u_theta_plus1(params, p, n),
+    ),
+    "log": (
+        lambda params, p, th, n: v_log_product(params, n).coeffs,
+        lambda params, p, th, n: step_v_log_product(params, n),
+    ),
+}
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+def assert_same_recurrence(kind, params, p, theta, n_max):
+    """Library and reference give the same (numerator, denominator) pairs, or the same DomainError."""
+    library, reference = RECURRENCES[kind]
+    (got, got_err), (want, want_err) = (_outcome(f, params, p, theta, n_max) for f in (library, reference))
+    assert got_err == want_err
+    if got_err is None:
+        assert all(type(v) is Fraction for v in got)
+        assert [(v.numerator, v.denominator) for v in got] == [(v.numerator, v.denominator) for v in want]
+
+
+_F = Fraction
+
+
+class TestExactRecurrenceReference:
+    """Stepping by integer rows gives the Fraction-step loops' exact (numerator, denominator) pairs."""
+
+    @given(
+        st.sampled_from(sorted(RECURRENCES)),
+        _prime_rationals(3),
+        _prime_rationals(3),
+        _prime_rationals(4).filter(lambda c: c > 0 or c.denominator != 1),
+        _prime_rationals(3),
+        _prime_rationals(1),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_exact_specs(self, kind, a, b, c, p, theta, n_max):
+        assert_same_recurrence(kind, HypParams(a, b, c), p, theta, n_max)
+
+    @pytest.mark.parametrize("kind", sorted(RECURRENCES))
+    @pytest.mark.parametrize("n_max", range(5))
+    def test_first_steps(self, kind, n_max):
+        # The integer rows come from four sample points past the seeds, also
+        # when fewer steps than that are taken.
+        assert_same_recurrence(kind, HypParams(_F(1, 3), _F(2, 5), _F(3, 2)), _F(-2, 3), _F(1, 2), n_max)
+
+    @pytest.mark.parametrize("kind", sorted(RECURRENCES))
+    @pytest.mark.parametrize(
+        "abc,p,theta",
+        [
+            ((_F(1, 3), _F(2, 5), _F(3, 2)), _F(-7, 3), _F(-1)),
+            ((_F(1, 3), _F(2, 5), _F(3, 2)), _F(-7, 3), _F(0)),
+            ((_F(1, 3), _F(2, 5), _F(3, 2)), _F(-7, 3), _F(1)),
+            ((_F(1, 3), _F(2, 5), _F(3, 2)), _F(0), _F(1, 2)),
+            ((_F(1, 3), _F(2, 5), _F(3, 2)), _F(-1), _F(1, 2)),
+            ((_F(1, 3), _F(2, 5), _F(3, 2)), _F(3), _F(-1, 2)),
+            ((_F(-3), _F(2, 5), _F(3, 2)), _F(5, 7), _F(1, 3)),
+            ((_F(1, 3), _F(-4), _F(3, 2)), _F(5, 7), _F(-1, 2)),
+            ((_F(-2), _F(2, 5), _F(-5, 2)), _F(3), _F(1, 2)),
+            ((_F(1, 3), _F(2, 5), _F(-5, 2)), _F(5, 7), _F(1, 3)),
+            ((_F(1, 3), _F(2, 5), _F(-7, 3)), _F(-1), _F(-1)),
+        ],
+        ids=[
+            "theta-minus1", "theta0", "theta1", "p0", "p-minus1", "p-nonneg-integer", "a-minus3",
+            "b-minus4", "a-minus2-c-negative", "c-negative-noninteger", "c-negative-p-minus1",
+        ],
+    )
+    def test_edge_cases(self, kind, abc, p, theta):
+        assert_same_recurrence(kind, HypParams(*abc), p, theta, 30)
+
+    @pytest.mark.parametrize("kind", sorted(RECURRENCES))
+    def test_benchmark_sized_spec(self, kind):
+        # N = 200 with the benchmark's prime denominators (5, 37, 251, 43).
+        params = HypParams(_F(7, 5), _F(-53, 37), _F(800, 251))
+        assert_same_recurrence(kind, params, _F(-97, 43), _F(1, 2), 200)
+
+    @pytest.mark.parametrize(
+        "a,b,n",
+        [(0, _F(2, 5), 1), (-2, _F(2, 5), 3), (_F(1, 3), 0, 1), (_F(1, 3), -2, 3), (_F(-2), _F(0), 1)],
+    )
+    def test_log_product_domain_error(self, a, b, n):
+        params = HypParams(a, b, _F(3, 2))
+        for call in (v_log_product, step_v_log_product):
+            with pytest.raises(DomainError, match=f"at n={n} "):
+                call(params, 12)
+        assert_same_recurrence("log", params, None, None, 12)
+
+    @pytest.mark.parametrize(
+        "kind,abc,p,theta",
+        [
+            ("general", (0.3, 0.7, 1.5), 2.5, 0.3),
+            ("general", (_F(1, 3), _F(2, 5), _F(3, 2)), 0.5, _F(1, 2)),
+            ("general", (_F(1, 3), _F(2, 5), _F(3, 2)), _F(1, 2), 0.5),
+            ("general", (1, 2, 3), -1.5, -1),
+            ("general", (-2.0, 0.4, -2.5), 3.0, -1.0),
+            ("theta-1", (0.3, 0.7, 1.5), 2.5, None),
+            ("theta-1", (_F(1, 3), _F(2, 5), _F(3, 2)), 0.5, None),
+            ("theta-1", (-2.0, 0.4, -2.5), _F(3), None),
+            ("theta1", (0.3, 0.7, 1.5), 2.5, None),
+            ("theta1", (_F(1, 3), _F(2, 5), _F(3, 2)), 0.5, None),
+            ("theta1", (0.3, 0.7, 1.5), _F(2), None),
+            ("log", (0.3, 0.7, 1.5), None, None),
+            ("log", (_F(1, 3), _F(2, 5), 1.5), None, None),
+            ("log", (1, 0.4, 3), None, None),
+        ],
+        ids=[
+            "general-float", "general-float-p", "general-float-theta", "general-int-abc-float-p",
+            "general-float-terminating", "theta-1-float", "theta-1-float-p", "theta-1-float-abc",
+            "theta1-float", "theta1-float-p", "theta1-float-abc", "log-float", "log-float-c",
+            "log-int-and-float",
+        ],
+    )
+    def test_float_and_mixed_paths_unchanged(self, kind, abc, p, theta):
+        library, reference = RECURRENCES[kind]
+        params = HypParams(*abc)
+        got = library(params, p, theta, 40)
+        assert all(type(v) is float for v in got)
+        assert got == reference(params, p, theta, 40)
+
+    def test_plain_int_inputs_stay_exact(self):
+        cases = [
+            (u_theta_minus1(HypParams(_F(1, 3), _F(2, 5), _F(3, 2)), 2, 4),
+             WeightedSeriesSpec(HypParams(_F(1, 3), _F(2, 5), _F(3, 2)), 2, -1)),
+            (u_general(WeightedSeriesSpec(HypParams(1, 2, 3), 2, 1), 4), WeightedSeriesSpec(HypParams(1, 2, 3), 2, 1)),
+            (u_theta_plus1(HypParams(1, 2, 3), 2, 4), WeightedSeriesSpec(HypParams(1, 2, 3), 2, 1)),
+            (v_log_product(HypParams(1, 2, 3), 4), LogProductSpec(HypParams(1, 2, 3))),
+        ]
+        for seq, spec in cases:
+            assert all(type(v) is Fraction for v in seq.coeffs)
+            assert seq.coeffs == cauchy_oracle(spec, 4).coeffs
+        residuals = p_minus1_identity_residual(HypParams(1, 2, 3), 1, 4)
+        assert all(type(r) is Fraction and r == 0 for r in residuals)
+
+
 class TestCorollaries:
     def test_theta_minus1_literals(self):
         seq = u_theta_minus1(HypParams(1.0, 1.0, 2.0), 3.0, 2)
