@@ -277,7 +277,7 @@ def in_field(*values):
     return list(values), 1.0
 
 
-def _vanished(n):
+def _raise_vanished(n):
     raise DomainError(f"recurrence denominator (n+1)(n+c) vanished at n={n}")
 
 
@@ -296,7 +296,7 @@ def step_u_general(spec, n_max):
     for n in range(2, n_max):
         den = (n + 1) * (n + c)
         if den == 0:
-            _vanished(n)
+            _raise_vanished(n)
         xi = (n + a) * (n + b) + th * (2 * n * n - 2 * n * (p - c + 1) - c * p)
         eta = (
             2 * n * n
@@ -320,7 +320,7 @@ def step_u_theta_minus1(params, p, n_max):
     for n in range(2, n_max):
         den = (n + 1) * (n + c)
         if den == 0:
-            _vanished(n)
+            _raise_vanished(n)
         xi = -n * n + (a + b - 2 * c + 2 * p + 2) * n + (a * b + c * p)
         eta = (n + 2 * a + 2 * b - c) * (n - 1) - p * p - (a + b - c + 2) * p + 2 * a * b
         lam = (n + a - p - 2) * (n + b - p - 2)
@@ -331,7 +331,7 @@ def step_u_theta_minus1(params, p, n_max):
 def _step_two_alpha_beta(a, b, c, p, n):
     den = (n + 1) * (n + c)
     if den == 0:
-        _vanished(n)
+        _raise_vanished(n)
     two_alpha = (2 * n * n + (a + b + c - 2 * p - 1) * n + a * b - c * p) / den
     beta_n = (n + a - p - 1) * (n + b - p - 1) / den
     return two_alpha, beta_n
