@@ -21,10 +21,20 @@ thousands.  It keeps the direct series where c - a - b lies within
 c, and takes y from the caller when the caller holds it to more digits than
 1 - x does.  The public ``hyp2f1``,
 ``hyp2f1_derivative`` and the three near-one entry points never take it.
+
+``_hyp2f1_unit`` remembers its last ``_UNIT_CACHE_SIZE`` (256) results, keyed
+by a, b, c, x, tol and y with the type of each, and by the term cap in force.
+The G_m scans and the Q profile read the same two series at the same points
+for every m, and the cache lets them share one evaluation.  A remembered
+result is the one the same call computed, so results are unchanged.  256 is
+more than one (a, b) cell of a scan needs (104 values on the default grid)
+and far fewer than a scan of many cells evaluates (about 4000 for 40 cells),
+so what is reused is the work on one cell, not that on earlier cells.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -152,17 +162,16 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12) -> EvalResult:
         raise DomainError(f"tol must be positive, got {tol!r}")
     if abs(x) >= 1:
         raise ParameterError(f"series evaluation requires |x| < 1, got x={x!r}")
-    return _sum_series(params.a, params.b, params.c, float(x), tol)
+    return _sum_series(params.a, params.b, params.c, float(x), tol, term_cap())
 
 
-def _sum_series(a, b, c, x: float, tol: float) -> EvalResult:
-    """The direct series of ``hyp2f1``, summed past the pole of 1/(c)_n.
+def _sum_series(a, b, c, x: float, tol: float, cap: int) -> EvalResult:
+    """The direct series of ``hyp2f1``, summed past the pole of 1/(c)_n, in at most cap terms.
 
     The tail rule counts no term before the ``settle``-th, the first n with
     every later denominator c + n positive; for c > -1 that is no constraint.
     """
     settle = max(0, math.floor(-c) + 1)
-    cap = term_cap()
     total = 1.0
     term = 1.0
     streak = 0
@@ -252,8 +261,27 @@ CONNECTION_X = 0.9
 CONNECTION_GAP = 1e-3
 
 
+#: Results kept by ``_hyp2f1_unit``: one scan cell's 104 values with room to
+#: spare, at about 400 bytes each.
+_UNIT_CACHE_SIZE = 256
+
+
 def _hyp2f1_unit(params: HypParams, x: float, tol: float, y: float | None = None) -> EvalResult:
-    """F(a,b;c;x) on 0 <= x < 1 for the library's own evaluations.
+    """F(a,b;c;x) on 0 <= x < 1 for the library's own evaluations (see ``_unit_eval``).
+
+    The last ``_UNIT_CACHE_SIZE`` (256) results are remembered, about 100 KB.
+    The key holds a, b, c, x, tol and y with the type of each, so a Fraction
+    and an equal float, or an int and an equal float, never share a result,
+    and ``term_cap()``, so a changed cap takes effect.  A remembered result is
+    the frozen ``EvalResult`` the same call computed, so results are
+    unchanged; exceptions are not remembered and recur.
+    """
+    return _unit_eval(params.a, params.b, params.c, x, tol, y, term_cap())
+
+
+@functools.lru_cache(maxsize=_UNIT_CACHE_SIZE, typed=True)
+def _unit_eval(a, b, c, x: float, tol: float, y: float | None, cap: int) -> EvalResult:
+    """The evaluation behind ``_hyp2f1_unit``, whose ``term_cap()`` arrives as ``cap``.
 
     From ``CONNECTION_X`` on this is the 1 - x connection formula (DLMF 15.8.4)
 
@@ -273,14 +301,13 @@ def _hyp2f1_unit(params: HypParams, x: float, tol: float, y: float | None = None
     """
     if y is None:
         y = 1.0 - x
-    a, b, c = params.a, params.b, params.c
     s = c - a - b
     if x >= CONNECTION_X and abs(s - round(s)) >= CONNECTION_GAP:
         scale, scale_size = specfn.gamma_ratio((c, s), (c - a, c - b), 0.0)
         weight, weight_size = specfn.gamma_ratio((c, -s), (a, b), s * math.log(y) if y > 0 else -s * math.inf)
         if sys.float_info.epsilon * max(scale_size, weight_size) <= tol:
-            first = _sum_series(a, b, 1 - s, y, tol)
-            second = _sum_series(c - a, c - b, 1 + s, y, tol)
+            first = _sum_series(a, b, 1 - s, y, tol, cap)
+            second = _sum_series(c - a, c - b, 1 + s, y, tol, cap)
             return EvalResult(
                 scale * first.value + weight * second.value,
                 abs(scale) * first.error_bound + abs(weight) * second.error_bound,
@@ -291,7 +318,7 @@ def _hyp2f1_unit(params: HypParams, x: float, tol: float, y: float | None = None
             f"F({a},{b};{c};x) at 1-x={y!r}: x rounds to 1, where the direct series "
             "cannot answer, and the connection formula does not apply"
         )
-    return hyp2f1(params, x, tol)
+    return hyp2f1(HypParams._derived(a, b, c), x, tol)
 
 
 def contiguous_residual(params: HypParams, x: float, tol: float = 1e-12) -> float:

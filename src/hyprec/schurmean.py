@@ -155,12 +155,25 @@ def _float_t_grid(t_grid) -> tuple[float, ...]:
     return ts
 
 
+def _gm_series(a, b, ts, tol: float) -> tuple[list[float], list[float]]:
+    """F(a,b;2b+1;t) and F(a,b+1;2b+1;t) over ts, the two series of G_m and of Q.
+
+    G_m reads them at a -> 1-a and the Q profile at its own a, which
+    ``q_params_for_mean`` sets to the same 1-a.  Built here alone, every
+    reader forms the same parameters and so shares the results
+    ``_hyp2f1_unit`` remembers.
+    """
+    c = 2 * b + 1
+    first = [_hyp2f1_unit(HypParams(a, b, c), t, tol).value for t in ts]
+    second = [_hyp2f1_unit(HypParams(a, b + 1, c), t, tol).value for t in ts]
+    return first, second
+
+
 def g_m(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
     """G_m(t) = F(1-a,b;2b+1;t) - (1-t)^(1-m) F(1-a,b+1;2b+1;t)."""
     _require_unit_interval(t)
     a, b, m = triple.mean.a, triple.mean.b, triple.m
-    f1 = _hyp2f1_unit(HypParams(1 - a, b, 2 * b + 1), t, tol).value
-    f2 = _hyp2f1_unit(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value
+    (f1,), (f2,) = _gm_series(1 - a, b, (t,), tol)
     return f1 - (1.0 - t) ** (1.0 - m) * f2
 
 
@@ -188,11 +201,9 @@ def g_m_series_reduction_residual(t: float, triple: RegionTriple, tol: float = 1
     """
     _require_unit_interval(t)
     a, b = triple.mean.a, triple.mean.b
-    lhs = (
-        2.0 * _hyp2f1_unit(HypParams._derived(-a, b, 2 * b), t, tol).value
-        - (1.0 - t) * _hyp2f1_unit(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value
-    )
-    return lhs - _hyp2f1_unit(HypParams(1 - a, b, 2 * b + 1), t, tol).value
+    f0 = _hyp2f1_unit(HypParams._derived(-a, b, 2 * b), t, tol).value
+    (f1,), (f2,) = _gm_series(1 - a, b, (t,), tol)
+    return 2.0 * f0 - (1.0 - t) * f2 - f1
 
 
 _HALF = Fraction(1, 2)
@@ -270,12 +281,6 @@ def q_params_for_mean(mp: MeanParams) -> MeanParams:
     return MeanParams(1 - mp.a, mp.b)
 
 
-def _q_p0_point(a, b, p0, t: float, tol: float) -> float:
-    num = _hyp2f1_unit(HypParams(a, b, 2 * b + 1), t, tol).value
-    den = _hyp2f1_unit(HypParams(a, b + 1, 2 * b + 1), t, tol).value
-    return (1.0 - t) ** (-p0) * num / den
-
-
 def q_p0_profile(mp: MeanParams, t_grid, tol: float = 1e-12) -> list[float]:
     """Q_p0(t) = (1-t)^(-p0) F(a,b;2b+1;t) / F(a,b+1;2b+1;t), p0 = a/(2b+1).
 
@@ -284,7 +289,9 @@ def q_p0_profile(mp: MeanParams, t_grid, tol: float = 1e-12) -> list[float]:
     """
     a, b = mp.a, mp.b
     p0 = a / (2 * b + 1)
-    return [_q_p0_point(a, b, p0, t, tol) for t in _float_t_grid(t_grid)]
+    ts = _float_t_grid(t_grid)
+    num, den = _gm_series(a, b, ts, tol)
+    return [(1.0 - t) ** (-p0) * n / d for t, n, d in zip(ts, num, den)]
 
 
 def q_p0_dn_sequence(mp: MeanParams, n_max: int) -> list:
@@ -449,12 +456,15 @@ def _build_report(
 
 
 def _scan_cell(mean: MeanParams, m_values, ts, tol: float, sign_tol: float) -> list[GmScanReport]:
-    """Reports for (a, b, m) over m_values, evaluating both series once per t."""
+    """Reports for (a, b, m) over m_values, reading both series once per t.
+
+    The series come from ``_gm_series``, so a later ``gm_sign_scan``,
+    ``q_p0_profile`` or ``g_m`` of the same cell at the same points reads the
+    values this scan computed, as long as ``_hyp2f1_unit`` still holds them.
+    """
     a, b = mean.a, mean.b
-    f1 = [_hyp2f1_unit(HypParams(1 - a, b, 2 * b + 1), t, tol).value for t in ts]
-    f2 = [_hyp2f1_unit(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value for t in ts]
-    f1_near = [_hyp2f1_unit(HypParams(1 - a, b, 2 * b + 1), t, tol).value for t in NEAR_ONE_PROBES]
-    f2_near = [_hyp2f1_unit(HypParams(1 - a, b + 1, 2 * b + 1), t, tol).value for t in NEAR_ONE_PROBES]
+    f1, f2 = _gm_series(1 - a, b, ts, tol)
+    f1_near, f2_near = _gm_series(1 - a, b, NEAR_ONE_PROBES, tol)
     reports = []
     for m in m_values:
         g_values = [f1[i] - (1.0 - ts[i]) ** (1.0 - m) * f2[i] for i in range(len(ts))]
@@ -494,9 +504,12 @@ def schur_grid_scan(
 
     Both series in G_m depend only on (a, b, t), so for each (a, b) they are
     evaluated once per grid point and combined per m (``gm_sign_scan`` is the
-    one-m case).  Grid points are processed in the given order and reports are
-    returned in that deterministic order.  Triples with a + b < 1/2, outside
-    the hypothesis of the sign dichotomy, are skipped.
+    one-m case).  ``_hyp2f1_unit`` remembers the last 256 values, more than
+    the 104 of one cell on the default grid, so scans, Q profiles and ``g_m``
+    of the cell just scanned read them again, while a scan of many cells
+    still computes each value once.  Grid points are processed in the given
+    order and reports are returned in that deterministic order.  Triples with
+    a + b < 1/2, outside the hypothesis of the sign dichotomy, are skipped.
     """
     ts = _float_t_grid(t_grid)
     reports = []

@@ -1,10 +1,12 @@
-"""Shared fixtures: one run of every ``verify`` suite for the whole test session."""
+"""Shared fixtures: one run of every ``verify`` suite for the whole test session,
+and a cleared evaluation cache after every test."""
 
 import time
 from dataclasses import dataclass
 
 import pytest
 
+from hyprec import hypergeom
 from hyprec.verify import SUITES, PropertyResult, VerifySummary, verify_driver
 
 VERIFY_SEED = 42
@@ -36,3 +38,15 @@ def verify_run() -> VerifyRun:
         results.extend(verify_driver(suite, VERIFY_SEED).results)
         wall_s[suite] = time.perf_counter() - start
     return VerifyRun(VERIFY_SEED, tuple(results), wall_s)
+
+
+@pytest.fixture(autouse=True)
+def forget_unit_values():
+    """Let no test leave values in ``hypergeom._hyp2f1_unit``'s cache for the next.
+
+    A remembered value never changes a result, but a test that counts
+    evaluations, such as the benchmark tracer's in ``perfbench/``, would see
+    fewer of them when an earlier test happened to leave its inputs behind.
+    """
+    yield
+    hypergeom._unit_eval.cache_clear()

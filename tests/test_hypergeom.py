@@ -10,6 +10,7 @@ from hyprec.errors import DomainError, NonConvergence, ParameterError
 from hyprec.hypergeom import (
     CONNECTION_GAP,
     CONNECTION_X,
+    EvalResult,
     HypParams,
     _hyp2f1_unit,
     contiguous_residual,
@@ -409,6 +410,84 @@ class TestConnectionFormula:
         params = HypParams(0.5, 0.5, 2.3)
         assert hyp2f1(params, 0.999).terms_used > 1000
         assert _hyp2f1_unit(params, 0.999, 1e-12).terms_used < 40
+
+
+def _cold(params, x, tol, y=None):
+    """``_hyp2f1_unit`` computed afresh, with nothing remembered."""
+    hypergeom._unit_eval.cache_clear()
+    return _hyp2f1_unit(params, x, tol, y)
+
+
+def _outcome(params, x, y):
+    """The result of ``_hyp2f1_unit``, or the message of its NonConvergence."""
+    try:
+        return _hyp2f1_unit(params, x, 1e-12, y)
+    except NonConvergence as exc:
+        return str(exc)
+
+
+class TestUnitCache:
+    """``_hyp2f1_unit`` remembers results per typed key and returns them unchanged."""
+
+    @pytest.mark.parametrize("near_one", [False, True])
+    @given(
+        st.floats(0.05, 0.95),
+        st.floats(0.05, 5.0),
+        st.sampled_from([0, 1]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cached_results_equal_cold_ones(self, near_one, a, b, shift, data):
+        # G_m's two series; y is drawn first, so x = 1 - y rounds and y holds
+        # more digits.  Where a + b is an integer and t is very near 1 the
+        # direct series gives up: that failure is not remembered, so it
+        # recurs on every call.
+        y = data.draw(st.floats(1e-12, 1 - CONNECTION_X) if near_one else st.floats(1 - CONNECTION_X, 0.999))
+        x = 1.0 - y
+        params = HypParams(1 - a, b + shift, 2 * b + 1)
+        calls = [(x, None), (x, y)]
+        hypergeom._unit_eval.cache_clear()
+        first = [_outcome(params, *call) for call in calls]
+        again = [_outcome(params, *call) for call in calls]
+        assert again == first
+        assert hypergeom._unit_eval.cache_info().hits == sum(isinstance(r, EvalResult) for r in first)
+        for call, result in zip(calls, again):
+            hypergeom._unit_eval.cache_clear()
+            assert result == _outcome(params, *call)
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [(Fraction(1, 2), 0.5), (0.5, Fraction(1, 2)), (1, 1.0), (1.0, 1)],
+    )
+    @pytest.mark.parametrize("x", [0.5, 0.95])
+    def test_equal_values_of_other_types_keep_their_own_entries(self, first, second, x):
+        params = [HypParams(value, value, value + 2) for value in (first, second)]
+        hypergeom._unit_eval.cache_clear()
+        results = [_hyp2f1_unit(p, x, 1e-12) for p in params]
+        assert hypergeom._unit_eval.cache_info().misses == 2
+        for p, result in zip(params, results):
+            assert result == _cold(p, x, 1e-12)
+
+    def test_lowered_term_cap_still_takes_effect(self, monkeypatch):
+        params = HypParams(0.7, 0.9, 2.3)
+        hypergeom._unit_eval.cache_clear()
+        remembered = _hyp2f1_unit(params, 0.5, 1e-12)
+        assert remembered.terms_used > 10
+        monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "10")
+        with pytest.raises(NonConvergence):
+            _hyp2f1_unit(params, 0.5, 1e-12)
+        monkeypatch.delenv(hypergeom.TERM_CAP_ENV)
+        assert _hyp2f1_unit(params, 0.5, 1e-12) == remembered
+
+    def test_size_is_bounded(self):
+        maxsize = hypergeom._unit_eval.cache_info().maxsize
+        hypergeom._unit_eval.cache_clear()
+        count = 10 * maxsize
+        for k in range(count):
+            _hyp2f1_unit(HypParams(0.7, 0.9, 2.3), 0.5 * k / count, 1e-12)
+        info = hypergeom._unit_eval.cache_info()
+        assert info.misses == count
+        assert info.currsize <= maxsize
 
 
 class TestEntryPointDomains:

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyprec import hypergeom
 from hyprec.errors import DomainError, NonConvergence, ParameterError
 from hyprec.hypergeom import HypParams, hyp2f1
 from hyprec.schurmean import (
+    DEFAULT_T_GRID,
+    NEAR_ONE_PROBES,
     MeanParams,
     Region,
     RegionTriple,
@@ -445,8 +448,6 @@ class TestSchurSample:
 
 class TestScans:
     def test_default_grid_shape(self):
-        from hyprec.schurmean import DEFAULT_T_GRID
-
         assert len(DEFAULT_T_GRID) == 49
         assert DEFAULT_T_GRID[0] == pytest.approx(0.02)
         assert DEFAULT_T_GRID[-1] == pytest.approx(0.98)
@@ -500,6 +501,26 @@ class TestScans:
     def test_grid_scan_skips_hypothesis_violations(self):
         reports = schur_grid_scan([0.1], [0.1, 1.0], [0.5])
         assert [r.b for r in reports] == [1.0]
+
+    def test_one_cell_fits_the_evaluation_cache(self):
+        # Both series at every grid point and probe of a cell, and still far
+        # below the ~4000 values of a scan over many cells.
+        working_set = 2 * (len(DEFAULT_T_GRID) + len(NEAR_ONE_PROBES))
+        maxsize = hypergeom._unit_eval.cache_info().maxsize
+        assert working_set <= maxsize <= 4 * working_set
+
+    @pytest.mark.parametrize("a,b,m", [(0.9, 0.5, 0.97), (0.3, 1.1, 1.2), (0.6, 0.4, 0.5)])
+    def test_scans_read_the_grid_scan_values_unchanged(self, a, b, m):
+        tr = triple(a, b, m)
+        q_mean = q_params_for_mean(tr.mean)
+        hypergeom._unit_eval.cache_clear()
+        cold = (gm_sign_scan(tr), q_p0_profile(q_mean, DEFAULT_T_GRID), g_m(0.5, tr))
+        hypergeom._unit_eval.cache_clear()
+        schur_grid_scan([a], [b], [m])
+        computed = hypergeom._unit_eval.cache_info().misses
+        warm = (gm_sign_scan(tr), q_p0_profile(q_mean, DEFAULT_T_GRID), g_m(0.5, tr))
+        assert hypergeom._unit_eval.cache_info().misses == computed
+        assert warm == cold
 
     def test_report_serialization(self):
         reports = [gm_sign_scan(triple(0.9, 0.5, 0.0))]
