@@ -76,6 +76,11 @@ _MEAN = (
     ("--a", "0.7", "--b", "0.8", "--x", "2", "--y", "2", "--method", "both", "--tol", "1e-9"),
     ("--a", "0.5", "--b", "1e-13", "--x", "1", "--y", "2"),
     ("--a", "0.3", "--b", "0.45", "--x", "1", "--y", "1e6", "--method", "series"),
+    # Large ratios, where the integrand (lo + s(hi - lo))^a turns at
+    # s = lo/(hi - lo), close to the weight's singular endpoint.
+    ("--a", "0.5", "--b", "0.1", "--x", "1", "--y", "100", "--method", "quadrature"),
+    ("--a", "0.5", "--b", "0.3", "--x", "1", "--y", "1000", "--method", "both"),
+    ("--a", "0.5", "--b", "0.6", "--x", "1", "--y", "10000", "--method", "quadrature"),
 )
 _GM_SCAN = (
     ("--a", "0.9", "--b", "0.5", "--m", "0"),
