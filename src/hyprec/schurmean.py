@@ -133,11 +133,24 @@ def mean_series(x: float, y: float, mp: MeanParams, tol: float = 1e-12) -> float
 
 
 def mean_quadrature(x: float, y: float, mp: MeanParams, tol: float = 1e-10) -> float:
-    """M(x, y) through the Beta-weighted integral representation."""
+    """M(x, y) through the Beta-weighted integral representation.
+
+    The mean is homogeneous, M(x, y) = hi M(r, 1) with r = lo/hi, so the
+    integrand is taken in units of hi as (r + s(1 - r))^a, between r^a and
+    1.  ``tol`` bounds the error estimate of that integral, which a double
+    can meet at any ratio.  The integrand turns at s = r/(1 - r), which is
+    where ``weighted_quad`` grades its panels from; a ratio so large that r
+    underflows to 0 turns at the smallest positive float instead.  No
+    hypergeometric series is summed, so this stays an independent check on
+    ``mean_series``.
+    """
     _require_positive_args(x, y)
+    hi, lo = (x, y) if x >= y else (y, x)
+    ratio = lo / hi
     a, b = mp.a, mp.b
-    quad = numkit.weighted_quad(lambda s: (s * x + (1.0 - s) * y) ** a, b, tol)
-    return (quad.value / specfn.beta(b, b)) ** (1.0 / a)
+    turn = max(ratio / (1.0 - ratio), math.ulp(0.0)) if ratio < 1.0 else 0.5
+    quad = numkit.weighted_quad(lambda s: (ratio + s * (1.0 - ratio)) ** a, b, tol, turn)
+    return hi * (quad.value / specfn.beta(b, b)) ** (1.0 / a)
 
 
 def _require_unit_interval(t: float) -> None:

@@ -315,6 +315,26 @@ def test_mean_at_ratio_1e6_matches_mpmath():
     assert abs(value - ref) <= 1e-12 * ref
 
 
+@pytest.mark.parametrize(
+    "case_id",
+    [
+        "mean --a 0.5 --b 0.1 --x 1 --y 100 --method quadrature --format json",
+        "mean --a 0.5 --b 0.3 --x 1 --y 1000 --method both --format json",
+        "mean --a 0.5 --b 0.6 --x 1 --y 10000 --method quadrature --format json",
+    ],
+)
+def test_mean_quadrature_at_large_ratios_matches_mpmath(case_id):
+    # Exited 3 (NonConvergence) while one Gauss-Jacobi rule spanned (0, 1).
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    assert _expected()[case_id]["exit"] == 0
+    value = float(json.loads(_expected()[case_id]["stdout"])["quadrature"])
+    flags = _flags(case_id)
+    a, b, y = (mpmath.mpf(float(flags[k])) for k in ("a", "b", "y"))
+    ref = y * mpmath.hyp2f1(-a, b, 2 * b, 1 - 1 / y) ** (1 / a)
+    assert abs(value - ref) <= 1e-14 * ref
+
+
 if __name__ == "__main__":
     golden = {}
     for case_id, argv, env in cases():

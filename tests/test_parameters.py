@@ -170,3 +170,18 @@ def test_gm_scan_and_mean_series_load_no_scipy():
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert proc.stderr.strip() == "[]"
+
+
+def test_quadrature_zero_balanced_and_verify_load_no_scipy():
+    # The mean's quadrature and digamma are native, so no subcommand needs
+    # scipy or numpy; verify --suite all runs every property, both mean
+    # representations included.
+    probe = (
+        "import sys; from hyprec.cli import main; "
+        "main(['mean', '--a', '0.5', '--b', '0.3', '--x', '1', '--y', '1000', '--method', 'both']); "
+        "main(['near-one', '--case', 'zero-balanced', '--a', '0.5', '--b', '0.5', '--x', '0.99']); "
+        "main(['verify', '--suite', 'all']); "
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stderr.strip() == "[]"

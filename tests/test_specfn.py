@@ -92,6 +92,32 @@ class TestGammaFamilyAnchors:
             specfn.r_zero_balanced(1.0, -2.0)
 
 
+_EPS = 2.0**-52
+
+
+class TestAgainstMpmath:
+    def test_digamma_within_a_few_ulp(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        xs = [10.0 ** (-8 + 12 * i / 1200) for i in range(1201)]
+        xs += [1.4616321449683622 + (i - 100) * 1e-3 for i in range(201)]
+        for x in xs:
+            ref = mpmath.digamma(mpmath.mpf(x))
+            # Relative where |psi| >= 1, absolute near the root at 1.4616,
+            # where the recurrence cancels to a few ulp of 1.
+            assert abs(specfn.digamma(x) - ref) <= 4 * _EPS * max(abs(ref), 1), x
+
+    def test_symmetric_beta_within_a_few_ulp(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        # B(b, b), the mean's normalisation; 2b is exact, so the only error
+        # is the function's own.
+        for i in range(301):
+            b = 0.05 * (85.0 / 0.05) ** (i / 300)
+            ref = mpmath.beta(b, b)
+            assert abs(specfn.beta(b, b) - ref) <= 8 * _EPS * ref, b
+
+
 class TestFunctionalEquations:
     @given(st.floats(min_value=0.1, max_value=50.0))
     @settings(max_examples=60)
