@@ -81,6 +81,8 @@ _MEAN = (
     ("--a", "0.5", "--b", "0.1", "--x", "1", "--y", "100", "--method", "quadrature"),
     ("--a", "0.5", "--b", "0.3", "--x", "1", "--y", "1000", "--method", "both"),
     ("--a", "0.5", "--b", "0.6", "--x", "1", "--y", "10000", "--method", "quadrature"),
+    # Large b, where the rule's scale 4^-b and B(b, b) underflow to 0.
+    ("--a", "0.5", "--b", "600", "--x", "1", "--y", "3", "--method", "quadrature"),
 )
 _GM_SCAN = (
     ("--a", "0.9", "--b", "0.5", "--m", "0"),
