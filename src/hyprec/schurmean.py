@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,8 +32,8 @@ from fractions import Fraction
 from . import numkit, specfn
 from .compare import rel_with_floor
 from .coeffrec import format_number, u_theta_plus1
-from .errors import DomainError, ParameterError
-from .hypergeom import HypParams, _hyp2f1_unit
+from .errors import DomainError, NonConvergence, ParameterError
+from .hypergeom import HypParams, _hyp2f1_unit, _unit_eval, term_cap
 from .hypergeom import hyp2f1  # noqa: F401  (kept as schurmean.hyp2f1, the binding perfbench's tracer wraps)
 
 __all__ = [
@@ -143,14 +144,24 @@ def mean_quadrature(x: float, y: float, mp: MeanParams, tol: float = 1e-10) -> f
     underflows to 0 turns at the smallest positive float instead.  No
     hypergeometric series is summed, so this stays an independent check on
     ``mean_series``.
+
+    The integral is about B(b, b), which leaves the normal double range from
+    b of about 510 and is 0 from about 537; the rule's weights shrink with
+    it and lose their digits, so there :class:`NonConvergence` is raised.
     """
     _require_positive_args(x, y)
     hi, lo = (x, y) if x >= y else (y, x)
     ratio = lo / hi
     a, b = mp.a, mp.b
+    norm = specfn.beta(b, b)
+    if norm < sys.float_info.min:
+        raise NonConvergence(
+            f"B(b, b) = {norm!r} at b={b!r} underflows the normal double range, and the "
+            "quadrature weights with it, so the integral keeps too few digits"
+        )
     turn = max(ratio / (1.0 - ratio), math.ulp(0.0)) if ratio < 1.0 else 0.5
     quad = numkit.weighted_quad(lambda s: (ratio + s * (1.0 - ratio)) ** a, b, tol, turn)
-    return hi * (quad.value / specfn.beta(b, b)) ** (1.0 / a)
+    return hi * (quad.value / norm) ** (1.0 / a)
 
 
 def _require_unit_interval(t: float) -> None:
@@ -177,9 +188,20 @@ def _gm_series(a, b, ts, tol: float) -> tuple[list[float], list[float]]:
     ``_hyp2f1_unit`` remembers.
     """
     c = 2 * b + 1
-    first = [_hyp2f1_unit(HypParams(a, b, c), t, tol).value for t in ts]
-    second = [_hyp2f1_unit(HypParams(a, b + 1, c), t, tol).value for t in ts]
-    return first, second
+    return _unit_values(a, b, c, ts, tol), _unit_values(a, b + 1, c, ts, tol)
+
+
+def _unit_values(a, b, c, ts, tol: float) -> list[float]:
+    """``_hyp2f1_unit(HypParams(a, b, c), t, tol).value`` for each t in ts, in order.
+
+    The parameters are checked and ``term_cap()`` is read once for the grid,
+    not once per point; each t is then read from ``_unit_eval`` under the
+    key ``_hyp2f1_unit`` forms, so the values, the cache entries and the
+    first failure are the ones per-point reads give.
+    """
+    HypParams(a, b, c)
+    cap = term_cap()
+    return [_unit_eval(a, b, c, t, tol, None, cap).value for t in ts]
 
 
 def g_m(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:

@@ -112,6 +112,84 @@ class TestSeries:
         assert res_ab.value == res_ba.value
 
 
+def _plain_sum_series(a, b, c, x, tol, cap):
+    """``hypergeom._sum_series`` written plainly, with an int counter and ``abs``.
+
+    The loop as it read before its float counter, kept verbatim as the
+    reference the faster loop must reproduce bit for bit.
+    """
+    settle = max(0, math.floor(-c) + 1)
+    total = 1.0
+    term = 1.0
+    streak = 0
+    n = 0
+    while n < cap:
+        factor = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+        term *= factor
+        total += term
+        n += 1
+        ratio = abs(factor)
+        if abs(term) <= tol * abs(total) and ratio < 1.0 and n >= settle:
+            streak += 1
+            if streak >= 3:
+                bound = abs(term) * ratio / (1.0 - ratio)
+                return EvalResult(total, bound, n + 1)
+        else:
+            streak = 0
+    raise NonConvergence(
+        f"F({a},{b};{c};{x}) did not meet the tail criterion within {cap} terms"
+    )
+
+
+def _summed(fn, *args):
+    """fn's ``EvalResult`` with the bits of its value and bound, or the message of its NonConvergence."""
+    try:
+        result = fn(*args)
+    except NonConvergence as exc:
+        return str(exc)
+    return result, result.value.hex(), result.error_bound.hex()
+
+
+class TestSumSeriesLoop:
+    """``_sum_series`` gives the plain loop's results and messages exactly."""
+
+    @given(
+        st.floats(-3, 3, exclude_min=True, exclude_max=True),
+        st.floats(-3, 3, exclude_min=True, exclude_max=True),
+        st.floats(-4, 6, exclude_min=True, exclude_max=True),
+        st.floats(-0.999, 0.999),
+        st.sampled_from([1e-12, 1e-8, 1e-15, 0.5]),
+        st.one_of(st.integers(1, 60), st.just(hypergeom.DEFAULT_TERM_CAP)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_plain_loop(self, a, b, c, x, tol, cap):
+        # c below -1 exercises the past-pole settle rule.
+        assume(round(c) > 0 or abs(c - round(c)) >= hypergeom.POLE_TOL)
+        args = (a, b, c, x, tol, cap)
+        assert _summed(hypergeom._sum_series, *args) == _summed(_plain_sum_series, *args)
+
+    @pytest.mark.parametrize(
+        "abc",
+        [
+            (Fraction(1, 2), Fraction(1, 3), Fraction(5, 4)),
+            (1, 1, 2),
+            (Fraction(1, 2), 0.5, Fraction(-7, 2)),
+            (0.3, 2, Fraction(3, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("cap", [5, hypergeom.DEFAULT_TERM_CAP])
+    def test_exact_parameters_match_the_plain_loop(self, abc, cap):
+        args = (*abc, 0.7, 1e-12, cap)
+        assert _summed(hypergeom._sum_series, *args) == _summed(_plain_sum_series, *args)
+
+    def test_negative_sums_stop_as_the_plain_loop_does(self):
+        # F(-3.5,1;0.5;x) turns negative for x near 1: the tail rule then
+        # compares against tol * |total| through the sign of total.
+        args = (-3.5, 1.0, 0.5, 0.95, 1e-12, hypergeom.DEFAULT_TERM_CAP)
+        assert hypergeom._sum_series(*args).value < 0
+        assert _summed(hypergeom._sum_series, *args) == _summed(_plain_sum_series, *args)
+
+
 class TestIndependentOracle:
     """Cross-check the series engine against arbitrary-precision evaluation."""
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyprec import hypergeom
+from hyprec import hypergeom, schurmean
 from hyprec.errors import DomainError, NonConvergence, ParameterError
-from hyprec.hypergeom import HypParams, hyp2f1
+from hyprec.hypergeom import HypParams, _hyp2f1_unit, hyp2f1
 from hyprec.schurmean import (
     DEFAULT_T_GRID,
     NEAR_ONE_PROBES,
@@ -90,6 +90,19 @@ class TestMean:
             mean_series(0.0, 1.0, MeanParams(0.5, 0.5))
         with pytest.raises(DomainError):
             mean_quadrature(1.0, -1.0, MeanParams(0.5, 0.5))
+
+    @pytest.mark.parametrize("b", [510.0, 530.0, 600.0, 1e4])
+    def test_quadrature_names_the_underflow_at_large_b(self, b):
+        # B(b, b) leaves the normal range from b of about 510 and is 0 from
+        # about 537, where the quotient raised ZeroDivisionError; at 530 the
+        # quadrature read 1.988 against the series' 1.9999, and at 535 read 0.
+        with pytest.raises(NonConvergence, match="underflows"):
+            mean_quadrature(1.0, 3.0, MeanParams(0.5, b))
+        mean_series(1.0, 3.0, MeanParams(0.5, b))
+
+    def test_quadrature_still_answers_below_the_underflow(self):
+        mp = MeanParams(0.5, 500.0)
+        assert abs(mean_quadrature(1.0, 3.0, mp) - mean_series(1.0, 3.0, mp)) <= 1e-11
 
 
 class TestGm:
@@ -444,6 +457,83 @@ class TestSchurSample:
                 continue
             done += 1
             assert schur_condition_sample(x, y, tr) * g_val > 0
+
+
+def _per_point_series(a, b, ts, tol):
+    """G_m's two series read one point at a time, each through ``_hyp2f1_unit``."""
+    c = 2 * b + 1
+    first = [_hyp2f1_unit(HypParams(a, b, c), t, tol).value for t in ts]
+    second = [_hyp2f1_unit(HypParams(a, b + 1, c), t, tol).value for t in ts]
+    return first, second
+
+
+def _series_outcome(read, a, b, ts, tol):
+    """Both series from ``read`` as bits, or the message of its first NonConvergence."""
+    hypergeom._unit_eval.cache_clear()
+    try:
+        first, second = read(a, b, ts, tol)
+    except NonConvergence as exc:
+        return str(exc)
+    return [v.hex() for v in first], [v.hex() for v in second]
+
+
+#: (A, b) of G_m's series F(A,b;2b+1;t) and F(A,b+1;2b+1;t), A = 1 - a.  At
+#: (0.5, 0.5) c - A - b is the integer 1, so t >= 0.9 keeps the direct series.
+GRID_READ_CASES = [(0.5, 0.5), (0.1, 2.2), (0.96, 0.45), (0.3, 1.1)]
+GRID = DEFAULT_T_GRID + NEAR_ONE_PROBES
+
+
+class TestGridRead:
+    """``_gm_series`` reads a grid at a time what per-point reads give."""
+
+    @pytest.mark.parametrize("a,b", GRID_READ_CASES)
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9])
+    def test_values_equal_per_point_reads(self, a, b, tol):
+        grid = _series_outcome(schurmean._gm_series, a, b, GRID, tol)
+        assert grid == _series_outcome(_per_point_series, a, b, GRID, tol)
+        # The grid read finds what the per-point reads left in the cache.
+        misses = hypergeom._unit_eval.cache_info().misses
+        warm = schurmean._gm_series(a, b, GRID, tol)
+        assert hypergeom._unit_eval.cache_info().misses == misses
+        assert ([v.hex() for v in warm[0]], [v.hex() for v in warm[1]]) == grid
+
+    def test_term_cap_is_read_once_per_series_per_grid(self, monkeypatch):
+        reads = []
+
+        def counted():
+            reads.append(1)
+            return hypergeom.DEFAULT_TERM_CAP
+
+        monkeypatch.setattr(schurmean, "term_cap", counted)
+        schurmean._gm_series(0.5, 0.5, GRID, 1e-12)
+        assert len(reads) == 2
+        reads.clear()
+        gm_sign_scan(triple(0.9, 0.5, 0.3))
+        assert len(reads) == 4  # the t grid and the near-one probes
+        # Warm, nothing else reads the cap per point, not even the evaluator.
+        monkeypatch.setattr(hypergeom, "term_cap", counted)
+        reads.clear()
+        gm_sign_scan(triple(0.9, 0.5, 0.7))
+        assert len(reads) == 4
+        reads.clear()
+        q_p0_profile(q_params_for_mean(MeanParams(0.9, 0.5)), DEFAULT_T_GRID)
+        assert len(reads) == 2
+
+    @pytest.mark.parametrize("a,b", GRID_READ_CASES)
+    @pytest.mark.parametrize("cap", [3, 40, 150, 2000])
+    def test_lowered_cap_fails_as_per_point_reads_do(self, monkeypatch, a, b, cap):
+        # The message names the series and its t, so equal messages mean the
+        # same first failure.
+        monkeypatch.setenv(hypergeom.TERM_CAP_ENV, str(cap))
+        grid = _series_outcome(schurmean._gm_series, a, b, GRID, 1e-12)
+        assert grid == _series_outcome(_per_point_series, a, b, GRID, 1e-12)
+
+    def test_lowered_cap_fails_past_the_first_point(self, monkeypatch):
+        monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "60")
+        message = _series_outcome(schurmean._gm_series, 0.5, 0.5, GRID, 1e-12)
+        assert message.startswith("F(0.5,0.5;2.0;") and message.endswith("within 60 terms")
+        t = float(message.split(";")[2].split(")")[0])
+        assert GRID[0] < t < 0.9
 
 
 class TestScans:
