@@ -36,8 +36,8 @@ each x up in ``_unit_eval`` under the same key.
 
 Every float series, public ``hyp2f1`` and both connection series, is summed
 by ``_sum_series``.  Its loop runs on a float counter and tests the tail rule
-without ``abs``, which makes it about a third faster per term, and gives the
-same results and messages as the plain loop bit for bit.
+without ``abs``, and gives the same results and messages as the plain loop
+with an int counter and ``abs``, bit for bit.
 """
 
 from __future__ import annotations
