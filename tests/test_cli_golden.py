@@ -68,6 +68,8 @@ _CLASSIFY = (
     ("--a", "0.9", "--b", "0.5", "--m", "0.95", "--rational"),
     ("--a", "0.9", "--b", "0.5", "--m", "0.95", "--fuzz"),
     ("--a", "9/10", "--b", "1/2", "--m", "19/20", "--fuzz"),
+    # A branch tag with a comma in it, next to the E- one above.
+    ("--a", "0.9", "--b", "0.5", "--m", "1.2", "--fuzz"),
 )
 _MEAN = (
     ("--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2"),
