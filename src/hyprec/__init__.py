@@ -16,8 +16,6 @@ from .coeffrec import (
     hyp_series_coeffs,
     p_minus1_identity_residual,
     partial_sum,
-    to_csv,
-    to_json,
     u_general,
     u_theta_minus1,
     u_theta_plus1,

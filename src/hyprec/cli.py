@@ -6,6 +6,12 @@ qprofile.  Every numeric flag accepts a decimal literal or an exact rational
 subcommands through exact arithmetic end to end.  Output is byte-identical
 for identical inputs.
 
+Every subcommand builds its own table (a header, rows and, where the JSON or
+plain layout is not the single row itself, a payload or text) and prints it
+through one writer, :func:`_render`: sorted-key JSON, CSV through the csv
+module, or plain text.  Numbers are spelled by ``coeffrec.format_number``;
+the library itself writes no JSON or CSV.
+
 Parameter-domain rules live in the library, not here: a value outside the
 domain raises :class:`hyprec.errors.ParameterError` where the library checks
 it, and flag problems this module finds itself (unparsable or non-finite
@@ -23,6 +29,9 @@ HYPREC_QUAD_TOL the default quadrature tolerance.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -35,8 +44,6 @@ from .coeffrec import (
     WeightedSeriesSpec,
     cauchy_oracle,
     format_number,
-    to_csv,
-    to_json,
     u_general,
     u_theta_minus1,
     u_theta_plus1,
@@ -61,8 +68,6 @@ from .schurmean import (
     mean_quadrature,
     mean_series,
     q_p0_profile,
-    scan_report_json,
-    scan_reports_csv,
 )
 
 QUAD_TOL_ENV = "HYPREC_QUAD_TOL"
@@ -113,21 +118,29 @@ def _quad_tol_default() -> float:
     return tol
 
 
-def _emit(text: str, sink) -> None:
-    sink.write(text)
-    if not text.endswith("\n"):
-        sink.write("\n")
-
-
-def _render(pairs, fmt: str) -> str:
-    """Key/value pairs as a sorted-key JSON object, a one-row CSV, or "k = v" lines."""
-    if fmt == "json":
-        return json.dumps(dict(pairs), sort_keys=True)
-    if fmt == "csv":
-        header = ",".join(k for k, _ in pairs)
-        row = ",".join(str(v) for _, v in pairs)
-        return f"{header}\n{row}\n"
+def _plain_lines(pairs) -> str:
     return "".join(f"{k} = {v}\n" for k, v in pairs)
+
+
+def _render(fmt: str, header, rows, payload=None, plain=None) -> str:
+    """The one output writer: a table under ``header`` in the requested format.
+
+    JSON is ``payload`` (by default the single row keyed by the header) with
+    sorted keys and a trailing newline.  CSV is the header and the rows
+    through the csv module: fields quoted where they need it, LF endings.
+    Plain is ``plain`` (by default the single row as "k = v" lines).
+    """
+    if fmt == "json":
+        if payload is None:
+            payload = dict(zip(header, rows[0]))
+        return json.dumps(payload, sort_keys=True) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return out.getvalue()
+    return _plain_lines(zip(header, rows[0])) if plain is None else plain
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +172,24 @@ def _run_coeffs(args, sink) -> int:
     else:
         spec = WeightedSeriesSpec(params, p, theta if theta is not None else zero)
         seq = u_general(spec, args.n) if family == "general" else cauchy_oracle(spec, args.n)
-    if args.format == "json":
-        _emit(to_json(seq), sink)
-    elif args.format == "csv":
-        _emit(to_csv(seq), sink)
+    spec_fields = {k: format_number(getattr(seq.spec.params, k)) for k in ("a", "b", "c")}
+    if family == "log":
+        spec_fields["kind"] = "log-product"
     else:
-        _emit("\n".join(f"u_{n} = {format_number(v)}" for n, v in enumerate(seq.coeffs)), sink)
+        spec_fields.update(kind="weighted", p=format_number(seq.spec.p), theta=format_number(seq.spec.theta))
+    rows = [(n, format_number(v)) for n, v in enumerate(seq.coeffs)]
+    payload = {"coeffs": [v for _, v in rows], "method": seq.method.value, "spec": spec_fields}
+    plain = _plain_lines((f"u_{n}", v) for n, v in rows)
+    sink.write(_render(args.format, ("n", "u_n"), rows, payload, plain))
     return 0
 
 
-def _eval_pairs(result):
-    return (
-        ("value", format_number(result.value)),
-        ("error_bound", format_number(result.error_bound)),
-        ("terms_used", result.terms_used),
-    )
+def _eval_fields(result) -> dict:
+    return {
+        "value": format_number(result.value),
+        "error_bound": format_number(result.error_bound),
+        "terms_used": result.terms_used,
+    }
 
 
 def _run_eval(args, sink) -> int:
@@ -183,8 +199,8 @@ def _run_eval(args, sink) -> int:
     params = HypParams(a, b, c)
     x = _parse_number(args.x, False)
     fn = hyp2f1_derivative if args.deriv else hyp2f1
-    result = fn(params, x, args.tol)
-    _emit(_render(_eval_pairs(result), args.format), sink)
+    fields = _eval_fields(fn(params, x, args.tol))
+    sink.write(_render(args.format, fields, [fields.values()]))
     return 0
 
 
@@ -195,20 +211,20 @@ def _run_near_one(args, sink) -> int:
         if args.x is None:
             raise ParameterError("--x is required for the zero-balanced asymptote")
         value = zero_balanced_asymptote(a, b, _parse_number(args.x, False))
-        pairs = (("case", args.case), ("value", format_number(value)))
+        fields = {"case": args.case, "value": format_number(value)}
     else:
         if args.c is None:
             raise ParameterError(f"--c is required for case {args.case}")
         params = HypParams(a, b, _parse_number(args.c, False))
         if args.case == "value-at-one":
             value = gauss_value_at_one(params)
-            pairs = (("case", args.case), ("value", format_number(value)))
+            fields = {"case": args.case, "value": format_number(value)}
         else:
             if args.x is None:
                 raise ParameterError("--x is required for the Euler-transform evaluation")
             result = euler_transform_eval(params, _parse_number(args.x, False), args.tol)
-            pairs = (("case", args.case),) + _eval_pairs(result)
-    _emit(_render(pairs, args.format), sink)
+            fields = {"case": args.case, **_eval_fields(result)}
+    sink.write(_render(args.format, fields, [fields.values()]))
     return 0
 
 
@@ -223,12 +239,13 @@ def _run_classify(args, sink) -> int:
     else:
         label = classify_region(triple)
     m0_repr = format_number(label.m0) if exact else float(label.m0)
-    payload = {"label": label.label.value, "m0": m0_repr, "branch": label.branch}
+    fields = {"label": label.label.value, "m0": m0_repr, "branch": label.branch}
     if args.fuzz:
-        payload["boundary"] = boundary
-        payload["label_minus_eps"] = lo.label.value
-        payload["label_plus_eps"] = hi.label.value
-    _emit(_render(sorted(payload.items()), args.format), sink)
+        fields["boundary"] = boundary
+        fields["label_minus_eps"] = lo.label.value
+        fields["label_plus_eps"] = hi.label.value
+    fields = dict(sorted(fields.items()))
+    sink.write(_render(args.format, fields, [fields.values()]))
     return 0
 
 
@@ -240,15 +257,16 @@ def _run_mean(args, sink) -> int:
     mp = MeanParams(a, b)
     series_tol = args.tol if args.tol is not None else 1e-12
     quad_tol = args.tol if args.tol is not None else _quad_tol_default()
-    pairs = []
+    fields = {}
     if args.method in ("series", "both"):
-        pairs.append(("series", format_number(mean_series(x, y, mp, series_tol))))
+        series = mean_series(x, y, mp, series_tol)
+        fields["series"] = format_number(series)
     if args.method in ("quadrature", "both"):
-        pairs.append(("quadrature", format_number(mean_quadrature(x, y, mp, quad_tol))))
+        quadrature = mean_quadrature(x, y, mp, quad_tol)
+        fields["quadrature"] = format_number(quadrature)
     if args.method == "both":
-        diff = abs(float(pairs[0][1]) - float(pairs[1][1]))
-        pairs.append(("abs_difference", format_number(diff)))
-    _emit(_render(pairs, args.format), sink)
+        fields["abs_difference"] = format_number(abs(series - quadrature))
+    sink.write(_render(args.format, fields, [fields.values()]))
     return 0
 
 
@@ -257,27 +275,22 @@ def _run_gm_scan(args, sink) -> int:
     b = _parse_number(args.b, False)
     m = _parse_number(args.m, False)
     grid = _parse_t_grid(args.tgrid)
-    report = gm_sign_scan(
-        RegionTriple(MeanParams(a, b), m),
-        t_grid=grid,
-        tol=args.tol,
-        sign_tol=args.sign_tol,
-    )
-    if args.format == "json":
-        _emit(scan_report_json(report), sink)
-    elif args.format == "csv":
-        _emit(scan_reports_csv([report]), sink)
-    else:
-        pairs = (
-            ("label", report.label),
-            ("branch", report.branch),
-            ("gm_min", format_number(report.gm_min)),
-            ("gm_max", format_number(report.gm_max)),
-            ("consistent", report.consistent),
-            ("sign_change_t", "-" if report.sign_change_t is None else format_number(report.sign_change_t)),
-            ("warning", report.warning or "-"),
+    r = gm_sign_scan(RegionTriple(MeanParams(a, b), m), t_grid=grid, tol=args.tol, sign_tol=args.sign_tol)
+    gm_min, gm_max = format_number(r.gm_min), format_number(r.gm_max)
+    header = ("a", "b", "m", "label", "branch", "gm_min", "gm_max")
+    row = (format_number(r.a), format_number(r.b), format_number(r.m), r.label, r.branch, gm_min, gm_max)
+    plain = _plain_lines(
+        (
+            ("label", r.label),
+            ("branch", r.branch),
+            ("gm_min", gm_min),
+            ("gm_max", gm_max),
+            ("consistent", r.consistent),
+            ("sign_change_t", "-" if r.sign_change_t is None else format_number(r.sign_change_t)),
+            ("warning", r.warning or "-"),
         )
-        _emit(_render(pairs, "plain"), sink)
+    )
+    sink.write(_render(args.format, header, [row], dataclasses.asdict(r), plain))
     return 0
 
 
@@ -287,20 +300,41 @@ def _run_qprofile(args, sink) -> int:
     grid = _parse_t_grid(args.tgrid)
     ts = list(DEFAULT_T_GRID) if grid is None else [float(t) for t in grid]
     values = q_p0_profile(MeanParams(a, b), ts, args.tol)
-    rows = list(zip(ts, values))
-    if args.format == "json":
-        payload = {"q": [[t, v] for t, v in rows]}
-        _emit(json.dumps(payload, sort_keys=True), sink)
-    elif args.format == "csv":
-        _emit("t,Q\n" + "\n".join(f"{format_number(t)},{format_number(v)}" for t, v in rows), sink)
-    else:
-        _emit(_render([(f"Q({format_number(t)})", format_number(v)) for t, v in rows], "plain"), sink)
+    payload = {"q": [[t, v] for t, v in zip(ts, values)]}
+    rows = [(format_number(t), format_number(v)) for t, v in zip(ts, values)]
+    plain = _plain_lines((f"Q({t})", v) for t, v in rows)
+    sink.write(_render(args.format, ("t", "Q"), rows, payload, plain))
     return 0
 
 
 def _run_verify(args, sink) -> int:
     summary = verify_mod.verify_driver(args.suite, args.seed)
-    _emit(verify_mod.render(summary, args.format), sink)
+    rows = [
+        (r.suite, r.name, r.status, "-" if r.margin is None else format_number(r.margin), r.note)
+        for r in summary.results
+    ]
+    payload = {
+        "seed": summary.seed,
+        "suite": summary.suite,
+        "failures": summary.failures,
+        "warnings": summary.warnings,
+        "results": [dataclasses.asdict(r) for r in summary.results],
+    }
+    lines = [f"verification suite={summary.suite} seed={summary.seed}"]
+    current = None
+    for suite, name, status, margin, note in rows:
+        if suite != current:
+            current = suite
+            lines.append(f"[{suite}]")
+        lines.append(f"  {status.upper():<5} {name:<32} margin={margin}")
+        if note:
+            lines.append(f"        {note}")
+    lines.append(
+        f"summary: {len(rows)} properties, {summary.failures} failures, {summary.warnings} warnings"
+    )
+    plain = "\n".join(lines) + "\n"
+    header = ("suite", "property", "status", "margin", "note")
+    sink.write(_render(args.format, header, rows, payload, plain))
     return summary.exit_code
 
 

@@ -40,9 +40,6 @@ inputs, as the recurrences do.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -69,8 +66,6 @@ __all__ = [
     "published_recurrence_pair",
     "partial_sum",
     "format_number",
-    "to_json",
-    "to_csv",
 ]
 
 DEFAULT_N = 64
@@ -568,15 +563,14 @@ def published_recurrence_pair(q, n_max: int) -> tuple[CoeffSequence, CoeffSequen
     if n_max < 2:
         raise DomainError(f"comparison needs N >= 2, got {n_max}")
     _check_n(n_max)
-    exact = is_exact(q)
-    one = Fraction(1) if exact else 1.0
+    one = _one(q)
     u = [one, q - Fraction(1, 8) * one]
     for n in range(1, n_max):
         den = (n + 1) * (n + 2)
         num1 = 2 * n * n + (2 * q + 1) * n + 2 * q - Fraction(1, 4) * one
         num2 = (n + q - Fraction(1, 2) * one) * (n + q - Fraction(3, 2) * one)
         u.append((num1 * u[n] - num2 * u[n - 1]) / den)
-    half = Fraction(1, 2) if exact else 0.5
+    half = one / 2
     spec = WeightedSeriesSpec(HypParams(-half, -half, 2 * one), -q, one)
     literal = CoeffSequence(spec, tuple(u), Method.RECURRENCE)
     return literal, cauchy_oracle(spec, n_max)
@@ -596,7 +590,7 @@ def partial_sum(seq: CoeffSequence, x):
 
 
 # ---------------------------------------------------------------------------
-# rendering / serialization
+# number rendering
 
 
 def format_number(v) -> str:
@@ -606,39 +600,3 @@ def format_number(v) -> str:
     if isinstance(v, int):
         return f"{v}/1"
     return repr(float(v))
-
-
-def _spec_dict(spec: WeightedSeriesSpec | LogProductSpec) -> dict:
-    params = spec.params
-    d = {
-        "a": format_number(params.a),
-        "b": format_number(params.b),
-        "c": format_number(params.c),
-    }
-    if isinstance(spec, LogProductSpec):
-        d["kind"] = "log-product"
-    else:
-        d["kind"] = "weighted"
-        d["p"] = format_number(spec.p)
-        d["theta"] = format_number(spec.theta)
-    return d
-
-
-def to_json(seq: CoeffSequence) -> str:
-    """JSON rendering with stable (lexicographic) key order."""
-    payload = {
-        "coeffs": [format_number(v) for v in seq.coeffs],
-        "method": seq.method.value,
-        "spec": _spec_dict(seq.spec),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def to_csv(seq: CoeffSequence) -> str:
-    """CSV rows (n, u_n) with a header, comma separator, LF line endings."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n", "u_n"])
-    for n, v in enumerate(seq.coeffs):
-        writer.writerow([n, format_number(v)])
-    return out.getvalue()

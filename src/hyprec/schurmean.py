@@ -20,9 +20,6 @@ against the definition.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -31,7 +28,7 @@ from fractions import Fraction
 
 from . import numkit, specfn
 from .compare import rel_with_floor
-from .coeffrec import format_number, u_theta_plus1
+from .coeffrec import is_exact, u_theta_plus1
 from .errors import DomainError, NonConvergence, ParameterError
 from .hypergeom import HypParams, _hyp2f1_unit, _unit_eval, term_cap
 from .hypergeom import hyp2f1  # noqa: F401  (kept as schurmean.hyp2f1, the binding perfbench's tracer wraps)
@@ -58,8 +55,6 @@ __all__ = [
     "schur_condition_sample",
     "gm_sign_scan",
     "schur_grid_scan",
-    "scan_report_json",
-    "scan_reports_csv",
 ]
 
 #: Default scan grid {0.02k : k = 1..49}.
@@ -351,7 +346,7 @@ def q_p0_dn_sequence(mp: MeanParams, n_max: int) -> list:
     if n_max < 2:
         raise DomainError(f"d_n sequence needs N >= 2, got {n_max}")
     a, b = mp.a, mp.b
-    exact = isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))
+    exact = is_exact(a, b)
     p0 = a / (2 * b + 1) if exact else float(a) / (2.0 * float(b) + 1.0)
     c = 2 * b + 1
     u = u_theta_plus1(HypParams(a, b, c), -p0, n_max + 1).coeffs
@@ -554,41 +549,3 @@ def schur_grid_scan(
                 continue
             reports.extend(_scan_cell(MeanParams(a, b), m_values, ts, tol, sign_tol))
     return reports
-
-
-def scan_report_json(report: GmScanReport) -> str:
-    """JSON rendering of one scan report, stable key order."""
-    payload = {
-        "a": report.a,
-        "b": report.b,
-        "m": report.m,
-        "label": report.label,
-        "branch": report.branch,
-        "gm_min": report.gm_min,
-        "gm_max": report.gm_max,
-        "consistent": report.consistent,
-        "sign_change_t": report.sign_change_t,
-        "near_one": [[t, g] for t, g in report.near_one],
-        "warning": report.warning,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def scan_reports_csv(reports) -> str:
-    """CSV rendering (a, b, m, label, branch, gm_min, gm_max) of scan reports."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["a", "b", "m", "label", "branch", "gm_min", "gm_max"])
-    for r in reports:
-        writer.writerow(
-            [
-                format_number(r.a),
-                format_number(r.b),
-                format_number(r.m),
-                r.label,
-                r.branch,
-                format_number(r.gm_min),
-                format_number(r.gm_max),
-            ]
-        )
-    return out.getvalue()

@@ -11,9 +11,6 @@ reports.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -27,7 +24,6 @@ from .coeffrec import (
     cauchy_oracle,
     general_step,
     hyp_series_coeffs,
-    is_exact,
     partial_sum,
     u_general,
     u_theta_minus1,
@@ -53,7 +49,7 @@ from .schurmean import (
 )
 from .specfn import pochhammer
 
-__all__ = ["SUITES", "PropertyResult", "VerifySummary", "verify_driver", "render"]
+__all__ = ["SUITES", "PropertyResult", "VerifySummary", "verify_driver"]
 
 SUITES = ("recurrence", "corollaries", "special-cases", "mean", "regions", "monotone-ratio")
 
@@ -72,7 +68,7 @@ THETAS_EXACT = tuple(Fraction(str(v)) for v in THETAS)
 
 def _p_set(a, b, c):
     """Weight exponents -1, 0, 1/2, 2 and c - a - b, in the field of a."""
-    one = Fraction(1) if is_exact(a) else 1.0
+    one = coeffrec._one(a)
     return (-one, 0 * one, one / 2, 2 * one, c - a - b)
 
 
@@ -627,52 +623,3 @@ def verify_driver(suite: str = "all", seed: int = 42) -> VerifySummary:
         rng = random.Random(f"{seed}:{name}")
         results.extend(_SUITE_FUNCS[name](rng))
     return VerifySummary(suite, seed, tuple(results))
-
-
-def _margin_str(margin: float | None) -> str:
-    if margin is None:
-        return "-"
-    return repr(margin)
-
-
-def render(summary: VerifySummary, fmt: str = "plain") -> str:
-    """Render a verification summary as plain text, JSON, or CSV."""
-    if fmt == "json":
-        payload = {
-            "seed": summary.seed,
-            "suite": summary.suite,
-            "failures": summary.failures,
-            "warnings": summary.warnings,
-            "results": [
-                {
-                    "suite": r.suite,
-                    "name": r.name,
-                    "status": r.status,
-                    "margin": r.margin,
-                    "note": r.note,
-                }
-                for r in summary.results
-            ],
-        }
-        return json.dumps(payload, sort_keys=True) + "\n"
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["suite", "property", "status", "margin", "note"])
-        for r in summary.results:
-            writer.writerow([r.suite, r.name, r.status, _margin_str(r.margin), r.note])
-        return out.getvalue()
-    lines = [f"verification suite={summary.suite} seed={summary.seed}"]
-    current = None
-    for r in summary.results:
-        if r.suite != current:
-            current = r.suite
-            lines.append(f"[{current}]")
-        lines.append(f"  {r.status.upper():<5} {r.name:<32} margin={_margin_str(r.margin)}")
-        if r.note:
-            lines.append(f"        {r.note}")
-    lines.append(
-        f"summary: {len(summary.results)} properties, "
-        f"{summary.failures} failures, {summary.warnings} warnings"
-    )
-    return "\n".join(lines) + "\n"

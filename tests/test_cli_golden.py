@@ -7,7 +7,9 @@ output change is intended:
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -224,6 +226,18 @@ def test_golden(case_id, argv, env, capsys):
     code, out = run_case(argv, env, capsys)
     assert code == expected["exit"]
     assert out == expected["stdout"]
+
+
+def test_csv_rows_are_as_wide_as_their_header():
+    # A field holding a comma, such as the branch tag "a+b<1,a+b<m", must be
+    # quoted, or the row it sits in reads wider than its header.
+    expected = _expected()
+    for case_id, argv, _ in _CASES:
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else None
+        if fmt != "csv" or expected[case_id]["exit"] != 0:
+            continue
+        header, *rows = csv.reader(io.StringIO(expected[case_id]["stdout"], newline=""))
+        assert rows and all(len(row) == len(header) for row in rows), case_id
 
 
 def test_failures_print_nothing():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyprec import coeffrec
+from hyprec.cli import main
 from hyprec.coeffrec import (
     CoeffSequence,
     LogProductSpec,
@@ -17,8 +18,6 @@ from hyprec.coeffrec import (
     hyp_series_coeffs,
     p_minus1_identity_residual,
     partial_sum,
-    to_csv,
-    to_json,
     u_general,
     u_theta_minus1,
     u_theta_plus1,
@@ -34,6 +33,16 @@ from hyprec.verify import PARAM_BOX, PARAM_BOX_EXACT, THETAS, THETAS_EXACT
 
 def spec_of(a, b, c, p, theta):
     return WeightedSeriesSpec(HypParams(a, b, c), p, theta)
+
+
+def coeffs_output(capsys, fmt, *flags):
+    """What ``hyprec coeffs`` prints for the given flags in the given format."""
+    assert main(["coeffs", *flags, "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+#: The flags of spec_of(0.3, 0.7, 1.5, 2.0, 0.5), without --n.
+CLI_SPEC = ("--a", "0.3", "--b", "0.7", "--c", "1.5", "--p", "2.0", "--theta", "0.5")
 
 
 class TestSeeds:
@@ -711,31 +720,31 @@ class TestValidationAndSerialization:
         assert format_number(Fraction(-43, 50)) == "-43/50"
         assert float(format_number(1 / 3)) == 1 / 3
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, capsys):
         seq = u_general(spec_of(0.3, 0.7, 1.5, 2.0, 0.5), 4)
-        payload = json.loads(to_json(seq))
+        payload = json.loads(coeffs_output(capsys, "json", *CLI_SPEC, "--n", "4"))
         assert payload["method"] == "recurrence"
         assert payload["spec"]["kind"] == "weighted"
         assert [float(s) for s in payload["coeffs"]] == [float(v) for v in seq.coeffs]
         assert list(payload) == sorted(payload)
 
-    def test_json_rational_rendering(self):
+    def test_json_rational_rendering(self, capsys):
         seq = u_general(
             spec_of(Fraction(3, 10), Fraction(7, 10), Fraction(3, 2), Fraction(2), Fraction(1, 2)),
             2,
         )
-        payload = json.loads(to_json(seq))
+        flags = ("--a", "3/10", "--b", "7/10", "--c", "3/2", "--p", "2/1", "--theta", "1/2", "--n", "2")
+        payload = json.loads(coeffs_output(capsys, "json", *flags))
         assert payload["coeffs"][1] == "-43/50"
         assert all(Fraction(s) == v for s, v in zip(payload["coeffs"], seq.coeffs))
 
-    def test_csv_shape(self):
-        seq = u_general(spec_of(0.3, 0.7, 1.5, 2.0, 0.5), 10)
-        lines = to_csv(seq).splitlines()
+    def test_csv_shape(self, capsys):
+        lines = coeffs_output(capsys, "csv", *CLI_SPEC, "--n", "10").splitlines()
         assert lines[0] == "n,u_n"
         assert len(lines) == 12
         assert lines[1] == "0,1.0"
         assert float(lines[2].split(",")[1]) == pytest.approx(-0.86, abs=1e-15)
 
-    def test_log_spec_json_kind(self):
-        seq = v_log_product(HypParams(1.0, 1.0, 2.0), 3)
-        assert json.loads(to_json(seq))["spec"]["kind"] == "log-product"
+    def test_log_spec_json_kind(self, capsys):
+        flags = ("--family", "log", "--a", "1.0", "--b", "1.0", "--c", "2.0", "--n", "3")
+        assert json.loads(coeffs_output(capsys, "json", *flags))["spec"]["kind"] == "log-product"

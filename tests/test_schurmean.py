@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyprec import hypergeom, schurmean
+from hyprec.cli import main
 from hyprec.errors import DomainError, NonConvergence, ParameterError
 from hyprec.hypergeom import HypParams, _hyp2f1_unit, hyp2f1
 from hyprec.schurmean import (
@@ -25,8 +26,6 @@ from hyprec.schurmean import (
     mean_series,
     q_p0_dn_sequence,
     q_p0_profile,
-    scan_report_json,
-    scan_reports_csv,
     schur_condition_sample,
     schur_grid_scan,
     q_params_for_mean,
@@ -38,6 +37,12 @@ XY_GRID = [0.5, 1.0, 2.0]
 
 def triple(a, b, m):
     return RegionTriple(MeanParams(a, b), m)
+
+
+def gm_scan_output(capsys, fmt, a, b, m):
+    """What ``hyprec gm-scan`` prints for one triple in the given format."""
+    assert main(["gm-scan", "--a", a, "--b", b, "--m", m, "--format", fmt]) == 0
+    return capsys.readouterr().out
 
 
 class TestParamsValidation:
@@ -612,16 +617,15 @@ class TestScans:
         assert hypergeom._unit_eval.cache_info().misses == computed
         assert warm == cold
 
-    def test_report_serialization(self):
-        reports = [gm_sign_scan(triple(0.9, 0.5, 0.0))]
-        text = scan_reports_csv(reports)
+    def test_report_serialization(self, capsys):
+        text = gm_scan_output(capsys, "csv", "0.9", "0.5", "0.0")
         lines = text.splitlines()
         assert lines[0] == "a,b,m,label,branch,gm_min,gm_max"
         assert len(lines) == 2
         assert lines[1].startswith("0.9,0.5,0.0,E+,a+b>=1>m,")
-        payload = scan_report_json(reports[0])
+        payload = gm_scan_output(capsys, "json", "0.9", "0.5", "0.0")
         assert '"label": "E+"' in payload
 
-    def test_csv_quotes_comma_branch(self):
-        text = scan_reports_csv([gm_sign_scan(triple(0.9, 0.5, 1.0))])
+    def test_csv_quotes_comma_branch(self, capsys):
+        text = gm_scan_output(capsys, "csv", "0.9", "0.5", "1.0")
         assert '"a+b>=1,m>=1"' in text

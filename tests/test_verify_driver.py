@@ -3,16 +3,26 @@ import json
 import pytest
 
 from hyprec import verify
+from hyprec.cli import main
 from hyprec.errors import ParameterError
 
 
-def test_deterministic_rendering(verify_run):
+def render(monkeypatch, capsys, summary, fmt):
+    """What ``hyprec verify`` prints in the given format when its driver returns ``summary``."""
+    monkeypatch.setattr(verify, "verify_driver", lambda suite, seed: summary)
+    code = main(["verify", "--suite", summary.suite, "--seed", str(summary.seed), "--format", fmt])
+    assert code == summary.exit_code
+    return capsys.readouterr().out
+
+
+def test_deterministic_rendering(verify_run, monkeypatch, capsys):
     # A fresh --suite all run against the fixture's one run per suite: the
     # two are independent, and equal output also shows that each single-suite
     # run is exactly its slice of the full run.
     fresh = verify.verify_driver("all", verify_run.seed)
     for fmt in ("plain", "json", "csv"):
-        assert verify.render(fresh, fmt) == verify.render(verify_run.summary(), fmt)
+        expected = render(monkeypatch, capsys, verify_run.summary(), fmt)
+        assert render(monkeypatch, capsys, fresh, fmt) == expected
 
 
 def test_seed_changes_samples_not_correctness():
@@ -20,15 +30,15 @@ def test_seed_changes_samples_not_correctness():
         assert verify.verify_driver("mean", seed).failures == 0
 
 
-def test_json_shape(verify_run):
-    payload = json.loads(verify.render(verify_run.summary("recurrence"), "json"))
+def test_json_shape(verify_run, monkeypatch, capsys):
+    payload = json.loads(render(monkeypatch, capsys, verify_run.summary("recurrence"), "json"))
     assert payload["failures"] == 0
     assert payload["suite"] == "recurrence"
     assert all(set(r) == {"suite", "name", "status", "margin", "note"} for r in payload["results"])
 
 
-def test_csv_shape(verify_run):
-    text = verify.render(verify_run.summary("mean"), "csv")
+def test_csv_shape(verify_run, monkeypatch, capsys):
+    text = render(monkeypatch, capsys, verify_run.summary("mean"), "csv")
     lines = text.splitlines()
     assert lines[0] == "suite,property,status,margin,note"
     assert len(lines) >= 3
