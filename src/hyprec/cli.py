@@ -276,20 +276,20 @@ def _run_gm_scan(args, sink) -> int:
     m = _parse_number(args.m, False)
     grid = _parse_t_grid(args.tgrid)
     r = gm_sign_scan(RegionTriple(MeanParams(a, b), m), t_grid=grid, tol=args.tol, sign_tol=args.sign_tol)
-    gm_min, gm_max = format_number(r.gm_min), format_number(r.gm_max)
-    header = ("a", "b", "m", "label", "branch", "gm_min", "gm_max")
-    row = (format_number(r.a), format_number(r.b), format_number(r.m), r.label, r.branch, gm_min, gm_max)
-    plain = _plain_lines(
-        (
-            ("label", r.label),
-            ("branch", r.branch),
-            ("gm_min", gm_min),
-            ("gm_max", gm_max),
-            ("consistent", r.consistent),
-            ("sign_change_t", "-" if r.sign_change_t is None else format_number(r.sign_change_t)),
-            ("warning", r.warning or "-"),
-        )
+    fields = (
+        ("a", format_number(r.a)),
+        ("b", format_number(r.b)),
+        ("m", format_number(r.m)),
+        ("label", r.label),
+        ("branch", r.branch),
+        ("gm_min", format_number(r.gm_min)),
+        ("gm_max", format_number(r.gm_max)),
+        ("consistent", r.consistent),
+        ("sign_change_t", "-" if r.sign_change_t is None else format_number(r.sign_change_t)),
+        ("warning", r.warning or "-"),
     )
+    header, row = zip(*fields)
+    plain = _plain_lines(fields[3:])
     sink.write(_render(args.format, header, [row], dataclasses.asdict(r), plain))
     return 0
 

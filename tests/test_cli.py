@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -289,8 +291,27 @@ class TestClassifyAndScans:
         )
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "a,b,m,label,branch,gm_min,gm_max"
+        assert lines[0] == "a,b,m,label,branch,gm_min,gm_max,consistent,sign_change_t,warning"
         assert lines[1].split(",")[3] == "E+"
+
+    @pytest.mark.parametrize(
+        "a,b,m",
+        [("0.9", "0.5", "0"), ("0.9", "0.5", "0.97"), ("0.2", "0.2", "0.1"), ("0.9", "0.5", "1.0")],
+    )
+    def test_gm_scan_csv_carries_the_json_fields(self, capsys, a, b, m):
+        # Every field of the JSON report but the near-one probes, with None
+        # written as "-" as plain output writes it.
+        argv = ("gm-scan", "--a", a, "--b", b, "--m", m, "--format")
+        _, out, _ = run_main(capsys, *argv, "csv")
+        header, row = csv.reader(io.StringIO(out))
+        _, payload, _ = run_main(capsys, *argv, "json")
+        report = json.loads(payload)
+        assert set(header) == set(report) - {"near_one"}
+        fields = dict(zip(header, row))
+        assert fields["consistent"] == str(report["consistent"])
+        assert fields["warning"] == (report["warning"] or "-")
+        sign_change = report["sign_change_t"]
+        assert fields["sign_change_t"] == ("-" if sign_change is None else str(sign_change))
 
     def test_qprofile_constant(self, capsys):
         code, out, _ = run_main(

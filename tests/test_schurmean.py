@@ -620,7 +620,7 @@ class TestScans:
     def test_report_serialization(self, capsys):
         text = gm_scan_output(capsys, "csv", "0.9", "0.5", "0.0")
         lines = text.splitlines()
-        assert lines[0] == "a,b,m,label,branch,gm_min,gm_max"
+        assert lines[0] == "a,b,m,label,branch,gm_min,gm_max,consistent,sign_change_t,warning"
         assert len(lines) == 2
         assert lines[1].startswith("0.9,0.5,0.0,E+,a+b>=1>m,")
         payload = gm_scan_output(capsys, "json", "0.9", "0.5", "0.0")
