@@ -22,30 +22,32 @@ c, and takes y from the caller when the caller holds it to more digits than
 1 - x does.  The public ``hyp2f1``,
 ``hyp2f1_derivative`` and the three near-one entry points never take it.
 
-``_hyp2f1_unit`` remembers its last ``_UNIT_CACHE_SIZE`` (256) results, keyed
-by a, b, c, x, tol and y with the type of each, and by the term cap in force.
-The G_m scans and the Q profile read the same two series at the same points
-for every m, and the cache lets them share one evaluation.  A remembered
-result is the one the same call computed, so results are unchanged.  256 is
-more than one (a, b) cell of a scan needs (104 values on the default grid)
-and far fewer than a scan of many cells evaluates (about 4000 for 40 cells),
-so what is reused is the work on one cell, not that on earlier cells.  A
-caller that reads one (a, b, c) at many x, as ``schurmean._gm_series`` does,
-checks the parameters and reads ``term_cap()`` once for the grid and looks
-each x up in ``_unit_eval`` under the same key.
+The library reads its series a grid at a time through ``_hyp2f1_grid``
+(``_hyp2f1_unit`` is its one-point case).  It remembers the results of the
+last four series (a, b, c, tol and the term cap, each with its type), 256
+points each, in a memo that counts the points it answered and those it
+computed.  The G_m scans and the Q profile read the same two series at the
+same points for every m, so they share one evaluation; four series are
+more than one (a, b) cell of a scan reads and far fewer than a scan of
+many cells does, so what is reused is the work on one cell.  The points a
+read misses share the connection formula's gamma ratios, and each
+direct-series point stays one call to ``hyp2f1``.
 
 Every float series, public ``hyp2f1`` and both connection series, is summed
 by ``_sum_series``.  Its loop runs on a float counter and tests the tail rule
 without ``abs``, and gives the same results and messages as the plain loop
-with an int counter and ``abs``, bit for bit.
+with an int counter and ``abs``, bit for bit.  It remembers the term ratios
+of the last eight parameter triples, up to 1024 each, so a series read at
+many x forms each ratio once; summing over remembered ratios gives the same
+bits as forming them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,6 +175,46 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12) -> EvalResult:
     return _sum_series(params.a, params.b, params.c, float(x), tol, term_cap())
 
 
+#: The ratio store's bounds: the term ratios of the last ``_RATIO_SERIES``
+#: parameter triples, the first ``_RATIO_TERMS`` of each, about 260 KB.
+_RATIO_SERIES = 8
+_RATIO_TERMS = 1024
+
+
+class _Memo:
+    """The results of ``_hyp2f1_grid`` per series, and the points read from it and computed.
+
+    ``series`` maps a series key to its results by point, oldest first, both
+    within a series and among them.  ``hits`` counts the points answered
+    from it and ``misses`` those computed, or attempted when they raised.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every result and reset both counts."""
+        self.series: dict[tuple, dict] = {}
+        self.hits = 0
+        self.misses = 0
+
+
+class _Stores(threading.local):
+    """One thread's ratio store of ``_sum_series`` and memo of ``_hyp2f1_grid``.
+
+    ``ratios`` maps a typed parameter triple to its stored term ratios,
+    oldest triple first.  Each thread has its own stores, so no two sums
+    ever extend one list and no lock is needed.
+    """
+
+    def __init__(self) -> None:
+        self.ratios: dict[tuple, list[float]] = {}
+        self.memo = _Memo()
+
+
+_STORES = _Stores()
+
+
 def _sum_series(a, b, c, x: float, tol: float, cap: int) -> EvalResult:
     """The direct series of ``hyp2f1``, summed past the pole of 1/(c)_n, in at most cap terms.
 
@@ -187,13 +229,67 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int) -> EvalResult:
     |factor| < 1 as -1 < factor < 1; both decide alike for every float,
     NaN included, and the ratio is taken only at the stop.  Every result
     and message is the one the plain loop with ``abs`` gives.
+
+    The term ratio q_n = (a+n)(b+n) / ((c+n)(n+1)) does not depend on x, and
+    the library reads one series at many x (a grid of G_m, the connection
+    series at each point near 1), so the ratio store remembers the first
+    ``_RATIO_TERMS`` q_n of the last ``_RATIO_SERIES`` triples, keyed with
+    the type of each parameter unless all three are floats, as the counter's
+    type depends on them.  A triple's first call only registers it and sums
+    as before; a later call sums over the stored q_n, with factor q_n * x,
+    the same float product as the inline one, and past them goes on inline
+    from the same term, total and streak, storing the q_n it forms up to the
+    bound.
     """
     settle = max(0, math.floor(-c) + 1)
     total = 1.0
     term = 1.0
     streak = 0
-    n, one = (0.0, 1.0) if type(a) is type(b) is type(c) is float else (0, 1)
-    for _ in range(cap):
+    floats = type(a) is type(b) is type(c) is float
+    key = (a, b, c) if floats else (a, b, c, type(a), type(b), type(c))
+    triples = _STORES.ratios
+    ratios = triples.get(key)
+    if ratios is None:
+        triples[key] = []
+        if len(triples) > _RATIO_SERIES:
+            del triples[next(iter(triples))]
+        done = record = 0
+    else:
+        done = min(len(ratios), cap)
+        for n, q in zip(range(1, done + 1), ratios):
+            factor = q * x
+            term *= factor
+            total += term
+            lim = tol * total
+            if total < 0.0:
+                lim = -lim
+            if term <= lim and -lim <= term and -1.0 < factor < 1.0 and n >= settle:
+                streak += 1
+                if streak >= 3:
+                    ratio = abs(factor)
+                    return EvalResult(total, abs(term) * ratio / (1.0 - ratio), n + 1)
+            else:
+                streak = 0
+        record = min(_RATIO_TERMS, cap) - done
+    n, one = (float(done), 1.0) if floats else (done, 1)
+    for _ in range(record):
+        q = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        ratios.append(q)
+        factor = q * x
+        term *= factor
+        total += term
+        n += one
+        lim = tol * total
+        if total < 0.0:
+            lim = -lim
+        if term <= lim and -lim <= term and -1.0 < factor < 1.0 and n >= settle:
+            streak += 1
+            if streak >= 3:
+                ratio = abs(factor)
+                return EvalResult(total, abs(term) * ratio / (1.0 - ratio), int(n) + 1)
+        else:
+            streak = 0
+    for _ in range(cap - done - record):
         factor = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
         term *= factor
         total += term
@@ -280,27 +376,20 @@ CONNECTION_X = 0.9
 CONNECTION_GAP = 1e-3
 
 
-#: Results kept by ``_hyp2f1_unit``: one scan cell's 104 values with room to
-#: spare, at about 400 bytes each.
-_UNIT_CACHE_SIZE = 256
+#: The memo of ``_hyp2f1_grid``: the results of the last ``_MEMO_SERIES``
+#: series, ``_MEMO_POINTS`` points each, at about 400 bytes a point.  One
+#: scan cell reads two series at 52 points on the default grid.
+_MEMO_SERIES = 4
+_MEMO_POINTS = 256
 
 
 def _hyp2f1_unit(params: HypParams, x: float, tol: float, y: float | None = None) -> EvalResult:
-    """F(a,b;c;x) on 0 <= x < 1 for the library's own evaluations (see ``_unit_eval``).
-
-    The last ``_UNIT_CACHE_SIZE`` (256) results are remembered, about 100 KB.
-    The key holds a, b, c, x, tol and y with the type of each, so a Fraction
-    and an equal float, or an int and an equal float, never share a result,
-    and ``term_cap()``, so a changed cap takes effect.  A remembered result is
-    the frozen ``EvalResult`` the same call computed, so results are
-    unchanged; exceptions are not remembered and recur.
-    """
-    return _unit_eval(params.a, params.b, params.c, x, tol, y, term_cap())
+    """F(a,b;c;x) on 0 <= x < 1 for the library's own evaluations: ``_hyp2f1_grid`` at one point."""
+    return _hyp2f1_grid(params, ((x, y),), tol)[0]
 
 
-@functools.lru_cache(maxsize=_UNIT_CACHE_SIZE, typed=True)
-def _unit_eval(a, b, c, x: float, tol: float, y: float | None, cap: int) -> EvalResult:
-    """The evaluation behind ``_hyp2f1_unit``, whose ``term_cap()`` arrives as ``cap``.
+def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
+    """F(a,b;c;x) at each point (x, y) of ``points``, in order, with 0 <= x < 1.
 
     From ``CONNECTION_X`` on this is the 1 - x connection formula (DLMF 15.8.4)
 
@@ -311,33 +400,88 @@ def _unit_eval(a, b, c, x: float, tol: float, y: float | None, cap: int) -> Eval
     space, since B alone overflows for large parameters.  Below
     ``CONNECTION_X``, where c - a - b lies within ``CONNECTION_GAP`` of an
     integer, and where the parameters are so large that rounding in the
-    gamma ratios exceeds ``tol``, it is ``hyp2f1``.  A caller that holds the
-    complement to more digits than 1 - x passes it as ``y`` (x then only
-    chooses the path).  The c of either series in y, 1 -/+ (c - a - b), may
-    be negative, so both sum past their pole before the tail rule may stop.
-    The error bound combines the truncation bounds of the two series, as
-    ``hyp2f1`` reports its own.
+    gamma ratios exceeds ``tol``, it is ``hyp2f1``, one call per point.  A
+    caller that holds the complement to more digits than 1 - x passes it as
+    y, and None otherwise (x then only chooses the path).  The c of either
+    series in y, 1 -/+ (c - a - b), may be negative, so both sum past their
+    pole before the tail rule may stop.  The error bound combines the
+    truncation bounds of the two series, as ``hyp2f1`` reports its own.
+
+    ``term_cap()`` is read once per call.  The results are remembered in the
+    calling thread's memo (``_STORES.memo``) under the series (a, b, c, tol
+    and the cap, with the type of each, so a Fraction and an equal float
+    never share) and the point; x and y enter only through comparisons,
+    ``1.0 - x`` and float arithmetic, so equal points of other types give
+    the same result.  A grid read before is answered by one comprehension;
+    the points it misses are computed in order and share the connection
+    formula's A and the sign and log-gammas of B, each point scaling B by
+    its own y^(c-a-b) through ``specfn.scaled_gamma_ratio``, the rule
+    ``specfn.gamma_ratio`` uses.  A remembered result is the frozen
+    ``EvalResult`` computed for it, so results are unchanged; a point that
+    raises is not remembered, and the first such point in grid order raises
+    as it would alone.
     """
-    if y is None:
-        y = 1.0 - x
+    a, b, c = params.a, params.b, params.c
+    cap = term_cap()
+    memo = _STORES.memo
+    key = (a, b, c, tol, cap, type(a), type(b), type(c), type(tol))
+    values = memo.series.get(key)
+    if values is None:
+        values = memo.series[key] = {}
+        if len(memo.series) > _MEMO_SERIES:
+            del memo.series[next(iter(memo.series))]
+    found = [values.get(point) for point in points]
+    if all(found):
+        memo.hits += len(found)
+        return found
     s = c - a - b
-    if x >= CONNECTION_X and abs(s - round(s)) >= CONNECTION_GAP:
-        scale, scale_size = specfn.gamma_ratio((c, s), (c - a, c - b), 0.0)
-        weight, weight_size = specfn.gamma_ratio((c, -s), (a, b), s * math.log(y) if y > 0 else -s * math.inf)
-        if sys.float_info.epsilon * max(scale_size, weight_size) <= tol:
-            first = _sum_series(a, b, 1 - s, y, tol, cap)
-            second = _sum_series(c - a, c - b, 1 + s, y, tol, cap)
-            return EvalResult(
-                scale * first.value + weight * second.value,
-                abs(scale) * first.error_bound + abs(weight) * second.error_bound,
-                first.terms_used + second.terms_used,
-            )
-    if x >= 1:
-        raise NonConvergence(
-            f"F({a},{b};{c};x) at 1-x={y!r}: x rounds to 1, where the direct series "
-            "cannot answer, and the connection formula does not apply"
-        )
-    return hyp2f1(HypParams._derived(a, b, c), x, tol)
+    connects = abs(s - round(s)) >= CONNECTION_GAP
+    scale = weight_terms = direct = None
+    results = []
+    hits = misses = 0
+    try:
+        for point in points:
+            result = values.get(point)
+            if result is not None:
+                hits += 1
+                results.append(result)
+                continue
+            misses += 1
+            x, y = point
+            if y is None:
+                y = 1.0 - x
+            if x >= CONNECTION_X and connects:
+                if scale is None:
+                    scale, scale_size = specfn.gamma_ratio((c, s), (c - a, c - b), 0.0)
+                    weight_terms = specfn.gamma_ratio_logs((c, -s), (a, b))
+                    rounding = sys.float_info.epsilon * max(scale_size, math.fsum(map(abs, weight_terms[1])))
+                log_scale = s * math.log(y) if y > 0 else -s * math.inf
+                weight = specfn.scaled_gamma_ratio(*weight_terms, log_scale)
+                if rounding <= tol:
+                    first = _sum_series(a, b, 1 - s, y, tol, cap)
+                    second = _sum_series(c - a, c - b, 1 + s, y, tol, cap)
+                    result = EvalResult(
+                        scale * first.value + weight * second.value,
+                        abs(scale) * first.error_bound + abs(weight) * second.error_bound,
+                        first.terms_used + second.terms_used,
+                    )
+            if result is None:
+                if x >= 1:
+                    raise NonConvergence(
+                        f"F({a},{b};{c};x) at 1-x={y!r}: x rounds to 1, where the direct series "
+                        "cannot answer, and the connection formula does not apply"
+                    )
+                if direct is None:
+                    direct = HypParams._derived(a, b, c)
+                result = hyp2f1(direct, x, tol)
+            values[point] = result
+            if len(values) > _MEMO_POINTS:
+                del values[next(iter(values))]
+            results.append(result)
+    finally:
+        memo.hits += hits
+        memo.misses += misses
+    return results
 
 
 def contiguous_residual(params: HypParams, x: float, tol: float = 1e-12) -> float:

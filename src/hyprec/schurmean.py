@@ -30,7 +30,7 @@ from . import numkit, specfn
 from .compare import rel_with_floor
 from .coeffrec import is_exact, u_theta_plus1
 from .errors import DomainError, NonConvergence, ParameterError
-from .hypergeom import HypParams, _hyp2f1_unit, _unit_eval, term_cap
+from .hypergeom import HypParams, _hyp2f1_grid, _hyp2f1_unit
 from .hypergeom import hyp2f1  # noqa: F401  (kept as schurmean.hyp2f1, the binding perfbench's tracer wraps)
 
 __all__ = [
@@ -180,23 +180,15 @@ def _gm_series(a, b, ts, tol: float) -> tuple[list[float], list[float]]:
     G_m reads them at a -> 1-a and the Q profile at its own a, which
     ``q_params_for_mean`` sets to the same 1-a.  Built here alone, every
     reader forms the same parameters and so shares the results
-    ``_hyp2f1_unit`` remembers.
+    ``hypergeom._hyp2f1_grid`` remembers per series; each series is checked
+    and read a grid at a time.
     """
     c = 2 * b + 1
-    return _unit_values(a, b, c, ts, tol), _unit_values(a, b + 1, c, ts, tol)
-
-
-def _unit_values(a, b, c, ts, tol: float) -> list[float]:
-    """``_hyp2f1_unit(HypParams(a, b, c), t, tol).value`` for each t in ts, in order.
-
-    The parameters are checked and ``term_cap()`` is read once for the grid,
-    not once per point; each t is then read from ``_unit_eval`` under the
-    key ``_hyp2f1_unit`` forms, so the values, the cache entries and the
-    first failure are the ones per-point reads give.
-    """
-    HypParams(a, b, c)
-    cap = term_cap()
-    return [_unit_eval(a, b, c, t, tol, None, cap).value for t in ts]
+    points = [(t, None) for t in ts]
+    return (
+        [r.value for r in _hyp2f1_grid(HypParams(a, b, c), points, tol)],
+        [r.value for r in _hyp2f1_grid(HypParams(a, b + 1, c), points, tol)],
+    )
 
 
 def g_m(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
@@ -490,7 +482,8 @@ def _scan_cell(mean: MeanParams, m_values, ts, tol: float, sign_tol: float) -> l
 
     The series come from ``_gm_series``, so a later ``gm_sign_scan``,
     ``q_p0_profile`` or ``g_m`` of the same cell at the same points reads the
-    values this scan computed, as long as ``_hyp2f1_unit`` still holds them.
+    values this scan computed, as long as ``hypergeom._hyp2f1_grid`` still
+    holds them.
     """
     a, b = mean.a, mean.b
     f1, f2 = _gm_series(1 - a, b, ts, tol)
@@ -534,12 +527,13 @@ def schur_grid_scan(
 
     Both series in G_m depend only on (a, b, t), so for each (a, b) they are
     evaluated once per grid point and combined per m (``gm_sign_scan`` is the
-    one-m case).  ``_hyp2f1_unit`` remembers the last 256 values, more than
-    the 104 of one cell on the default grid, so scans, Q profiles and ``g_m``
-    of the cell just scanned read them again, while a scan of many cells
-    still computes each value once.  Grid points are processed in the given
-    order and reports are returned in that deterministic order.  Triples with
-    a + b < 1/2, outside the hypothesis of the sign dichotomy, are skipped.
+    one-m case).  ``hypergeom._hyp2f1_grid`` remembers the last four series,
+    256 points each, more than the two series at 52 points of one cell on
+    the default grid, so scans, Q profiles and ``g_m`` of the cell just
+    scanned read them again, while a scan of many cells still computes each
+    value once.  Grid points are processed in the given order and reports
+    are returned in that deterministic order.  Triples with a + b < 1/2,
+    outside the hypothesis of the sign dichotomy, are skipped.
     """
     ts = _float_t_grid(t_grid)
     reports = []

@@ -26,6 +26,8 @@ __all__ = [
     "digamma",
     "beta",
     "gamma_ratio",
+    "gamma_ratio_logs",
+    "scaled_gamma_ratio",
     "r_zero_balanced",
 ]
 
@@ -126,16 +128,38 @@ def gamma_ratio(num, den, log_scale: float) -> tuple[float, float]:
     scale does not overflow.  Arguments may be negative: 1/Gamma is 0 at the
     poles of ``den``, and a pole in ``num`` raises :class:`DomainError`.  The
     size, the sum of |ln|Gamma||, times the unit roundoff estimates the
-    relative error of the ratio.
+    relative error of the ratio.  It is ``gamma_ratio_logs`` and
+    ``scaled_gamma_ratio`` in one call; a caller that scales one ratio many
+    ways takes the logs once and scales them per use.
+    """
+    sign, logs = gamma_ratio_logs(num, den)
+    return scaled_gamma_ratio(sign, logs, log_scale), math.fsum(map(abs, logs))
+
+
+def gamma_ratio_logs(num, den) -> tuple[int, list[float]]:
+    """The sign and the ln|Gamma| terms of prod Gamma(num) / prod Gamma(den).
+
+    The sign is 0, with no terms, at a pole of ``den``; a pole in ``num``
+    raises :class:`DomainError`.
     """
     for z in num:
         if _is_pole(z):
             raise DomainError(f"Gamma has a pole at {z!r} in the numerator")
     if any(_is_pole(z) for z in den):
-        return 0.0, 0.0
+        return 0, []
     logs = [math.lgamma(z) for z in num] + [-math.lgamma(z) for z in den]
-    sign = math.prod(_gamma_sign(z) for z in (*num, *den))
-    return sign * math.exp(math.fsum([log_scale, *logs])), math.fsum(map(abs, logs))
+    return math.prod(_gamma_sign(z) for z in (*num, *den)), logs
+
+
+def scaled_gamma_ratio(sign: int, logs: list[float], log_scale: float) -> float:
+    """exp(log_scale) times the gamma ratio of ``gamma_ratio_logs``' sign and terms.
+
+    The rule ``gamma_ratio`` rounds by: the scale and the terms are summed
+    with ``math.fsum``, correctly rounded, and exponentiated once.
+    """
+    if not sign:
+        return 0.0
+    return sign * math.exp(math.fsum([log_scale, *logs]))
 
 
 def r_zero_balanced(a: float, b: float) -> float:

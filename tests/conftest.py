@@ -1,5 +1,5 @@
 """Shared fixtures: one run of every ``verify`` suite for the whole test session,
-and a cleared evaluation cache after every test."""
+and a cleared evaluation memo and ratio store after every test."""
 
 import time
 from dataclasses import dataclass
@@ -42,11 +42,12 @@ def verify_run() -> VerifyRun:
 
 @pytest.fixture(autouse=True)
 def forget_unit_values():
-    """Let no test leave values in ``hypergeom._hyp2f1_unit``'s cache for the next.
+    """Let no test leave values in ``hypergeom._STORES.memo`` or ratios in ``hypergeom._STORES.ratios`` for the next.
 
-    A remembered value never changes a result, but a test that counts
-    evaluations, such as the benchmark tracer's in ``perfbench/``, would see
-    fewer of them when an earlier test happened to leave its inputs behind.
+    Neither ever changes a result, but a test that counts evaluations, such
+    as the benchmark tracer's in ``perfbench/``, would see fewer of them when
+    an earlier test happened to leave its inputs behind.
     """
     yield
-    hypergeom._unit_eval.cache_clear()
+    hypergeom._STORES.memo.clear()
+    hypergeom._STORES.ratios.clear()

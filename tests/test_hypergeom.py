@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -188,6 +191,90 @@ class TestSumSeriesLoop:
         args = (-3.5, 1.0, 0.5, 0.95, 1e-12, hypergeom.DEFAULT_TERM_CAP)
         assert hypergeom._sum_series(*args).value < 0
         assert _summed(hypergeom._sum_series, *args) == _summed(_plain_sum_series, *args)
+
+    @given(
+        st.floats(-3, 3, exclude_min=True, exclude_max=True),
+        st.floats(-3, 3, exclude_min=True, exclude_max=True),
+        st.floats(-4, 6, exclude_min=True, exclude_max=True),
+        st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=5),
+        st.sampled_from([1e-12, 1e-8, 1e-15, 0.5]),
+        st.one_of(st.integers(1, 60), st.integers(1000, 3000), st.just(hypergeom.DEFAULT_TERM_CAP)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_triple_at_several_x_matches_the_plain_loop(self, a, b, c, xs, tol, cap):
+        # The first call registers the triple, the second stores its ratios,
+        # and later ones sum over them and go on past them; every x is read
+        # twice, so each sum also runs over ratios stored by another x.
+        assume(round(c) > 0 or abs(c - round(c)) >= hypergeom.POLE_TOL)
+        hypergeom._STORES.ratios.clear()
+        for x in xs + xs:
+            args = (a, b, c, x, tol, cap)
+            assert _summed(hypergeom._sum_series, *args) == _summed(_plain_sum_series, *args)
+
+    @pytest.mark.parametrize(
+        "abc",
+        [
+            (0.5, 0.5, 1.5),
+            (Fraction(1, 2), Fraction(1, 3), Fraction(5, 4)),
+            (Fraction(1, 2), 1.0, Fraction(-7, 2)),
+            (0.5, 30.0, -29.5),
+        ],
+    )
+    @pytest.mark.parametrize("cap", [1, 7, 60, hypergeom.DEFAULT_TERM_CAP])
+    def test_series_past_the_stored_ratios_match_the_plain_loop(self, abc, cap):
+        # At 0.999 the direct series runs past the ratios a triple may store,
+        # and c = -7/2 and -29.5 sum past their pole before the streak counts.
+        exact = isinstance(abc[0], Fraction)
+        xs = [0.3, 0.9, 0.5] if exact else [0.5, 0.999, 0.99, 0.9995, 0.1, -0.9]
+        hypergeom._STORES.ratios.clear()
+        for x in xs:
+            args = (*abc, x, 1e-12, cap)
+            assert _summed(hypergeom._sum_series, *args) == _summed(_plain_sum_series, *args)
+        assert [len(r) <= min(cap, hypergeom._RATIO_TERMS) for r in hypergeom._STORES.ratios.values()] == [True]
+
+    def test_equal_parameters_of_other_types_keep_their_own_ratios(self):
+        hypergeom._STORES.ratios.clear()
+        for abc in [(Fraction(1, 2), 1, 3), (0.5, 1.0, 3.0), (0.5, 1, 3.0)] * 2:
+            args = (*abc, 0.7, 1e-12, hypergeom.DEFAULT_TERM_CAP)
+            assert _summed(hypergeom._sum_series, *args) == _summed(_plain_sum_series, *args)
+        assert len(hypergeom._STORES.ratios) == 3
+
+    def test_store_is_bounded(self):
+        hypergeom._STORES.ratios.clear()
+        for k in range(3 * hypergeom._RATIO_SERIES):
+            for x in (0.998, 0.999):
+                hypergeom._sum_series(0.5, 0.5 + k, 1.5 + k, x, 1e-12, hypergeom.DEFAULT_TERM_CAP)
+        # Each series runs past 1024 terms, so every stored list is full.
+        assert len(hypergeom._STORES.ratios) == hypergeom._RATIO_SERIES
+        assert {len(r) for r in hypergeom._STORES.ratios.values()} == {hypergeom._RATIO_TERMS}
+
+    def test_threads_keep_their_own_ratios(self):
+        # Threads summing one triple at their own x each store its ratios in
+        # their own store: every sum is the plain loop's, and none of them
+        # reaches this thread's store.
+        triple = (0.5, 1.5, 2.5)
+        xs = [0.9 + 0.001 * k for k in range(96)]
+        expected = {x: _summed(_plain_sum_series, *triple, x, 1e-12, 5000) for x in xs}
+        hypergeom._STORES.ratios.clear()
+        got = {}
+
+        def work(part):
+            for x in part:
+                got[x] = _summed(hypergeom._sum_series, *triple, x, 1e-12, 5000)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(xs[k::6],)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
+        assert hypergeom._STORES.ratios == {}
 
 
 class TestIndependentOracle:
@@ -492,7 +579,7 @@ class TestConnectionFormula:
 
 def _cold(params, x, tol, y=None):
     """``_hyp2f1_unit`` computed afresh, with nothing remembered."""
-    hypergeom._unit_eval.cache_clear()
+    hypergeom._STORES.memo.clear()
     return _hyp2f1_unit(params, x, tol, y)
 
 
@@ -504,8 +591,12 @@ def _outcome(params, x, y):
         return str(exc)
 
 
+def _memo_size():
+    return sum(len(values) for values in hypergeom._STORES.memo.series.values())
+
+
 class TestUnitCache:
-    """``_hyp2f1_unit`` remembers results per typed key and returns them unchanged."""
+    """``_hyp2f1_unit`` remembers results per typed series and point and returns them unchanged."""
 
     @pytest.mark.parametrize("near_one", [False, True])
     @given(
@@ -524,13 +615,13 @@ class TestUnitCache:
         x = 1.0 - y
         params = HypParams(1 - a, b + shift, 2 * b + 1)
         calls = [(x, None), (x, y)]
-        hypergeom._unit_eval.cache_clear()
+        hypergeom._STORES.memo.clear()
         first = [_outcome(params, *call) for call in calls]
         again = [_outcome(params, *call) for call in calls]
         assert again == first
-        assert hypergeom._unit_eval.cache_info().hits == sum(isinstance(r, EvalResult) for r in first)
+        assert hypergeom._STORES.memo.hits == sum(isinstance(r, EvalResult) for r in first)
         for call, result in zip(calls, again):
-            hypergeom._unit_eval.cache_clear()
+            hypergeom._STORES.memo.clear()
             assert result == _outcome(params, *call)
 
     @pytest.mark.parametrize(
@@ -540,15 +631,15 @@ class TestUnitCache:
     @pytest.mark.parametrize("x", [0.5, 0.95])
     def test_equal_values_of_other_types_keep_their_own_entries(self, first, second, x):
         params = [HypParams(value, value, value + 2) for value in (first, second)]
-        hypergeom._unit_eval.cache_clear()
+        hypergeom._STORES.memo.clear()
         results = [_hyp2f1_unit(p, x, 1e-12) for p in params]
-        assert hypergeom._unit_eval.cache_info().misses == 2
+        assert hypergeom._STORES.memo.misses == 2
         for p, result in zip(params, results):
             assert result == _cold(p, x, 1e-12)
 
     def test_lowered_term_cap_still_takes_effect(self, monkeypatch):
         params = HypParams(0.7, 0.9, 2.3)
-        hypergeom._unit_eval.cache_clear()
+        hypergeom._STORES.memo.clear()
         remembered = _hyp2f1_unit(params, 0.5, 1e-12)
         assert remembered.terms_used > 10
         monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "10")
@@ -558,14 +649,174 @@ class TestUnitCache:
         assert _hyp2f1_unit(params, 0.5, 1e-12) == remembered
 
     def test_size_is_bounded(self):
-        maxsize = hypergeom._unit_eval.cache_info().maxsize
-        hypergeom._unit_eval.cache_clear()
+        maxsize = hypergeom._MEMO_SERIES * hypergeom._MEMO_POINTS
+        hypergeom._STORES.memo.clear()
         count = 10 * maxsize
         for k in range(count):
             _hyp2f1_unit(HypParams(0.7, 0.9, 2.3), 0.5 * k / count, 1e-12)
-        info = hypergeom._unit_eval.cache_info()
-        assert info.misses == count
-        assert info.currsize <= maxsize
+        assert hypergeom._STORES.memo.misses == count
+        assert _memo_size() <= maxsize
+
+    def test_series_and_points_are_bounded(self):
+        # Many series, one grid longer than a series may hold, and the
+        # points of each, near one and not, read twice.
+        hypergeom._STORES.memo.clear()
+        grid = [((k + 0.5) / 600, None) for k in range(600)]
+        for k in range(3 * hypergeom._MEMO_SERIES):
+            params = HypParams(0.3, 0.2 + k, 1.1 + 2 * k)
+            for _ in range(2):
+                hypergeom._hyp2f1_grid(params, grid, 1e-12)
+            assert len(hypergeom._STORES.memo.series) <= hypergeom._MEMO_SERIES
+            assert all(len(v) <= hypergeom._MEMO_POINTS for v in hypergeom._STORES.memo.series.values())
+        assert len(hypergeom._STORES.memo.series) == hypergeom._MEMO_SERIES
+        assert {len(v) for v in hypergeom._STORES.memo.series.values()} == {hypergeom._MEMO_POINTS}
+        # A grid longer than a series may hold pushes out its own first
+        # points before the next read reaches them, so each read computes it
+        # whole.
+        assert hypergeom._STORES.memo.hits == 0
+        assert hypergeom._STORES.memo.misses == 2 * 3 * hypergeom._MEMO_SERIES * len(grid)
+
+    def test_warm_grid_counts_hits(self):
+        params = HypParams(0.3, 0.7, 1.9)
+        grid = [(0.1, None), (0.95, None), (0.95, 0.05), (0.1, None)]
+        hypergeom._STORES.memo.clear()
+        cold = hypergeom._hyp2f1_grid(params, grid, 1e-12)
+        # The repeated point is computed once, and read again within the grid.
+        assert (hypergeom._STORES.memo.hits, hypergeom._STORES.memo.misses) == (1, 3)
+        assert hypergeom._hyp2f1_grid(params, grid, 1e-12) == cold
+        assert (hypergeom._STORES.memo.hits, hypergeom._STORES.memo.misses) == (5, 3)
+
+
+def _head_gamma_ratio(num, den, log_scale):
+    """``specfn.gamma_ratio`` as it read before it was split, kept verbatim as a reference."""
+    for z in num:
+        if z <= 0 and z == math.floor(z):
+            raise DomainError(f"Gamma has a pole at {z!r} in the numerator")
+    if any(z <= 0 and z == math.floor(z) for z in den):
+        return 0.0, 0.0
+    logs = [math.lgamma(z) for z in num] + [-math.lgamma(z) for z in den]
+    sign = math.prod(1 if z > 0 or math.floor(z) % 2 == 0 else -1 for z in (*num, *den))
+    return sign * math.exp(math.fsum([log_scale, *logs])), math.fsum(map(abs, logs))
+
+
+def _head_unit_eval(a, b, c, x, tol, y, cap):
+    """The per-point evaluator the grid evaluator replaced, kept as the reference it must reproduce.
+
+    Verbatim but for its summing, which is the plain loop (the direct path
+    was ``hyp2f1``, which sums float(x) with the same loop), and its gamma
+    ratios, from the copy above; nothing is remembered.
+    """
+    if y is None:
+        y = 1.0 - x
+    s = c - a - b
+    if x >= CONNECTION_X and abs(s - round(s)) >= CONNECTION_GAP:
+        scale, scale_size = _head_gamma_ratio((c, s), (c - a, c - b), 0.0)
+        weight, weight_size = _head_gamma_ratio((c, -s), (a, b), s * math.log(y) if y > 0 else -s * math.inf)
+        if sys.float_info.epsilon * max(scale_size, weight_size) <= tol:
+            first = _plain_sum_series(a, b, 1 - s, y, tol, cap)
+            second = _plain_sum_series(c - a, c - b, 1 + s, y, tol, cap)
+            return EvalResult(
+                scale * first.value + weight * second.value,
+                abs(scale) * first.error_bound + abs(weight) * second.error_bound,
+                first.terms_used + second.terms_used,
+            )
+    if x >= 1:
+        raise NonConvergence(
+            f"F({a},{b};{c};x) at 1-x={y!r}: x rounds to 1, where the direct series "
+            "cannot answer, and the connection formula does not apply"
+        )
+    return _plain_sum_series(a, b, c, float(x), tol, cap)
+
+
+def _bits(result):
+    return result.value.hex(), result.error_bound.hex(), result.terms_used
+
+
+def _grid_outcome(params, points, tol):
+    """``_hyp2f1_grid``'s results as bits, or the message of its NonConvergence."""
+    try:
+        return [_bits(r) for r in hypergeom._hyp2f1_grid(params, points, tol)]
+    except NonConvergence as exc:
+        return str(exc)
+
+
+def _head_outcome(params, points, tol, cap):
+    """The reference read point by point in grid order, up to its first NonConvergence."""
+    out = []
+    for x, y in points:
+        try:
+            out.append(_bits(_head_unit_eval(params.a, params.b, params.c, x, tol, y, cap)))
+        except NonConvergence as exc:
+            return str(exc)
+    return out
+
+
+#: A parameter as an int, a Fraction or a float.
+_TYPED = st.one_of(
+    st.integers(0, 2),
+    st.fractions(Fraction(-1, 2), Fraction(5, 2), max_denominator=12),
+    st.floats(-0.5, 2.5),
+)
+
+#: A grid point below the crossover, or near one with y given or not.
+_POINT = st.one_of(
+    st.just((CONNECTION_X, None)),
+    st.floats(0.0, CONNECTION_X, exclude_max=True).flatmap(lambda x: st.sampled_from([(x, None), (x, 1.0 - x)])),
+    st.floats(1e-17, 1 - CONNECTION_X).flatmap(lambda y: st.sampled_from([(1.0 - y, None), (1.0 - y, y)])),
+)
+
+
+class TestGridEvaluator:
+    """``_hyp2f1_grid`` gives what the per-point evaluator it replaced gave, bit for bit."""
+
+    @given(
+        _TYPED,
+        _TYPED,
+        st.integers(-1, 3),
+        st.one_of(
+            st.just(0),
+            st.floats(-0.9 * CONNECTION_GAP, 0.9 * CONNECTION_GAP),
+            st.floats(1.01 * CONNECTION_GAP, 0.5),
+            st.floats(-0.5, -1.01 * CONNECTION_GAP),
+            st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=7),
+        ),
+        st.lists(_POINT, min_size=1, max_size=8),
+        st.data(),
+        st.sampled_from([1e-12, 1e-9]),
+        st.one_of(st.integers(1, 60), st.integers(200, 3000), st.none()),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_point_reads(self, a, b, whole, offset, points, data, tol, cap):
+        # c - a - b = whole + offset: an integer, within CONNECTION_GAP of one,
+        # or clear of it; grids in any order with repeated points, on both
+        # sides of CONNECTION_X, y given or not, and the term cap lowered or
+        # left alone.
+        c = a + b + whole + offset
+        assume(c > 0.05 and b != 0)
+        if cap is None:
+            # Fraction series run a few microseconds a term: keep them short.
+            assume(all(type(v) is float for v in (a, b, c)))
+        params = HypParams(a, b, c)
+        points = points + data.draw(st.lists(st.sampled_from(points), max_size=4))
+        points = data.draw(st.permutations(points))
+        previous = os.environ.get(hypergeom.TERM_CAP_ENV)
+        if cap is not None:
+            os.environ[hypergeom.TERM_CAP_ENV] = str(cap)
+        try:
+            head = _head_outcome(params, points, tol, hypergeom.term_cap())
+            hypergeom._STORES.memo.clear()
+            hypergeom._STORES.ratios.clear()
+            assert _grid_outcome(params, points, tol) == head
+            # Again, now reading what the first read remembered.
+            assert _grid_outcome(params, points, tol) == head
+            # And point by point, partly warm.
+            for point in points[::2]:
+                assert _grid_outcome(params, [point], tol) == _head_outcome(params, [point], tol, hypergeom.term_cap())
+        finally:
+            if previous is None:
+                os.environ.pop(hypergeom.TERM_CAP_ENV, None)
+            else:
+                os.environ[hypergeom.TERM_CAP_ENV] = previous
 
 
 class TestEntryPointDomains:

@@ -474,7 +474,7 @@ def _per_point_series(a, b, ts, tol):
 
 def _series_outcome(read, a, b, ts, tol):
     """Both series from ``read`` as bits, or the message of its first NonConvergence."""
-    hypergeom._unit_eval.cache_clear()
+    hypergeom._STORES.memo.clear()
     try:
         first, second = read(a, b, ts, tol)
     except NonConvergence as exc:
@@ -496,27 +496,38 @@ class TestGridRead:
     def test_values_equal_per_point_reads(self, a, b, tol):
         grid = _series_outcome(schurmean._gm_series, a, b, GRID, tol)
         assert grid == _series_outcome(_per_point_series, a, b, GRID, tol)
-        # The grid read finds what the per-point reads left in the cache.
-        misses = hypergeom._unit_eval.cache_info().misses
+        # The grid read finds what the per-point reads left in the memo.
+        misses = hypergeom._STORES.memo.misses
         warm = schurmean._gm_series(a, b, GRID, tol)
-        assert hypergeom._unit_eval.cache_info().misses == misses
+        assert hypergeom._STORES.memo.misses == misses
         assert ([v.hex() for v in warm[0]], [v.hex() for v in warm[1]]) == grid
 
     def test_term_cap_is_read_once_per_series_per_grid(self, monkeypatch):
         reads = []
+        direct = []
 
         def counted():
             reads.append(1)
             return hypergeom.DEFAULT_TERM_CAP
 
-        monkeypatch.setattr(schurmean, "term_cap", counted)
-        schurmean._gm_series(0.5, 0.5, GRID, 1e-12)
-        assert len(reads) == 2
-        reads.clear()
-        gm_sign_scan(triple(0.9, 0.5, 0.3))
-        assert len(reads) == 4  # the t grid and the near-one probes
-        # Warm, nothing else reads the cap per point, not even the evaluator.
+        def counted_hyp2f1(*args):
+            direct.append(1)
+            return hyp2f1(*args)
+
         monkeypatch.setattr(hypergeom, "term_cap", counted)
+        monkeypatch.setattr(hypergeom, "hyp2f1", counted_hyp2f1)
+        # Cold, each direct-series point is a public hyp2f1 call, which reads
+        # the cap itself; the grid reader reads it once per series.
+        schurmean._gm_series(0.5, 0.5, GRID, 1e-12)
+        # c - a - b is an integer: no connection point.  0.9 is on the grid
+        # and among the probes, and is computed once.
+        assert len(direct) == 2 * len(set(GRID))
+        assert len(reads) == 2 + len(direct)
+        reads.clear()
+        direct.clear()
+        gm_sign_scan(triple(0.9, 0.5, 0.3))
+        assert len(reads) == 4 + len(direct)  # the t grid and the near-one probes
+        # Warm, nothing else reads the cap per point, not even the evaluator.
         reads.clear()
         gm_sign_scan(triple(0.9, 0.5, 0.7))
         assert len(reads) == 4
@@ -599,23 +610,51 @@ class TestScans:
 
     def test_one_cell_fits_the_evaluation_cache(self):
         # Both series at every grid point and probe of a cell, and still far
-        # below the ~4000 values of a scan over many cells.
-        working_set = 2 * (len(DEFAULT_T_GRID) + len(NEAR_ONE_PROBES))
-        maxsize = hypergeom._unit_eval.cache_info().maxsize
-        assert working_set <= maxsize <= 4 * working_set
+        # below the ~80 series and ~4000 values of a scan over many cells.
+        series_per_cell, points_per_series = 2, len(DEFAULT_T_GRID) + len(NEAR_ONE_PROBES)
+        assert series_per_cell <= hypergeom._MEMO_SERIES <= 2 * series_per_cell
+        assert points_per_series <= hypergeom._MEMO_POINTS <= 8 * points_per_series
 
     @pytest.mark.parametrize("a,b,m", [(0.9, 0.5, 0.97), (0.3, 1.1, 1.2), (0.6, 0.4, 0.5)])
     def test_scans_read_the_grid_scan_values_unchanged(self, a, b, m):
         tr = triple(a, b, m)
         q_mean = q_params_for_mean(tr.mean)
-        hypergeom._unit_eval.cache_clear()
+        hypergeom._STORES.memo.clear()
         cold = (gm_sign_scan(tr), q_p0_profile(q_mean, DEFAULT_T_GRID), g_m(0.5, tr))
-        hypergeom._unit_eval.cache_clear()
+        hypergeom._STORES.memo.clear()
         schur_grid_scan([a], [b], [m])
-        computed = hypergeom._unit_eval.cache_info().misses
+        computed = hypergeom._STORES.memo.misses
         warm = (gm_sign_scan(tr), q_p0_profile(q_mean, DEFAULT_T_GRID), g_m(0.5, tr))
-        assert hypergeom._unit_eval.cache_info().misses == computed
+        assert hypergeom._STORES.memo.misses == computed
         assert warm == cold
+
+    @pytest.mark.parametrize("a,b", [(0.9, 0.5), (0.5, 0.5), (0.3, 1.1)])
+    def test_each_direct_point_is_one_hyp2f1_call(self, monkeypatch, a, b):
+        # The benchmark's tracer counts work at hypergeom.hyp2f1: a cold cell
+        # calls it once per direct-series point of each series, and the
+        # cell's sign scans, Q profiles and g_m read the memo and call it
+        # no more.
+        calls = []
+
+        def counted(params, x, tol=1e-12):
+            calls.append((params, x))
+            return hyp2f1(params, x, tol)
+
+        monkeypatch.setattr(hypergeom, "hyp2f1", counted)
+        hypergeom._STORES.memo.clear()
+        schur_grid_scan([a], [b], [0.2, 1.3])
+        s = a + b  # c - a - b of G_m's first series; the second's is s - 1
+        connects = abs(s - round(s)) >= hypergeom.CONNECTION_GAP
+        direct = sorted({t for t in GRID if t < hypergeom.CONNECTION_X or not connects})
+        assert sorted(x for _, x in calls) == sorted(direct + direct)
+        assert len(set(calls)) == len(calls)
+        calls.clear()
+        for m in (0.2, 1.3):
+            tr = triple(a, b, m)
+            gm_sign_scan(tr)
+            q_p0_profile(q_params_for_mean(tr.mean), DEFAULT_T_GRID)
+            g_m(DEFAULT_T_GRID[24], tr)
+        assert calls == []
 
     def test_report_serialization(self, capsys):
         text = gm_scan_output(capsys, "csv", "0.9", "0.5", "0.0")

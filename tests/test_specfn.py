@@ -85,6 +85,25 @@ class TestGammaFamilyAnchors:
         with pytest.raises(DomainError):
             specfn.gamma_ratio((-2.0,), (1.0,), 0.0)
 
+    @pytest.mark.parametrize(
+        "num, den",
+        [((2.5,), (0.5,)), ((-0.5, 3.2), (-1.5,)), ((-2.3,), (-3.7, 1.1)), ((1.5,), (0.0, 2.0))],
+    )
+    @pytest.mark.parametrize("log_scale", [0.0, -700.0, 3.7 * math.log(1e-9), -math.inf])
+    def test_gamma_ratio_is_its_logs_scaled(self, num, den, log_scale):
+        # One set of logs scaled many ways, as the connection formula scales
+        # B by y^(c-a-b) at each point, gives gamma_ratio bit for bit.
+        sign, logs = specfn.gamma_ratio_logs(num, den)
+        value, size = specfn.gamma_ratio(num, den, log_scale)
+        assert specfn.scaled_gamma_ratio(sign, logs, log_scale).hex() == value.hex()
+        assert size == math.fsum(map(abs, logs))
+
+    def test_gamma_ratio_logs_at_poles(self):
+        assert specfn.gamma_ratio_logs((1.5,), (-3.0,)) == (0, [])
+        assert specfn.scaled_gamma_ratio(0, [], math.inf) == 0.0
+        with pytest.raises(DomainError):
+            specfn.gamma_ratio_logs((-2.0,), (1.0,))
+
     def test_beta_domain_errors(self):
         with pytest.raises(DomainError):
             specfn.beta(0.0, 1.0)
