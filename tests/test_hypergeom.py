@@ -230,7 +230,8 @@ class TestSumSeriesLoop:
         for x in xs:
             args = (*abc, x, 1e-12, cap)
             assert _summed(hypergeom._sum_series, *args) == _summed(_plain_sum_series, *args)
-        assert [len(r) <= min(cap, hypergeom._RATIO_TERMS) for r in hypergeom._STORES.ratios.values()] == [True]
+        (stored,) = hypergeom._STORES.ratios.values()
+        assert len(stored) <= min(cap, hypergeom._RATIO_TERMS)
 
     def test_equal_parameters_of_other_types_keep_their_own_ratios(self):
         hypergeom._STORES.ratios.clear()
