@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -39,6 +38,7 @@ import sys
 from fractions import Fraction
 
 from . import verify as verify_mod
+from ._record import as_dict
 from .coeffrec import (
     DEFAULT_N,
     WeightedSeriesSpec,
@@ -290,7 +290,7 @@ def _run_gm_scan(args, sink) -> int:
     )
     header, row = zip(*fields)
     plain = _plain_lines(fields[3:])
-    sink.write(_render(args.format, header, [row], dataclasses.asdict(r), plain))
+    sink.write(_render(args.format, header, [row], as_dict(r), plain))
     return 0
 
 
@@ -318,7 +318,7 @@ def _run_verify(args, sink) -> int:
         "suite": summary.suite,
         "failures": summary.failures,
         "warnings": summary.warnings,
-        "results": [dataclasses.asdict(r) for r in summary.results],
+        "results": [as_dict(r) for r in summary.results],
     }
     lines = [f"verification suite={summary.suite} seed={summary.seed}"]
     current = None

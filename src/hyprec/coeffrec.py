@@ -41,10 +41,10 @@ inputs, as the recurrences do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ._record import Record, set_field
 from .errors import DomainError, ParameterError
 from .hypergeom import HypParams
 from .specfn import pochhammer
@@ -87,42 +87,42 @@ def _one(*values):
     return Fraction(1) if is_exact(*values) else 1.0
 
 
-@dataclass(frozen=True)
-class WeightedSeriesSpec:
+class WeightedSeriesSpec(Record):
     """Generating data (a, b, c, p, theta) of (1 - theta*x)^p F(a,b;c;x)."""
 
-    params: HypParams
-    p: float
-    theta: float
+    __slots__ = ("params", "p", "theta")
 
-    def __post_init__(self):
-        if not -1 <= self.theta <= 1:
-            raise ParameterError(f"theta must lie in [-1, 1], got {self.theta!r}")
+    def __init__(self, params: HypParams, p: float, theta: float):
+        if not -1 <= theta <= 1:
+            raise ParameterError(f"theta must lie in [-1, 1], got {theta!r}")
+        set_field(self, "params", params)
+        set_field(self, "p", p)
+        set_field(self, "theta", theta)
 
 
-@dataclass(frozen=True)
-class LogProductSpec:
+class LogProductSpec(Record):
     """Marker spec for the log product ln(1-x) * F(a,b;c;x)."""
 
-    params: HypParams
+    __slots__ = ("params",)
+
+    def __init__(self, params: HypParams):
+        set_field(self, "params", params)
 
 
-@dataclass(frozen=True)
-class CoeffSequence:
+class CoeffSequence(Record):
     """Coefficients u_0..u_N together with the spec and method that made them."""
 
-    spec: WeightedSeriesSpec | LogProductSpec
-    coeffs: tuple
-    method: Method
+    __slots__ = ("spec", "coeffs", "method")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, spec: WeightedSeriesSpec | LogProductSpec, coeffs: tuple, method: Method):
+        if not coeffs:
             raise ValueError("a coefficient sequence holds at least u_0")
-        expected = 0 if isinstance(self.spec, LogProductSpec) else 1
-        if self.coeffs[0] != expected:
-            raise ValueError(
-                f"leading coefficient must be {expected}, got {self.coeffs[0]!r}"
-            )
+        expected = 0 if isinstance(spec, LogProductSpec) else 1
+        if coeffs[0] != expected:
+            raise ValueError(f"leading coefficient must be {expected}, got {coeffs[0]!r}")
+        set_field(self, "spec", spec)
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "method", method)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -448,7 +448,6 @@ def _exact_cauchy_product(spec: WeightedSeriesSpec | LogProductSpec, n_max: int)
     """
     params = spec.params
     (an, ad), (bn, bd), (cn, cd) = ((v.numerator, v.denominator) for v in (params.a, params.b, params.c))
-    w = hyp_series_coeffs(params, n_max)
     k_end = n_max
     for top, bottom in ((an, ad), (bn, bd)):
         if bottom == 1 and top <= 0:
@@ -458,6 +457,10 @@ def _exact_cauchy_product(spec: WeightedSeriesSpec | LogProductSpec, n_max: int)
         _reduced((an + k * ad) * (bn + k * bd) * cd, ad * bd * (cn + k * cd) * (k + 1))
         for k in range(k_end)
     ]
+    # w_0..w_(k_end), the only w the sums below read, as a running product.
+    w = [Fraction(1)]
+    for wp, wq in w_ratio:
+        w.append(w[-1] * Fraction(wp, wq))
     if isinstance(spec, LogProductSpec):
         g = _log_series_coeffs(Fraction(1), n_max)
         j_lo, j_end = 1, n_max

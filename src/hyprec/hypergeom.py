@@ -48,10 +48,10 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import specfn
+from ._record import Record, set_field
 from .errors import DomainError, NonConvergence, ParameterError
 
 __all__ = [
@@ -106,20 +106,20 @@ def _require_off_poles(c, tol: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class HypParams:
+class HypParams(Record):
     """Parameter triple (a, b, c) of F(a,b;c;x); c must not be 0, -1, -2, ...
 
     Floating c is also rejected within ``POLE_TOL`` of those poles, where the
     series terms blow up and the result carries no accuracy.
     """
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        _require_off_poles(self.c, POLE_TOL)
+    def __init__(self, a: float, b: float, c: float):
+        _require_off_poles(c, POLE_TOL)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
 
     @classmethod
     def _derived(cls, a, b, c) -> "HypParams":
@@ -131,27 +131,28 @@ class HypParams:
         """
         _require_off_poles(c, 0.0)
         params = object.__new__(cls)
-        for name, value in zip("abc", (a, b, c)):
-            object.__setattr__(params, name, value)
+        set_field(params, "a", a)
+        set_field(params, "b", b)
+        set_field(params, "c", c)
         return params
 
     def shift_a(self, delta: int) -> "HypParams":
         return HypParams(self.a + delta, self.b, self.c)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Record):
     """A value plus an a-posteriori truncation bound and the term count used."""
 
-    value: float
-    error_bound: float
-    terms_used: int
+    __slots__ = ("value", "error_bound", "terms_used")
 
-    def __post_init__(self):
-        if self.error_bound < 0:
+    def __init__(self, value: float, error_bound: float, terms_used: int):
+        if error_bound < 0:
             raise ValueError("error_bound must be nonnegative")
-        if self.terms_used < 1:
+        if terms_used < 1:
             raise ValueError("terms_used must be at least 1")
+        set_field(self, "value", value)
+        set_field(self, "error_bound", error_bound)
+        set_field(self, "terms_used", terms_used)
 
 
 def hyp2f1(params: HypParams, x: float, tol: float = 1e-12) -> EvalResult:

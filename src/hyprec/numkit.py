@@ -13,9 +13,9 @@ from __future__ import annotations
 import functools
 import math
 import types
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
+from ._record import Record, set_field
 from .errors import DomainError, NonConvergence
 
 __all__ = ["QuadResult", "weighted_quad", "central_diff"]
@@ -119,15 +119,15 @@ _sp = types.SimpleNamespace(roots_jacobi=_gauss_jacobi)
 _ORDERS = (24, 48)
 
 
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    error_estimate: float
-    evaluations: int
+class QuadResult(Record):
+    __slots__ = ("value", "error_estimate", "evaluations")
 
-    def __post_init__(self):
-        if self.error_estimate < 0:
+    def __init__(self, value: float, error_estimate: float, evaluations: int):
+        if error_estimate < 0:
             raise ValueError("error_estimate must be nonnegative")
+        set_field(self, "value", value)
+        set_field(self, "error_estimate", error_estimate)
+        set_field(self, "evaluations", evaluations)
 
 
 def _panel_edges(turn: float) -> list[float]:

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import numkit, specfn
+from ._record import Record, set_field
 from .compare import rel_with_floor
 from .coeffrec import is_exact, u_theta_plus1
 from .errors import DomainError, NonConvergence, ParameterError
@@ -69,26 +69,28 @@ FUZZ_EPS = 1e-9
 DIFF_STEP = 1e-4
 
 
-@dataclass(frozen=True)
-class MeanParams:
+class MeanParams(Record):
     """Mean parameters: a in (0, 1), b > 0 and finite."""
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not 0 < self.a < 1:
-            raise ParameterError(f"a must lie in (0, 1), got {self.a!r}")
-        if not 0 < self.b < math.inf:
-            raise ParameterError(f"b must be positive and finite, got {self.b!r}")
+    def __init__(self, a: float, b: float):
+        if not 0 < a < 1:
+            raise ParameterError(f"a must lie in (0, 1), got {a!r}")
+        if not 0 < b < math.inf:
+            raise ParameterError(f"b must be positive and finite, got {b!r}")
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
 
-@dataclass(frozen=True)
-class RegionTriple:
+class RegionTriple(Record):
     """A point (a, b, m): mean parameters plus the Schur power index m."""
 
-    mean: MeanParams
-    m: float
+    __slots__ = ("mean", "m")
+
+    def __init__(self, mean: MeanParams, m: float):
+        set_field(self, "mean", mean)
+        set_field(self, "m", m)
 
 
 class Region(str, Enum):
@@ -97,13 +99,15 @@ class Region(str, Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class RegionLabel:
+class RegionLabel(Record):
     """Classification of a triple, the threshold m0 and the clause that fired."""
 
-    label: Region
-    m0: float
-    branch: str
+    __slots__ = ("label", "m0", "branch")
+
+    def __init__(self, label: Region, m0: float, branch: str):
+        set_field(self, "label", label)
+        set_field(self, "m0", m0)
+        set_field(self, "branch", branch)
 
 
 def _require_positive_args(x: float, y: float) -> None:
@@ -404,21 +408,39 @@ def schur_condition_sample(
 # sign scans
 
 
-@dataclass(frozen=True)
-class GmScanReport:
+class GmScanReport(Record):
     """Result of sampling G_m over a grid for one (a, b, m) triple."""
 
-    a: float
-    b: float
-    m: float
-    label: str
-    branch: str
-    gm_min: float
-    gm_max: float
-    consistent: bool
-    sign_change_t: float | None
-    near_one: tuple[tuple[float, float], ...]
-    warning: str | None
+    __slots__ = (
+        "a", "b", "m", "label", "branch", "gm_min", "gm_max",
+        "consistent", "sign_change_t", "near_one", "warning",
+    )
+
+    def __init__(
+        self,
+        a: float,
+        b: float,
+        m: float,
+        label: str,
+        branch: str,
+        gm_min: float,
+        gm_max: float,
+        consistent: bool,
+        sign_change_t: float | None,
+        near_one: tuple[tuple[float, float], ...],
+        warning: str | None,
+    ):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "m", m)
+        set_field(self, "label", label)
+        set_field(self, "branch", branch)
+        set_field(self, "gm_min", gm_min)
+        set_field(self, "gm_max", gm_max)
+        set_field(self, "consistent", consistent)
+        set_field(self, "sign_change_t", sign_change_t)
+        set_field(self, "near_one", near_one)
+        set_field(self, "warning", warning)
 
 
 def _sign_with_tol(v: float, sign_tol: float) -> int:

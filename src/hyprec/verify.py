@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coeffrec, schurmean
+from ._record import Record, set_field
 from .compare import rel_with_floor
 from .coeffrec import (
     LogProductSpec,
@@ -72,20 +72,24 @@ def _p_set(a, b, c):
     return (-one, 0 * one, one / 2, 2 * one, c - a - b)
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    suite: str
-    name: str
-    status: str
-    margin: float | None
-    note: str = ""
+class PropertyResult(Record):
+    __slots__ = ("suite", "name", "status", "margin", "note")
+
+    def __init__(self, suite: str, name: str, status: str, margin: float | None, note: str = ""):
+        set_field(self, "suite", suite)
+        set_field(self, "name", name)
+        set_field(self, "status", status)
+        set_field(self, "margin", margin)
+        set_field(self, "note", note)
 
 
-@dataclass(frozen=True)
-class VerifySummary:
-    suite: str
-    seed: int
-    results: tuple[PropertyResult, ...]
+class VerifySummary(Record):
+    __slots__ = ("suite", "seed", "results")
+
+    def __init__(self, suite: str, seed: int, results: tuple[PropertyResult, ...]):
+        set_field(self, "suite", suite)
+        set_field(self, "seed", seed)
+        set_field(self, "results", results)
 
     @property
     def failures(self) -> int:
