@@ -147,9 +147,10 @@ def test_equal_fields_compare_and_hash_equal(make, other, text):
 
 
 @cases
-def test_other_types_are_not_equal(make, other, text):
+def test_hash_is_the_field_tuples_and_other_types_are_not_equal(make, other, text):
     r = make()
     values = tuple(getattr(r, name) for name in type(r).__slots__)
+    assert hash(r) == hash(values)
     assert r != values
     assert r.__eq__(values) is NotImplemented
     assert r.__eq__(object()) is NotImplemented
@@ -195,6 +196,14 @@ def test_derived_params_survive_pickle_and_copy_without_the_public_check():
 def test_keyword_construction_and_default_note():
     assert PropertyResult(suite="s", name="n", status="pass", margin=None) == PropertyResult("s", "n", "pass", None, "")
     assert EvalResult(value=1.0, error_bound=0.0, terms_used=1) == EvalResult(1.0, 0.0, 1)
+
+
+def test_match_takes_the_fields_positionally():
+    match RegionTriple(MeanParams(0.5, 0.25), 0.75):
+        case RegionTriple(MeanParams(a, b), m):
+            assert (a, b, m) == (0.5, 0.25, 0.75)
+        case _:
+            pytest.fail("no match")
 
 
 def test_as_dict_keeps_field_order_and_values():
