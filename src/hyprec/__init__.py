@@ -26,8 +26,6 @@ from .errors import DomainError, HyprecError, NonConvergence, ParameterError
 from .hypergeom import (
     EvalResult,
     HypParams,
-    contiguous_residual,
-    df_relation_residuals,
     euler_transform_eval,
     gauss_value_at_one,
     hyp2f1,

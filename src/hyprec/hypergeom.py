@@ -31,7 +31,9 @@ same points for every m, so they share one evaluation; four series are
 more than one (a, b) cell of a scan reads and far fewer than a scan of
 many cells does, so what is reused is the work on one cell.  The points a
 read misses share the connection formula's gamma ratios, and each
-direct-series point stays one call to ``hyp2f1``.
+direct-series point stays one call to ``hyp2f1``, which is passed the term
+cap the grid read took from ``term_cap()`` once, so no point reads the
+environment again.
 
 Every float series, public ``hyp2f1`` and both connection series, is summed
 by ``_sum_series``.  Its loop runs on a float counter and tests the tail rule
@@ -64,8 +66,6 @@ __all__ = [
     "gauss_value_at_one",
     "zero_balanced_asymptote",
     "euler_transform_eval",
-    "contiguous_residual",
-    "df_relation_residuals",
 ]
 
 DEFAULT_TERM_CAP = 100_000
@@ -155,7 +155,7 @@ class EvalResult(Record):
         set_field(self, "terms_used", terms_used)
 
 
-def hyp2f1(params: HypParams, x: float, tol: float = 1e-12) -> EvalResult:
+def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, cap: int | None = None) -> EvalResult:
     """Sum the series F(a,b;c;x) = sum (a)_n (b)_n / ((c)_n n!) x^n on |x| < 1.
 
     Stops once three consecutive terms satisfy |term| <= tol*|partial sum|
@@ -168,12 +168,20 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12) -> EvalResult:
     |last term| * rho / (1 - rho) with rho the last term ratio.
     When a or b is a nonpositive integer the series terminates and the result
     is exact up to rounding (error_bound 0).
+
+    At most ``cap`` terms are summed; None reads ``term_cap()``, and a value
+    passed in must be a positive int, as the environment's must.  A caller
+    that reads many points passes the cap it read once for all of them.
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     if abs(x) >= 1:
         raise ParameterError(f"series evaluation requires |x| < 1, got x={x!r}")
-    return _sum_series(params.a, params.b, params.c, float(x), tol, term_cap())
+    if cap is None:
+        cap = term_cap()
+    elif type(cap) is not int or cap <= 0:
+        raise ParameterError(f"cap must be a positive integer, got {cap!r}")
+    return _sum_series(params.a, params.b, params.c, float(x), tol, cap)
 
 
 #: The ratio store's bounds: the term ratios of the last ``_RATIO_SERIES``
@@ -408,16 +416,17 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
     pole before the tail rule may stop.  The error bound combines the
     truncation bounds of the two series, as ``hyp2f1`` reports its own.
 
-    ``term_cap()`` is read once per call.  The results are remembered in the
-    calling thread's memo (``_STORES.memo``) under the series (a, b, c, tol
-    and the cap, with the type of each, so a Fraction and an equal float
-    never share) and the point; x and y enter only through comparisons,
-    ``1.0 - x`` and float arithmetic, so equal points of other types give
-    the same result.  A grid read before is answered by one comprehension;
-    the points it misses are computed in order and share the connection
-    formula's A and the sign and log-gammas of B, each point scaling B by
-    its own y^(c-a-b) through ``specfn.scaled_gamma_ratio``, the rule
-    ``specfn.gamma_ratio`` uses.  A remembered result is the frozen
+    ``term_cap()`` is read once per call, and each direct-series point's
+    ``hyp2f1`` is passed that cap rather than reading it again.  The results
+    are remembered in the calling thread's memo (``_STORES.memo``) under the
+    series (a, b, c, tol and the cap, with the type of each, so a Fraction
+    and an equal float never share) and the point; x and y enter only
+    through comparisons, ``1.0 - x`` and float arithmetic, so equal points
+    of other types give the same result.  A grid read before is answered by
+    one comprehension; the points it misses are computed in order and share
+    the connection formula's A and the sign and log-gammas of B, each point
+    scaling B by its own y^(c-a-b) through ``specfn.scaled_gamma_ratio``,
+    the rule ``specfn.gamma_ratio`` uses.  A remembered result is the frozen
     ``EvalResult`` computed for it, so results are unchanged; a point that
     raises is not remembered, and the first such point in grid order raises
     as it would alone.
@@ -474,7 +483,7 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
                     )
                 if direct is None:
                     direct = HypParams._derived(a, b, c)
-                result = hyp2f1(direct, x, tol)
+                result = hyp2f1(direct, x, tol, cap)
             values[point] = result
             if len(values) > _MEMO_POINTS:
                 del values[next(iter(values))]
@@ -483,38 +492,3 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
         memo.hits += hits
         memo.misses += misses
     return results
-
-
-def contiguous_residual(params: HypParams, x: float, tol: float = 1e-12) -> float:
-    """Residual of the Gauss contiguous relation
-
-        (c-a) F(a-1,b;c;x) + (2a-c-ax+bx) F(a,b;c;x) + a(x-1) F(a+1,b;c;x) = 0.
-
-    Returns the left-hand side; callers assert it is numerically small.
-    """
-    a, b, c = params.a, params.b, params.c
-    f_minus = hyp2f1(params.shift_a(-1), x, tol).value
-    f_mid = hyp2f1(params, x, tol).value
-    f_plus = hyp2f1(params.shift_a(+1), x, tol).value
-    return (c - a) * f_minus + (2 * a - c - a * x + b * x) * f_mid + a * (x - 1) * f_plus
-
-
-def df_relation_residuals(params: HypParams, x: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Residuals of the two derivative relations for F and F(a-1,b;c;x):
-
-        dF/dx      = ((c-a) F_(a-) + (a-c+bx) F) / (x(1-x))
-        dF_(a-)/dx = (a-1)/x * (F - F_(a-))
-
-    Derivatives on the left are computed via ``hyp2f1_derivative``; the pair
-    (lhs - rhs, lhs - rhs) is returned.  Requires 0 < |x| < 1.
-    """
-    if x == 0 or abs(x) >= 1:
-        raise DomainError(f"residuals require 0 < |x| < 1, got x={x!r}")
-    a, b, c = params.a, params.b, params.c
-    f_mid = hyp2f1(params, x, tol).value
-    f_minus = hyp2f1(params.shift_a(-1), x, tol).value
-    df_mid = hyp2f1_derivative(params, x, tol).value
-    df_minus = hyp2f1_derivative(params.shift_a(-1), x, tol).value
-    res_1 = df_mid - ((c - a) * f_minus + (a - c + b * x) * f_mid) / (x * (1.0 - x))
-    res_2 = df_minus - (a - 1) / x * (f_mid - f_minus)
-    return res_1, res_2

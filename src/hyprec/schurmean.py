@@ -63,6 +63,14 @@ DEFAULT_T_GRID = tuple(0.02 * k for k in range(1, 50))
 #: Large-t probes used to detect growth direction near t = 1.
 NEAR_ONE_PROBES = (0.9, 0.99, 0.999)
 
+#: The t of a scan cell on the default grid: the grid, then the probes.
+_DEFAULT_CELL_T = DEFAULT_T_GRID + NEAR_ONE_PROBES
+
+#: ``_hyp2f1_grid``'s (t, None) points of the default grid and of a default
+#: cell, built once; ``_gm_series`` builds those of any other t grid per read.
+_DEFAULT_POINTS = tuple((t, None) for t in DEFAULT_T_GRID)
+_DEFAULT_CELL_POINTS = tuple((t, None) for t in _DEFAULT_CELL_T)
+
 #: Offset in m at which ``classify_region_fuzzed`` reclassifies a triple.
 FUZZ_EPS = 1e-9
 #: Finite-difference step of ``schur_condition_sample``, relative to max(x, y).
@@ -169,8 +177,14 @@ def _require_unit_interval(t: float) -> None:
 
 
 def _float_t_grid(t_grid) -> tuple[float, ...]:
-    """The t grid (``DEFAULT_T_GRID`` for None) as floats, nonempty and inside (0, 1)."""
-    ts = tuple(float(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid))
+    """The t grid as floats, nonempty and inside (0, 1).
+
+    None stands for ``DEFAULT_T_GRID``, which is returned as it is, valid by
+    construction; a grid passed in is converted and checked on every call.
+    """
+    if t_grid is None:
+        return DEFAULT_T_GRID
+    ts = tuple(float(t) for t in t_grid)
     if not ts:
         raise ParameterError("the t grid is empty")
     for t in ts:
@@ -188,7 +202,12 @@ def _gm_series(a, b, ts, tol: float) -> tuple[list[float], list[float]]:
     and read a grid at a time.
     """
     c = 2 * b + 1
-    points = [(t, None) for t in ts]
+    if ts is _DEFAULT_CELL_T:
+        points = _DEFAULT_CELL_POINTS
+    elif ts is DEFAULT_T_GRID:
+        points = _DEFAULT_POINTS
+    else:
+        points = [(t, None) for t in ts]
     return (
         [r.value for r in _hyp2f1_grid(HypParams(a, b, c), points, tol)],
         [r.value for r in _hyp2f1_grid(HypParams(a, b + 1, c), points, tol)],
@@ -443,14 +462,6 @@ class GmScanReport(Record):
         set_field(self, "warning", warning)
 
 
-def _sign_with_tol(v: float, sign_tol: float) -> int:
-    if v > sign_tol:
-        return 1
-    if v < -sign_tol:
-        return -1
-    return 0
-
-
 def _build_report(
     triple: RegionTriple,
     t_values,
@@ -461,14 +472,21 @@ def _build_report(
     label = classify_region(triple)
     gm_min = min(g_values)
     gm_max = max(g_values)
+    # The first t whose sign, +1 above sign_tol and -1 below -sign_tol,
+    # differs from the last one seen; values within sign_tol have none.
     sign_change_t = None
     last_sign = 0
-    for t, g in list(zip(t_values, g_values)) + list(near_one):
-        s = _sign_with_tol(g, sign_tol)
-        if s != 0:
-            if last_sign != 0 and s != last_sign and sign_change_t is None:
-                sign_change_t = t
-            last_sign = s
+    for t, g in (*zip(t_values, g_values), *near_one):
+        if g > sign_tol:
+            sign = 1
+        elif g < -sign_tol:
+            sign = -1
+        else:
+            continue
+        if last_sign and sign != last_sign:
+            sign_change_t = t
+            break
+        last_sign = sign
     if label.label is Region.EPLUS:
         consistent = gm_min >= -sign_tol
     elif label.label is Region.EMINUS:
@@ -499,25 +517,43 @@ def _build_report(
     )
 
 
-def _scan_cell(mean: MeanParams, m_values, ts, tol: float, sign_tol: float) -> list[GmScanReport]:
-    """Reports for (a, b, m) over m_values, reading both series once per t.
+def _cell_series(a, b, ts, cell_t, tol: float) -> tuple[list[float], list[float]]:
+    """G_m's two series over cell_t (ts, then ``NEAR_ONE_PROBES``), one grid read each.
 
-    The series come from ``_gm_series``, so a later ``gm_sign_scan``,
+    When a point fails, the series are read again as separate grid and
+    probe reads take them (both over ts, then both over the probes), so the
+    failure raised is the first those reads meet: a probe of the first
+    series comes after every grid point of the second.
+    """
+    try:
+        return _gm_series(a, b, cell_t, tol)
+    except Exception:
+        pass
+    f1, f2 = _gm_series(a, b, ts, tol)
+    f1_near, f2_near = _gm_series(a, b, NEAR_ONE_PROBES, tol)
+    return f1 + f1_near, f2 + f2_near
+
+
+def _scan_cell(mean: MeanParams, m_values, ts, tol: float, sign_tol: float) -> list[GmScanReport]:
+    """Reports for (a, b, m) over m_values, reading each series once per cell.
+
+    Both series are read once over ts and the near-one probes together
+    (``_cell_series``), and 1 - t is formed once per point for every m.  The
+    series come from ``_gm_series``, so a later ``gm_sign_scan``,
     ``q_p0_profile`` or ``g_m`` of the same cell at the same points reads the
     values this scan computed, as long as ``hypergeom._hyp2f1_grid`` still
     holds them.
     """
-    a, b = mean.a, mean.b
-    f1, f2 = _gm_series(1 - a, b, ts, tol)
-    f1_near, f2_near = _gm_series(1 - a, b, NEAR_ONE_PROBES, tol)
+    cell_t = _DEFAULT_CELL_T if ts is DEFAULT_T_GRID else ts + NEAR_ONE_PROBES
+    f1, f2 = _cell_series(1 - mean.a, mean.b, ts, cell_t, tol)
+    ys = [1.0 - t for t in cell_t]
+    n = len(ts)
     reports = []
     for m in m_values:
-        g_values = [f1[i] - (1.0 - ts[i]) ** (1.0 - m) * f2[i] for i in range(len(ts))]
-        near = tuple(
-            (t, f1_near[i] - (1.0 - t) ** (1.0 - m) * f2_near[i])
-            for i, t in enumerate(NEAR_ONE_PROBES)
-        )
-        reports.append(_build_report(RegionTriple(mean, m), ts, g_values, near, sign_tol))
+        power = 1.0 - m
+        g_values = [u - y ** power * v for u, y, v in zip(f1, ys, f2)]
+        near = tuple(zip(NEAR_ONE_PROBES, g_values[n:]))
+        reports.append(_build_report(RegionTriple(mean, m), ts, g_values[:n], near, sign_tol))
     return reports
 
 

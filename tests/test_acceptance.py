@@ -32,8 +32,6 @@ from hyprec.coeffrec import (
 )
 from hyprec.hypergeom import (
     HypParams,
-    contiguous_residual,
-    df_relation_residuals,
     euler_transform_eval,
     gauss_value_at_one,
     hyp2f1,
@@ -42,6 +40,8 @@ from hyprec.hypergeom import (
 from hyprec.schurmean import MeanParams, mean_quadrature, mean_series
 from hyprec.specfn import pochhammer
 from hyprec.verify import PARAM_BOX
+
+from hyp_relations import contiguous_residual, df_relation_residuals
 
 PASS, NOTE = "pass", "note"
 

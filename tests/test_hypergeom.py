@@ -16,14 +16,14 @@ from hyprec.hypergeom import (
     EvalResult,
     HypParams,
     _hyp2f1_unit,
-    contiguous_residual,
-    df_relation_residuals,
     euler_transform_eval,
     gauss_value_at_one,
     hyp2f1,
     hyp2f1_derivative,
     zero_balanced_asymptote,
 )
+
+from hyp_relations import contiguous_residual, df_relation_residuals
 
 # Safe parameter box for identity checks on the standard grid x in {0.1..0.8}.
 PARAM_BOX = [(0.3, 0.7, 1.5), (1.0, 1.0, 2.0), (0.7, 0.9, 1.2), (0.9, 0.2, 2.4)]
@@ -102,6 +102,24 @@ class TestSeries:
             hyp2f1(HypParams(0.5, 0.5, 1.0), 0.9, 1e-12)
         monkeypatch.delenv(hypergeom.TERM_CAP_ENV)
         hyp2f1(HypParams(0.5, 0.5, 1.0), 0.9, 1e-12)
+
+    @pytest.mark.parametrize("cap", [0, -1, 1.5, True, "10"])
+    def test_bad_cap_rejected(self, cap):
+        with pytest.raises(ParameterError, match="cap must be a positive integer"):
+            hyp2f1(HypParams(0.5, 0.5, 1.5), 0.5, 1e-12, cap)
+
+    def test_passed_cap_stands_for_the_environment(self, monkeypatch):
+        params = HypParams(0.5, 0.5, 1.5)
+        full = hyp2f1(params, 0.9, 1e-12)
+        assert full.terms_used > 10
+        with pytest.raises(NonConvergence, match="within 10 terms"):
+            hyp2f1(params, 0.9, 1e-12, 10)
+        # A lowered environment cap still stops a call that passes none ...
+        monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "10")
+        with pytest.raises(NonConvergence, match="within 10 terms"):
+            hyp2f1(params, 0.9, 1e-12)
+        # ... and a passed cap is the one summed to, whatever it holds.
+        assert hyp2f1(params, 0.9, 1e-12, hypergeom.DEFAULT_TERM_CAP) == full
 
     @given(
         st.floats(min_value=-2, max_value=2),

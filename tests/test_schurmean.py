@@ -1,3 +1,5 @@
+import math
+import os
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hyprec.hypergeom import HypParams, _hyp2f1_unit, hyp2f1
 from hyprec.schurmean import (
     DEFAULT_T_GRID,
     NEAR_ONE_PROBES,
+    GmScanReport,
     MeanParams,
     Region,
     RegionTriple,
@@ -510,27 +513,30 @@ class TestGridRead:
             reads.append(1)
             return hypergeom.DEFAULT_TERM_CAP
 
-        def counted_hyp2f1(*args):
-            direct.append(1)
-            return hyp2f1(*args)
+        def counted_hyp2f1(params, x, tol=1e-12, cap=None):
+            direct.append(cap)
+            return hyp2f1(params, x, tol, cap)
 
         monkeypatch.setattr(hypergeom, "term_cap", counted)
         monkeypatch.setattr(hypergeom, "hyp2f1", counted_hyp2f1)
-        # Cold, each direct-series point is a public hyp2f1 call, which reads
-        # the cap itself; the grid reader reads it once per series.
+        # Cold, each direct-series point is a public hyp2f1 call, passed the
+        # cap the grid reader read once per series, so it reads none itself.
         schurmean._gm_series(0.5, 0.5, GRID, 1e-12)
         # c - a - b is an integer: no connection point.  0.9 is on the grid
         # and among the probes, and is computed once.
-        assert len(direct) == 2 * len(set(GRID))
-        assert len(reads) == 2 + len(direct)
+        assert direct == [hypergeom.DEFAULT_TERM_CAP] * (2 * len(set(GRID)))
+        assert len(reads) == 2
         reads.clear()
         direct.clear()
+        # A cold cell reads each series once, over the t grid and the
+        # near-one probes together.
         gm_sign_scan(triple(0.9, 0.5, 0.3))
-        assert len(reads) == 4 + len(direct)  # the t grid and the near-one probes
+        assert direct and set(direct) == {hypergeom.DEFAULT_TERM_CAP}
+        assert len(reads) == 2
         # Warm, nothing else reads the cap per point, not even the evaluator.
         reads.clear()
         gm_sign_scan(triple(0.9, 0.5, 0.7))
-        assert len(reads) == 4
+        assert len(reads) == 2
         reads.clear()
         q_p0_profile(q_params_for_mean(MeanParams(0.9, 0.5)), DEFAULT_T_GRID)
         assert len(reads) == 2
@@ -550,6 +556,240 @@ class TestGridRead:
         assert message.startswith("F(0.5,0.5;2.0;") and message.endswith("within 60 terms")
         t = float(message.split(";")[2].split(")")[0])
         assert GRID[0] < t < 0.9
+
+
+# The scan path before each series was read once per cell, kept verbatim as
+# the reference the scans must reproduce: separate grid and probe reads, the
+# default grid checked on every call and signs tested through a helper.
+
+
+def _old_float_t_grid(t_grid):
+    ts = tuple(float(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid))
+    if not ts:
+        raise ParameterError("the t grid is empty")
+    for t in ts:
+        schurmean._require_unit_interval(t)
+    return ts
+
+
+def _old_gm_series(a, b, ts, tol):
+    c = 2 * b + 1
+    points = [(t, None) for t in ts]
+    return (
+        [r.value for r in hypergeom._hyp2f1_grid(HypParams(a, b, c), points, tol)],
+        [r.value for r in hypergeom._hyp2f1_grid(HypParams(a, b + 1, c), points, tol)],
+    )
+
+
+def _old_sign_with_tol(v, sign_tol):
+    if v > sign_tol:
+        return 1
+    if v < -sign_tol:
+        return -1
+    return 0
+
+
+def _old_build_report(triple, t_values, g_values, near_one, sign_tol):
+    label = classify_region(triple)
+    gm_min = min(g_values)
+    gm_max = max(g_values)
+    sign_change_t = None
+    last_sign = 0
+    for t, g in list(zip(t_values, g_values)) + list(near_one):
+        s = _old_sign_with_tol(g, sign_tol)
+        if s != 0:
+            if last_sign != 0 and s != last_sign and sign_change_t is None:
+                sign_change_t = t
+            last_sign = s
+    if label.label is Region.EPLUS:
+        consistent = gm_min >= -sign_tol
+    elif label.label is Region.EMINUS:
+        consistent = gm_max <= sign_tol
+    else:
+        consistent = sign_change_t is not None
+    a, b, m = triple.mean.a, triple.mean.b, triple.m
+    warning = None
+    if a + b < 0.5:
+        warning = "hypothesis violated: a+b < 1/2, the sign dichotomy is not asserted there"
+    elif not consistent:
+        if label.label is Region.NEITHER:
+            warning = "no sign change detected on the sampled grid"
+        else:
+            warning = "sampled signs contradict the region label"
+    return GmScanReport(
+        a=float(a),
+        b=float(b),
+        m=float(m),
+        label=label.label.value,
+        branch=label.branch,
+        gm_min=gm_min,
+        gm_max=gm_max,
+        consistent=consistent,
+        sign_change_t=sign_change_t,
+        near_one=tuple(near_one),
+        warning=warning,
+    )
+
+
+def _old_scan_cell(mean, m_values, ts, tol, sign_tol):
+    a, b = mean.a, mean.b
+    f1, f2 = _old_gm_series(1 - a, b, ts, tol)
+    f1_near, f2_near = _old_gm_series(1 - a, b, NEAR_ONE_PROBES, tol)
+    reports = []
+    for m in m_values:
+        g_values = [f1[i] - (1.0 - ts[i]) ** (1.0 - m) * f2[i] for i in range(len(ts))]
+        near = tuple(
+            (t, f1_near[i] - (1.0 - t) ** (1.0 - m) * f2_near[i])
+            for i, t in enumerate(NEAR_ONE_PROBES)
+        )
+        reports.append(_old_build_report(RegionTriple(mean, m), ts, g_values, near, sign_tol))
+    return reports
+
+
+def _old_schur_grid_scan(a_values, b_values, m_values, t_grid=None, tol=1e-12, sign_tol=1e-8):
+    ts = _old_float_t_grid(t_grid)
+    reports = []
+    for a in a_values:
+        for b in b_values:
+            if a + b < 0.5:
+                continue
+            reports.extend(_old_scan_cell(MeanParams(a, b), m_values, ts, tol, sign_tol))
+    return reports
+
+
+def _old_gm_sign_scan(triple, t_grid=None, tol=1e-12, sign_tol=1e-8):
+    return _old_scan_cell(triple.mean, (triple.m,), _old_float_t_grid(t_grid), tol, sign_tol)[0]
+
+
+def _old_q_p0_profile(mp, t_grid, tol=1e-12):
+    a, b = mp.a, mp.b
+    p0 = a / (2 * b + 1)
+    ts = _old_float_t_grid(t_grid)
+    num, den = _old_gm_series(a, b, ts, tol)
+    return [(1.0 - t) ** (-p0) * n / d for t, n, d in zip(ts, num, den)]
+
+
+def _exact(value):
+    """A report field, or a list or tuple of them, with every float as its bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    return value
+
+
+def _scan_outcome(grid_scan, sign_scan, q_profile, a, b, ms, t_grid, tol, sign_tol):
+    """Every field of a cell's grid scan, its sign scans and its Q profile, or its first failure.
+
+    Both stores are cleared first, so every reading starts cold.
+    """
+    hypergeom._STORES.memo.clear()
+    hypergeom._STORES.ratios.clear()
+    out = []
+    try:
+        for report in grid_scan([a], [b], ms, t_grid, tol, sign_tol):
+            out.append([_exact(getattr(report, field)) for field in GmScanReport.__slots__])
+        mean = MeanParams(a, b)
+        for m in ms:
+            report = sign_scan(RegionTriple(mean, m), t_grid, tol, sign_tol)
+            out.append([_exact(getattr(report, field)) for field in GmScanReport.__slots__])
+        out.append(_exact(q_profile(q_params_for_mean(mean), t_grid, tol)))
+    except Exception as exc:  # noqa: BLE001 - the failure itself is compared
+        return type(exc).__name__, str(exc), out
+    return out
+
+
+#: A t of an explicit grid: anywhere in (0, 1), a probe, or a Fraction.
+_GRID_T = st.one_of(
+    st.floats(0.001, 0.999),
+    st.sampled_from([0.9, 0.99, 0.5, 0.02]),
+    st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=100),
+)
+
+
+class TestScanPathEquivalence:
+    """The scans read each series once per cell and give the parent's reports, bit for bit."""
+
+    @given(
+        st.one_of(st.floats(0.04, 0.96), st.sampled_from([0.5, 0.9, 0.25])),
+        st.one_of(st.floats(0.3, 2.5), st.sampled_from([0.5, 0.4, 0.25])),
+        st.lists(st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 0.5, 1.0])), max_size=3),
+        st.one_of(
+            st.none(),
+            st.lists(_GRID_T, min_size=1, max_size=6).flatmap(
+                lambda ts: st.lists(st.sampled_from(ts), max_size=3).flatmap(
+                    lambda extra: st.permutations(ts + extra)
+                )
+            ),
+        ),
+        st.sampled_from([1e-12, 1e-9]),
+        st.sampled_from([1e-8, 0.0, 1e-3]),
+        st.one_of(st.none(), st.integers(3, 200), st.integers(400, 3000)),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reports_match_the_parent_scan_path(self, a, b, ms, t_grid, tol, sign_tol, cap, between):
+        # Cells on and off the connection path (a + b = 1 keeps the direct
+        # series near 1), m lists of any length, the default grid or an
+        # explicit one in any order with repeats, 0.9 or 0.99 on it, and the
+        # term cap lowered or left alone: the same fields, or the same first
+        # failure with the same message after the same reports.  An m
+        # between m0 and min(a + b, 1) is in neither region, so G_m changes
+        # sign, on an unsorted grid more than once.
+        if between:
+            ms = ms + [((a + 2 * b) / (1 + 2 * b) + min(a + b, 1.0)) / 2]
+        previous = os.environ.get(hypergeom.TERM_CAP_ENV)
+        if cap is not None:
+            os.environ[hypergeom.TERM_CAP_ENV] = str(cap)
+        try:
+            old = _scan_outcome(
+                _old_schur_grid_scan, _old_gm_sign_scan, _old_q_p0_profile, a, b, ms, t_grid, tol, sign_tol
+            )
+            new = _scan_outcome(schur_grid_scan, gm_sign_scan, q_p0_profile, a, b, ms, t_grid, tol, sign_tol)
+            assert new == old
+        finally:
+            if previous is None:
+                os.environ.pop(hypergeom.TERM_CAP_ENV, None)
+            else:
+                os.environ[hypergeom.TERM_CAP_ENV] = previous
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.01, 0.99),
+                st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, -0.0, 1e-8, -1e-8, 1.0, -1.0])),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.lists(st.sampled_from([0.0, 1e-8, -1e-8, 2e-8, -2e-8, 1.0, -1.0, math.nan]), min_size=3, max_size=3),
+        st.sampled_from([(0.9, 0.5, 0.0), (0.9, 0.5, 1.0), (0.9, 0.5, 0.97), (0.2, 0.2, 0.1), (0.3, 0.5, 0.55)]),
+        st.sampled_from([1e-8, 0.0]),
+    )
+    @settings(max_examples=300)
+    def test_sign_profile_matches_the_parent(self, grid, near_g, abm, sign_tol):
+        # Values on both sides of, and exactly at, +/- sign_tol, zeros of
+        # both signs and NaN, in any order: the same report.
+        ts = [t for t, _ in grid]
+        g_values = [g for _, g in grid]
+        near = tuple(zip(NEAR_ONE_PROBES, near_g))
+        tr = triple(*abm)
+        new = schurmean._build_report(tr, ts, g_values, near, sign_tol)
+        old = _old_build_report(tr, ts, g_values, near, sign_tol)
+        assert [_exact(getattr(new, f)) for f in GmScanReport.__slots__] == [
+            _exact(getattr(old, f)) for f in GmScanReport.__slots__
+        ]
+
+    def test_a_probe_failure_of_the_first_series_waits_for_the_grid_of_the_second(self, monkeypatch):
+        # At a + b = 1 both series stay direct near t = 1.  With 700 terms the
+        # first series meets its tail rule on the whole grid and fails at the
+        # probe 0.99, the second already fails at t = 0.98: the grid comes
+        # first, so that is the failure raised.
+        monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "700")
+        args = (0.5, 0.5, [0.3], None, 1e-12, 1e-8)
+        old = _scan_outcome(_old_schur_grid_scan, _old_gm_sign_scan, _old_q_p0_profile, *args)
+        assert old == ("NonConvergence", "F(0.5,1.5;2.0;0.98) did not meet the tail criterion within 700 terms", [])
+        assert _scan_outcome(schur_grid_scan, gm_sign_scan, q_p0_profile, *args) == old
 
 
 class TestScans:
@@ -636,9 +876,9 @@ class TestScans:
         # no more.
         calls = []
 
-        def counted(params, x, tol=1e-12):
+        def counted(params, x, tol=1e-12, cap=None):
             calls.append((params, x))
-            return hyp2f1(params, x, tol)
+            return hyp2f1(params, x, tol, cap)
 
         monkeypatch.setattr(hypergeom, "hyp2f1", counted)
         hypergeom._STORES.memo.clear()
