@@ -169,9 +169,11 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, cap: int | None = No
     When a or b is a nonpositive integer the series terminates and the result
     is exact up to rounding (error_bound 0).
 
-    At most ``cap`` terms are summed; None reads ``term_cap()``, and a value
-    passed in must be a positive int, as the environment's must.  A caller
-    that reads many points passes the cap it read once for all of them.
+    At most ``cap`` terms are summed; None reads ``term_cap()``.  ``cap`` is
+    the pass-through of ``_hyp2f1_grid``, which hands each direct point the
+    cap it read once for the grid, so that point stays one call here; a
+    value passed in must be a positive int, as the environment's must.
+    ``HYPREC_TERM_CAP`` remains the one setting of the cap.
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")

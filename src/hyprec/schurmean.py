@@ -29,7 +29,7 @@ from . import numkit, specfn
 from ._record import Record, set_field
 from .compare import rel_with_floor
 from .coeffrec import is_exact, u_theta_plus1
-from .errors import DomainError, NonConvergence, ParameterError
+from .errors import DomainError, HyprecError, NonConvergence, ParameterError
 from .hypergeom import HypParams, _hyp2f1_grid, _hyp2f1_unit
 from .hypergeom import hyp2f1  # noqa: F401  (kept as schurmean.hyp2f1, the binding perfbench's tracer wraps)
 
@@ -62,14 +62,6 @@ DEFAULT_T_GRID = tuple(0.02 * k for k in range(1, 50))
 
 #: Large-t probes used to detect growth direction near t = 1.
 NEAR_ONE_PROBES = (0.9, 0.99, 0.999)
-
-#: The t of a scan cell on the default grid: the grid, then the probes.
-_DEFAULT_CELL_T = DEFAULT_T_GRID + NEAR_ONE_PROBES
-
-#: ``_hyp2f1_grid``'s (t, None) points of the default grid and of a default
-#: cell, built once; ``_gm_series`` builds those of any other t grid per read.
-_DEFAULT_POINTS = tuple((t, None) for t in DEFAULT_T_GRID)
-_DEFAULT_CELL_POINTS = tuple((t, None) for t in _DEFAULT_CELL_T)
 
 #: Offset in m at which ``classify_region_fuzzed`` reclassifies a triple.
 FUZZ_EPS = 1e-9
@@ -202,12 +194,7 @@ def _gm_series(a, b, ts, tol: float) -> tuple[list[float], list[float]]:
     and read a grid at a time.
     """
     c = 2 * b + 1
-    if ts is _DEFAULT_CELL_T:
-        points = _DEFAULT_CELL_POINTS
-    elif ts is DEFAULT_T_GRID:
-        points = _DEFAULT_POINTS
-    else:
-        points = [(t, None) for t in ts]
+    points = [(t, None) for t in ts]
     return (
         [r.value for r in _hyp2f1_grid(HypParams(a, b, c), points, tol)],
         [r.value for r in _hyp2f1_grid(HypParams(a, b + 1, c), points, tol)],
@@ -523,11 +510,15 @@ def _cell_series(a, b, ts, cell_t, tol: float) -> tuple[list[float], list[float]
     When a point fails, the series are read again as separate grid and
     probe reads take them (both over ts, then both over the probes), so the
     failure raised is the first those reads meet: a probe of the first
-    series comes after every grid point of the second.
+    series comes after every grid point of the second.  A failing cell is
+    thus read twice, and ``_hyp2f1_grid`` remembers no point that raises,
+    so its failing point is summed twice, up to the term cap each time,
+    even when the second read is bound to meet it first again.  Only the
+    library's own errors are retried.
     """
     try:
         return _gm_series(a, b, cell_t, tol)
-    except Exception:
+    except HyprecError:
         pass
     f1, f2 = _gm_series(a, b, ts, tol)
     f1_near, f2_near = _gm_series(a, b, NEAR_ONE_PROBES, tol)
@@ -544,7 +535,7 @@ def _scan_cell(mean: MeanParams, m_values, ts, tol: float, sign_tol: float) -> l
     values this scan computed, as long as ``hypergeom._hyp2f1_grid`` still
     holds them.
     """
-    cell_t = _DEFAULT_CELL_T if ts is DEFAULT_T_GRID else ts + NEAR_ONE_PROBES
+    cell_t = ts + NEAR_ONE_PROBES
     f1, f2 = _cell_series(1 - mean.a, mean.b, ts, cell_t, tol)
     ys = [1.0 - t for t in cell_t]
     n = len(ts)

@@ -791,6 +791,18 @@ class TestScanPathEquivalence:
         assert old == ("NonConvergence", "F(0.5,1.5;2.0;0.98) did not meet the tail criterion within 700 terms", [])
         assert _scan_outcome(schur_grid_scan, gm_sign_scan, q_p0_profile, *args) == old
 
+    def test_only_library_errors_are_read_again(self, monkeypatch):
+        reads = []
+
+        def failing(a, b, ts, tol):
+            reads.append(len(ts))
+            raise MemoryError
+
+        monkeypatch.setattr(schurmean, "_gm_series", failing)
+        with pytest.raises(MemoryError):
+            gm_sign_scan(triple(0.3, 0.5, 1.0))
+        assert reads == [len(DEFAULT_T_GRID) + len(NEAR_ONE_PROBES)]
+
 
 class TestScans:
     def test_default_grid_shape(self):
