@@ -23,25 +23,23 @@ c, and takes y from the caller when the caller holds it to more digits than
 ``hyp2f1_derivative`` and the three near-one entry points never take it.
 
 The library reads its series a grid at a time through ``_hyp2f1_grid``
-(``_hyp2f1_unit`` is its one-point case).  It remembers the results of the
-last four series (a, b, c, tol and the term cap, each with its type), 256
-points each, in a memo that counts the points it answered and those it
-computed.  The G_m scans and the Q profile read the same two series at the
+(``_hyp2f1_unit`` is its one-point case).  It remembers the last four series
+(a, b, c, tol and the term cap, each with its type) in a memo that counts
+the points it answered and those it computed.  A series' entry holds all
+that series reuses: its results, 256 points each; the term ratios of its
+direct series; and the connection formula's gamma ratios, formed once per
+series.  The G_m scans and the Q profile read the same two series at the
 same points for every m, so they share one evaluation; four series are
 more than one (a, b) cell of a scan reads and far fewer than a scan of
-many cells does, so what is reused is the work on one cell.  The points a
-read misses share the connection formula's gamma ratios, and each
+many cells does, so what is reused is the work on one cell.  Each
 direct-series point stays one call to ``hyp2f1``, which is passed the term
-cap the grid read took from ``term_cap()`` once, so no point reads the
-environment again.
+cap the grid read took from ``term_cap()`` once and the entry's ratios.
 
 Every float series, public ``hyp2f1`` and both connection series, is summed
 by ``_sum_series``.  Its loop runs on a float counter and tests the tail rule
 without ``abs``, and gives the same results and messages as the plain loop
-with an int counter and ``abs``, bit for bit.  It remembers the term ratios
-of the last eight parameter triples, up to 1024 each, so a series read at
-many x forms each ratio once; summing over remembered ratios gives the same
-bits as forming them.
+with an int counter and ``abs``, bit for bit.  Only a grid read passes it a
+list of term ratios to sum over and extend; a one-off sum keeps nothing.
 """
 
 from __future__ import annotations
@@ -155,7 +153,7 @@ class EvalResult(Record):
         set_field(self, "terms_used", terms_used)
 
 
-def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, cap: int | None = None) -> EvalResult:
+def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, cap: int | None = None, *, _ratios=None) -> EvalResult:
     """Sum the series F(a,b;c;x) = sum (a)_n (b)_n / ((c)_n n!) x^n on |x| < 1.
 
     Stops once three consecutive terms satisfy |term| <= tol*|partial sum|
@@ -173,7 +171,9 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, cap: int | None = No
     the pass-through of ``_hyp2f1_grid``, which hands each direct point the
     cap it read once for the grid, so that point stays one call here; a
     value passed in must be a positive int, as the environment's must.
-    ``HYPREC_TERM_CAP`` remains the one setting of the cap.
+    ``HYPREC_TERM_CAP`` remains the one setting of the cap.  ``_ratios`` is
+    the grid's other pass-through, its memo entry's term ratios of this
+    series (see ``_sum_series``); every other caller leaves it None.
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
@@ -183,50 +183,14 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, cap: int | None = No
         cap = term_cap()
     elif type(cap) is not int or cap <= 0:
         raise ParameterError(f"cap must be a positive integer, got {cap!r}")
-    return _sum_series(params.a, params.b, params.c, float(x), tol, cap)
+    return _sum_series(params.a, params.b, params.c, float(x), tol, cap, _ratios)
 
 
-#: The ratio store's bounds: the term ratios of the last ``_RATIO_SERIES``
-#: parameter triples, the first ``_RATIO_TERMS`` of each, about 260 KB.
-_RATIO_SERIES = 8
+#: A grid series stores its first ``_RATIO_TERMS`` term ratios, about 33 KB.
 _RATIO_TERMS = 1024
 
 
-class _Memo:
-    """The results of ``_hyp2f1_grid`` per series, and the points read from it and computed.
-
-    ``series`` maps a series key to its results by point, oldest first, both
-    within a series and among them.  ``hits`` counts the points answered
-    from it and ``misses`` those computed, or attempted when they raised.
-    """
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        """Forget every result and reset both counts."""
-        self.series: dict[tuple, dict] = {}
-        self.hits = 0
-        self.misses = 0
-
-
-class _Stores(threading.local):
-    """One thread's ratio store of ``_sum_series`` and memo of ``_hyp2f1_grid``.
-
-    ``ratios`` maps a typed parameter triple to its stored term ratios,
-    oldest triple first.  Each thread has its own stores, so no two sums
-    ever extend one list and no lock is needed.
-    """
-
-    def __init__(self) -> None:
-        self.ratios: dict[tuple, list[float]] = {}
-        self.memo = _Memo()
-
-
-_STORES = _Stores()
-
-
-def _sum_series(a, b, c, x: float, tol: float, cap: int) -> EvalResult:
+def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalResult:
     """The direct series of ``hyp2f1``, summed past the pole of 1/(c)_n, in at most cap terms.
 
     The tail rule counts no term before the ``settle``-th, the first n with
@@ -241,31 +205,22 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int) -> EvalResult:
     NaN included, and the ratio is taken only at the stop.  Every result
     and message is the one the plain loop with ``abs`` gives.
 
-    The term ratio q_n = (a+n)(b+n) / ((c+n)(n+1)) does not depend on x, and
-    the library reads one series at many x (a grid of G_m, the connection
-    series at each point near 1), so the ratio store remembers the first
-    ``_RATIO_TERMS`` q_n of the last ``_RATIO_SERIES`` triples, keyed with
-    the type of each parameter unless all three are floats, as the counter's
-    type depends on them.  A triple's first call only registers it and sums
-    as before; a later call sums over the stored q_n, with factor q_n * x,
-    the same float product as the inline one, and past them goes on inline
-    from the same term, total and streak, storing the q_n it forms up to the
-    bound.
+    The term ratio q_n = (a+n)(b+n) / ((c+n)(n+1)) does not depend on x, so
+    a caller that reads one series at many x (``_hyp2f1_grid``) passes a
+    list, ``ratios``, that it keeps for (a, b, c) with their types, as the
+    counter's type depends on them.  The sum runs over the q_n stored there,
+    with factor q_n * x, the same float product as the inline one, and past
+    them goes on inline from the same term, total and streak, appending the
+    q_n it forms up to the first ``_RATIO_TERMS``.  With None, as for every
+    one-off sum, nothing is stored.
     """
     settle = max(0, math.floor(-c) + 1)
     total = 1.0
     term = 1.0
     streak = 0
     floats = type(a) is type(b) is type(c) is float
-    key = (a, b, c) if floats else (a, b, c, type(a), type(b), type(c))
-    triples = _STORES.ratios
-    ratios = triples.get(key)
-    if ratios is None:
-        triples[key] = []
-        if len(triples) > _RATIO_SERIES:
-            del triples[next(iter(triples))]
-        done = record = 0
-    else:
+    done = record = 0
+    if ratios is not None:
         done = min(len(ratios), cap)
         for n, q in zip(range(1, done + 1), ratios):
             factor = q * x
@@ -387,11 +342,48 @@ CONNECTION_X = 0.9
 CONNECTION_GAP = 1e-3
 
 
-#: The memo of ``_hyp2f1_grid``: the results of the last ``_MEMO_SERIES``
-#: series, ``_MEMO_POINTS`` points each, at about 400 bytes a point.  One
+#: The memo of ``_hyp2f1_grid``: the last ``_MEMO_SERIES`` series, the
+#: results of ``_MEMO_POINTS`` points each, at about 400 bytes a point.  One
 #: scan cell reads two series at 52 points on the default grid.
 _MEMO_SERIES = 4
 _MEMO_POINTS = 256
+
+
+class _Series:
+    """All that the reads of one series in ``_hyp2f1_grid`` reuse.
+
+    ``points`` maps a point to its result, oldest first; ``ratios`` is the
+    direct series' list for ``_sum_series``.  The first read that needs them
+    forms ``connects``, ``connection`` (A, B's sign and log-gammas, and
+    whether their rounding is within tol) and ``direct``, the checked params.
+    """
+
+    __slots__ = ("points", "ratios", "connects", "connection", "direct")
+
+    def __init__(self) -> None:
+        self.points: dict = {}
+        self.ratios: list = []
+        self.connects = self.connection = self.direct = None
+
+
+class _Memo(threading.local):
+    """One thread's memo of ``_hyp2f1_grid``: ``series`` maps a key to its ``_Series``, oldest first.
+
+    ``hits`` counts the points answered from it and ``misses`` those
+    computed, or attempted when they raised.  No two threads share an entry.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every series and reset both counts."""
+        self.series: dict[tuple, _Series] = {}
+        self.hits = 0
+        self.misses = 0
+
+
+_MEMO = _Memo()
 
 
 def _hyp2f1_unit(params: HypParams, x: float, tol: float, y: float | None = None) -> EvalResult:
@@ -419,36 +411,39 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
     truncation bounds of the two series, as ``hyp2f1`` reports its own.
 
     ``term_cap()`` is read once per call, and each direct-series point's
-    ``hyp2f1`` is passed that cap rather than reading it again.  The results
-    are remembered in the calling thread's memo (``_STORES.memo``) under the
-    series (a, b, c, tol and the cap, with the type of each, so a Fraction
-    and an equal float never share) and the point; x and y enter only
-    through comparisons, ``1.0 - x`` and float arithmetic, so equal points
-    of other types give the same result.  A grid read before is answered by
-    one comprehension; the points it misses are computed in order and share
-    the connection formula's A and the sign and log-gammas of B, each point
-    scaling B by its own y^(c-a-b) through ``specfn.scaled_gamma_ratio``,
-    the rule ``specfn.gamma_ratio`` uses.  A remembered result is the frozen
-    ``EvalResult`` computed for it, so results are unchanged; a point that
-    raises is not remembered, and the first such point in grid order raises
-    as it would alone.
+    ``hyp2f1`` is passed that cap rather than reading it again.  What a read
+    computes is remembered in the calling thread's memo (``_MEMO``), in the
+    entry of the series (a, b, c, tol and the cap, with the type of each, so
+    a Fraction and an equal float never share; see ``_Series``).  A, B's
+    sign and log-gammas and the checked parameters are formed once per
+    series; each connection point scales B by its own y^(c-a-b) through
+    ``specfn.scaled_gamma_ratio``, the rule ``specfn.gamma_ratio`` uses, and
+    each direct point's ``hyp2f1`` sums over and extends the entry's term
+    ratios.  x and y enter only through comparisons, ``1.0 - x`` and float
+    arithmetic, so equal points of other types give the same result.  A grid
+    read before is answered by one comprehension; the points it misses are
+    computed in order.  A remembered result is the frozen ``EvalResult``
+    computed for it; a point that raises is not remembered, and the first
+    such point in grid order raises as it would alone.
     """
     a, b, c = params.a, params.b, params.c
     cap = term_cap()
-    memo = _STORES.memo
+    memo = _MEMO
     key = (a, b, c, tol, cap, type(a), type(b), type(c), type(tol))
-    values = memo.series.get(key)
-    if values is None:
-        values = memo.series[key] = {}
+    entry = memo.series.get(key)
+    if entry is None:
+        entry = memo.series[key] = _Series()
         if len(memo.series) > _MEMO_SERIES:
             del memo.series[next(iter(memo.series))]
+    values = entry.points
     found = [values.get(point) for point in points]
     if all(found):
         memo.hits += len(found)
         return found
     s = c - a - b
-    connects = abs(s - round(s)) >= CONNECTION_GAP
-    scale = weight_terms = direct = None
+    if entry.connects is None:
+        entry.connects = abs(s - round(s)) >= CONNECTION_GAP
+    connects, connection, direct = entry.connects, entry.connection, entry.direct
     results = []
     hits = misses = 0
     try:
@@ -463,13 +458,15 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
             if y is None:
                 y = 1.0 - x
             if x >= CONNECTION_X and connects:
-                if scale is None:
+                if connection is None:
                     scale, scale_size = specfn.gamma_ratio((c, s), (c - a, c - b), 0.0)
-                    weight_terms = specfn.gamma_ratio_logs((c, -s), (a, b))
-                    rounding = sys.float_info.epsilon * max(scale_size, math.fsum(map(abs, weight_terms[1])))
+                    sign, logs = specfn.gamma_ratio_logs((c, -s), (a, b))
+                    accurate = sys.float_info.epsilon * max(scale_size, math.fsum(map(abs, logs))) <= tol
+                    connection = entry.connection = scale, sign, logs, accurate
+                scale, sign, logs, accurate = connection
                 log_scale = s * math.log(y) if y > 0 else -s * math.inf
-                weight = specfn.scaled_gamma_ratio(*weight_terms, log_scale)
-                if rounding <= tol:
+                weight = specfn.scaled_gamma_ratio(sign, logs, log_scale)
+                if accurate:
                     first = _sum_series(a, b, 1 - s, y, tol, cap)
                     second = _sum_series(c - a, c - b, 1 + s, y, tol, cap)
                     result = EvalResult(
@@ -484,8 +481,8 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
                         "cannot answer, and the connection formula does not apply"
                     )
                 if direct is None:
-                    direct = HypParams._derived(a, b, c)
-                result = hyp2f1(direct, x, tol, cap)
+                    direct = entry.direct = HypParams._derived(a, b, c)
+                result = hyp2f1(direct, x, tol, cap, _ratios=entry.ratios)
             values[point] = result
             if len(values) > _MEMO_POINTS:
                 del values[next(iter(values))]

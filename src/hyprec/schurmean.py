@@ -581,14 +581,14 @@ def schur_grid_scan(
     the default grid, so scans, Q profiles and ``g_m`` of the cell just
     scanned read them again, while a scan of many cells still computes each
     value once.  Grid points are processed in the given order and reports
-    are returned in that deterministic order.  Triples with a + b < 1/2,
-    outside the hypothesis of the sign dichotomy, are skipped.
+    are returned in that deterministic order.  Each (a, b) is checked first;
+    triples with a + b < 1/2, outside the dichotomy's hypothesis, are skipped.
     """
     ts = _float_t_grid(t_grid)
     reports = []
     for a in a_values:
         for b in b_values:
-            if a + b < 0.5:
-                continue
-            reports.extend(_scan_cell(MeanParams(a, b), m_values, ts, tol, sign_tol))
+            mean = MeanParams(a, b)
+            if a + b >= 0.5:
+                reports.extend(_scan_cell(mean, m_values, ts, tol, sign_tol))
     return reports

@@ -112,15 +112,6 @@ def beta(z: float, w: float) -> float:
     return math.exp(ln_gamma(lo) + ln_gamma(hi) - ln_gamma(lo + hi))
 
 
-def _is_pole(z) -> bool:
-    return z <= 0 and z == math.floor(z)
-
-
-def _gamma_sign(z) -> int:
-    """Sign of Gamma(z) off its poles: +1 for z > 0, alternating on (-n-1, -n)."""
-    return 1 if z > 0 or math.floor(z) % 2 == 0 else -1
-
-
 def gamma_ratio(num, den, log_scale: float) -> tuple[float, float]:
     """exp(log_scale) prod Gamma(num) / prod Gamma(den), and the size of its log.
 
@@ -140,15 +131,25 @@ def gamma_ratio_logs(num, den) -> tuple[int, list[float]]:
     """The sign and the ln|Gamma| terms of prod Gamma(num) / prod Gamma(den).
 
     The sign is 0, with no terms, at a pole of ``den``; a pole in ``num``
-    raises :class:`DomainError`.
+    raises :class:`DomainError`.  One pass over ``num``, then ``den``, finds
+    the poles and the sign (alternating on (-n-1, -n)) before any lgamma.
     """
+    sign = 1
     for z in num:
-        if _is_pole(z):
-            raise DomainError(f"Gamma has a pole at {z!r} in the numerator")
-    if any(_is_pole(z) for z in den):
-        return 0, []
-    logs = [math.lgamma(z) for z in num] + [-math.lgamma(z) for z in den]
-    return math.prod(_gamma_sign(z) for z in (*num, *den)), logs
+        if z <= 0:
+            whole = math.floor(z)
+            if z == whole:
+                raise DomainError(f"Gamma has a pole at {z!r} in the numerator")
+            if whole % 2:
+                sign = -sign
+    for z in den:
+        if z <= 0:
+            whole = math.floor(z)
+            if z == whole:
+                return 0, []
+            if whole % 2:
+                sign = -sign
+    return sign, [math.lgamma(z) for z in num] + [-math.lgamma(z) for z in den]
 
 
 def scaled_gamma_ratio(sign: int, logs: list[float], log_scale: float) -> float:

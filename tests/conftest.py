@@ -1,5 +1,5 @@
 """Shared fixtures: one run of every ``verify`` suite for the whole test session,
-and a cleared evaluation memo and ratio store after every test."""
+and a cleared evaluation memo after every test."""
 
 import time
 from dataclasses import dataclass
@@ -42,12 +42,11 @@ def verify_run() -> VerifyRun:
 
 @pytest.fixture(autouse=True)
 def forget_unit_values():
-    """Let no test leave values in ``hypergeom._STORES.memo`` or ratios in ``hypergeom._STORES.ratios`` for the next.
+    """Let no test leave series in ``hypergeom._MEMO`` for the next.
 
-    Neither ever changes a result, but a test that counts evaluations, such
+    It never changes a result, but a test that counts evaluations, such
     as the benchmark tracer's in ``perfbench/``, would see fewer of them when
     an earlier test happened to leave its inputs behind.
     """
     yield
-    hypergeom._STORES.memo.clear()
-    hypergeom._STORES.ratios.clear()
+    hypergeom._MEMO.clear()

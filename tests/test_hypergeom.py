@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyprec import hypergeom, numkit
+from hyprec import hypergeom, numkit, specfn
 from hyprec.errors import DomainError, NonConvergence, ParameterError
 from hyprec.hypergeom import (
     CONNECTION_GAP,
@@ -220,14 +220,14 @@ class TestSumSeriesLoop:
     )
     @settings(max_examples=150, deadline=None)
     def test_one_triple_at_several_x_matches_the_plain_loop(self, a, b, c, xs, tol, cap):
-        # The first call registers the triple, the second stores its ratios,
-        # and later ones sum over them and go on past them; every x is read
+        # One list of ratios, as a grid series keeps it: the first sum fills
+        # it, and later ones sum over it and go on past it; every x is read
         # twice, so each sum also runs over ratios stored by another x.
         assume(round(c) > 0 or abs(c - round(c)) >= hypergeom.POLE_TOL)
-        hypergeom._STORES.ratios.clear()
+        ratios = []
         for x in xs + xs:
             args = (a, b, c, x, tol, cap)
-            assert _summed(hypergeom._sum_series, *args) == _summed(_plain_sum_series, *args)
+            assert _summed(hypergeom._sum_series, *args, ratios) == _summed(_plain_sum_series, *args)
 
     @pytest.mark.parametrize(
         "abc",
@@ -240,46 +240,54 @@ class TestSumSeriesLoop:
     )
     @pytest.mark.parametrize("cap", [1, 7, 60, hypergeom.DEFAULT_TERM_CAP])
     def test_series_past_the_stored_ratios_match_the_plain_loop(self, abc, cap):
-        # At 0.999 the direct series runs past the ratios a triple may store,
+        # At 0.999 the direct series runs past the ratios a list may store,
         # and c = -7/2 and -29.5 sum past their pole before the streak counts.
         exact = isinstance(abc[0], Fraction)
         xs = [0.3, 0.9, 0.5] if exact else [0.5, 0.999, 0.99, 0.9995, 0.1, -0.9]
-        hypergeom._STORES.ratios.clear()
+        ratios = []
         for x in xs:
             args = (*abc, x, 1e-12, cap)
-            assert _summed(hypergeom._sum_series, *args) == _summed(_plain_sum_series, *args)
-        (stored,) = hypergeom._STORES.ratios.values()
-        assert len(stored) <= min(cap, hypergeom._RATIO_TERMS)
+            assert _summed(hypergeom._sum_series, *args, ratios) == _summed(_plain_sum_series, *args)
+        assert 0 < len(ratios) <= min(cap, hypergeom._RATIO_TERMS)
 
     def test_equal_parameters_of_other_types_keep_their_own_ratios(self):
-        hypergeom._STORES.ratios.clear()
-        for abc in [(Fraction(1, 2), 1, 3), (0.5, 1.0, 3.0), (0.5, 1, 3.0)] * 2:
-            args = (*abc, 0.7, 1e-12, hypergeom.DEFAULT_TERM_CAP)
-            assert _summed(hypergeom._sum_series, *args) == _summed(_plain_sum_series, *args)
-        assert len(hypergeom._STORES.ratios) == 3
+        # Each typed triple is its own grid series, with its own memo entry
+        # and list; each read sums over what the first left there.
+        triples = [(Fraction(1, 2), 1, 3), (0.5, 1.0, 3.0), (0.5, 1, 3.0)]
+        hypergeom._MEMO.clear()
+        for x in (0.7, 0.6):
+            for abc in triples:
+                (result,) = hypergeom._hyp2f1_grid(HypParams(*abc), [(x, None)], 1e-12)
+                plain = _plain_sum_series(*abc, x, 1e-12, hypergeom.DEFAULT_TERM_CAP)
+                assert _summed(lambda: result) == _summed(lambda: plain)
+        entries = list(hypergeom._MEMO.series.values())
+        assert len(entries) == 3
+        assert len({id(entry.ratios) for entry in entries}) == 3
+        assert all(entry.ratios for entry in entries)
 
-    def test_store_is_bounded(self):
-        hypergeom._STORES.ratios.clear()
-        for k in range(3 * hypergeom._RATIO_SERIES):
-            for x in (0.998, 0.999):
-                hypergeom._sum_series(0.5, 0.5 + k, 1.5 + k, x, 1e-12, hypergeom.DEFAULT_TERM_CAP)
+    def test_memo_ratios_are_bounded(self):
+        hypergeom._MEMO.clear()
+        for k in range(3 * hypergeom._MEMO_SERIES):
+            # c - a - b = 1 keeps the direct series at 0.998 and 0.999.
+            hypergeom._hyp2f1_grid(HypParams(0.5, 0.5 + k, 2.0 + k), [(0.998, None), (0.999, None)], 1e-12)
         # Each series runs past 1024 terms, so every stored list is full.
-        assert len(hypergeom._STORES.ratios) == hypergeom._RATIO_SERIES
-        assert {len(r) for r in hypergeom._STORES.ratios.values()} == {hypergeom._RATIO_TERMS}
+        entries = hypergeom._MEMO.series.values()
+        assert len(entries) == hypergeom._MEMO_SERIES
+        assert {len(entry.ratios) for entry in entries} == {hypergeom._RATIO_TERMS}
 
     def test_threads_keep_their_own_ratios(self):
-        # Threads summing one triple at their own x each store its ratios in
-        # their own store: every sum is the plain loop's, and none of them
-        # reaches this thread's store.
-        triple = (0.5, 1.5, 2.5)
+        # Threads reading one series at their own x each keep its ratios in
+        # their own memo: every result is the plain loop's, and none of them
+        # reaches this thread's memo.
+        triple = (0.5, 1.5, 3.0)  # c - a - b = 1: the direct series near one
         xs = [0.9 + 0.001 * k for k in range(96)]
-        expected = {x: _summed(_plain_sum_series, *triple, x, 1e-12, 5000) for x in xs}
-        hypergeom._STORES.ratios.clear()
+        expected = {x: _summed(_plain_sum_series, *triple, x, 1e-12, hypergeom.DEFAULT_TERM_CAP) for x in xs}
+        hypergeom._MEMO.clear()
         got = {}
 
         def work(part):
             for x in part:
-                got[x] = _summed(hypergeom._sum_series, *triple, x, 1e-12, 5000)
+                got[x] = _summed(lambda: hypergeom._hyp2f1_unit(HypParams(*triple), x, 1e-12))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -293,7 +301,7 @@ class TestSumSeriesLoop:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == expected
-        assert hypergeom._STORES.ratios == {}
+        assert hypergeom._MEMO.series == {}
 
 
 class TestIndependentOracle:
@@ -598,7 +606,7 @@ class TestConnectionFormula:
 
 def _cold(params, x, tol, y=None):
     """``_hyp2f1_unit`` computed afresh, with nothing remembered."""
-    hypergeom._STORES.memo.clear()
+    hypergeom._MEMO.clear()
     return _hyp2f1_unit(params, x, tol, y)
 
 
@@ -611,7 +619,7 @@ def _outcome(params, x, y):
 
 
 def _memo_size():
-    return sum(len(values) for values in hypergeom._STORES.memo.series.values())
+    return sum(len(entry.points) for entry in hypergeom._MEMO.series.values())
 
 
 class TestUnitCache:
@@ -634,13 +642,13 @@ class TestUnitCache:
         x = 1.0 - y
         params = HypParams(1 - a, b + shift, 2 * b + 1)
         calls = [(x, None), (x, y)]
-        hypergeom._STORES.memo.clear()
+        hypergeom._MEMO.clear()
         first = [_outcome(params, *call) for call in calls]
         again = [_outcome(params, *call) for call in calls]
         assert again == first
-        assert hypergeom._STORES.memo.hits == sum(isinstance(r, EvalResult) for r in first)
+        assert hypergeom._MEMO.hits == sum(isinstance(r, EvalResult) for r in first)
         for call, result in zip(calls, again):
-            hypergeom._STORES.memo.clear()
+            hypergeom._MEMO.clear()
             assert result == _outcome(params, *call)
 
     @pytest.mark.parametrize(
@@ -650,15 +658,15 @@ class TestUnitCache:
     @pytest.mark.parametrize("x", [0.5, 0.95])
     def test_equal_values_of_other_types_keep_their_own_entries(self, first, second, x):
         params = [HypParams(value, value, value + 2) for value in (first, second)]
-        hypergeom._STORES.memo.clear()
+        hypergeom._MEMO.clear()
         results = [_hyp2f1_unit(p, x, 1e-12) for p in params]
-        assert hypergeom._STORES.memo.misses == 2
+        assert hypergeom._MEMO.misses == 2
         for p, result in zip(params, results):
             assert result == _cold(p, x, 1e-12)
 
     def test_lowered_term_cap_still_takes_effect(self, monkeypatch):
         params = HypParams(0.7, 0.9, 2.3)
-        hypergeom._STORES.memo.clear()
+        hypergeom._MEMO.clear()
         remembered = _hyp2f1_unit(params, 0.5, 1e-12)
         assert remembered.terms_used > 10
         monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "10")
@@ -669,41 +677,83 @@ class TestUnitCache:
 
     def test_size_is_bounded(self):
         maxsize = hypergeom._MEMO_SERIES * hypergeom._MEMO_POINTS
-        hypergeom._STORES.memo.clear()
+        hypergeom._MEMO.clear()
         count = 10 * maxsize
         for k in range(count):
             _hyp2f1_unit(HypParams(0.7, 0.9, 2.3), 0.5 * k / count, 1e-12)
-        assert hypergeom._STORES.memo.misses == count
+        assert hypergeom._MEMO.misses == count
         assert _memo_size() <= maxsize
 
     def test_series_and_points_are_bounded(self):
         # Many series, one grid longer than a series may hold, and the
         # points of each, near one and not, read twice.
-        hypergeom._STORES.memo.clear()
+        hypergeom._MEMO.clear()
         grid = [((k + 0.5) / 600, None) for k in range(600)]
         for k in range(3 * hypergeom._MEMO_SERIES):
             params = HypParams(0.3, 0.2 + k, 1.1 + 2 * k)
             for _ in range(2):
                 hypergeom._hyp2f1_grid(params, grid, 1e-12)
-            assert len(hypergeom._STORES.memo.series) <= hypergeom._MEMO_SERIES
-            assert all(len(v) <= hypergeom._MEMO_POINTS for v in hypergeom._STORES.memo.series.values())
-        assert len(hypergeom._STORES.memo.series) == hypergeom._MEMO_SERIES
-        assert {len(v) for v in hypergeom._STORES.memo.series.values()} == {hypergeom._MEMO_POINTS}
+            assert len(hypergeom._MEMO.series) <= hypergeom._MEMO_SERIES
+            assert all(len(v.points) <= hypergeom._MEMO_POINTS for v in hypergeom._MEMO.series.values())
+            assert all(len(v.ratios) <= hypergeom._RATIO_TERMS for v in hypergeom._MEMO.series.values())
+        assert len(hypergeom._MEMO.series) == hypergeom._MEMO_SERIES
+        assert {len(v.points) for v in hypergeom._MEMO.series.values()} == {hypergeom._MEMO_POINTS}
         # A grid longer than a series may hold pushes out its own first
         # points before the next read reaches them, so each read computes it
         # whole.
-        assert hypergeom._STORES.memo.hits == 0
-        assert hypergeom._STORES.memo.misses == 2 * 3 * hypergeom._MEMO_SERIES * len(grid)
+        assert hypergeom._MEMO.hits == 0
+        assert hypergeom._MEMO.misses == 2 * 3 * hypergeom._MEMO_SERIES * len(grid)
 
     def test_warm_grid_counts_hits(self):
         params = HypParams(0.3, 0.7, 1.9)
         grid = [(0.1, None), (0.95, None), (0.95, 0.05), (0.1, None)]
-        hypergeom._STORES.memo.clear()
+        hypergeom._MEMO.clear()
         cold = hypergeom._hyp2f1_grid(params, grid, 1e-12)
         # The repeated point is computed once, and read again within the grid.
-        assert (hypergeom._STORES.memo.hits, hypergeom._STORES.memo.misses) == (1, 3)
+        assert (hypergeom._MEMO.hits, hypergeom._MEMO.misses) == (1, 3)
         assert hypergeom._hyp2f1_grid(params, grid, 1e-12) == cold
-        assert (hypergeom._STORES.memo.hits, hypergeom._STORES.memo.misses) == (5, 3)
+        assert (hypergeom._MEMO.hits, hypergeom._MEMO.misses) == (5, 3)
+
+    def test_public_evaluations_leave_the_memo_empty(self, monkeypatch):
+        # A one-off sum keeps nothing: no memo entry, and no list of ratios
+        # handed to the summing loop.
+        passed = []
+
+        def recorded(a, b, c, x, tol, cap, ratios=None):
+            passed.append(ratios)
+            return summed(a, b, c, x, tol, cap, ratios)
+
+        summed = hypergeom._sum_series
+        monkeypatch.setattr(hypergeom, "_sum_series", recorded)
+        hypergeom._MEMO.clear()
+        params = HypParams(0.3, 0.7, 1.9)
+        for x in (0.5, 0.95, 0.5):
+            hyp2f1(params, x)
+            hyp2f1_derivative(params, x)
+            euler_transform_eval(params, x)
+        assert passed == [None] * 9
+        assert hypergeom._MEMO.series == {}
+        assert (hypergeom._MEMO.hits, hypergeom._MEMO.misses) == (0, 0)
+
+    def test_gamma_ratios_are_formed_once_per_series(self, monkeypatch):
+        # Two reads of one series, each missing its points, share the
+        # connection formula's gamma ratios through the memo entry.
+        formed = []
+
+        def counted(num, den, log_scale):
+            formed.append((num, den))
+            return gamma_ratio(num, den, log_scale)
+
+        params = HypParams(0.3, 0.7, 1.9)
+        reads = [[(0.95, None)], [(0.97, None), (0.99, 0.01)]]
+        hypergeom._MEMO.clear()
+        cold = [hypergeom._hyp2f1_grid(params, read, 1e-12) for read in reads]
+        gamma_ratio = specfn.gamma_ratio
+        monkeypatch.setattr(specfn, "gamma_ratio", counted)
+        hypergeom._MEMO.clear()
+        assert [hypergeom._hyp2f1_grid(params, read, 1e-12) for read in reads] == cold
+        assert len(formed) == 1
+        assert hypergeom._MEMO.misses == 3
 
 
 def _head_gamma_ratio(num, den, log_scale):
@@ -823,8 +873,7 @@ class TestGridEvaluator:
             os.environ[hypergeom.TERM_CAP_ENV] = str(cap)
         try:
             head = _head_outcome(params, points, tol, hypergeom.term_cap())
-            hypergeom._STORES.memo.clear()
-            hypergeom._STORES.ratios.clear()
+            hypergeom._MEMO.clear()
             assert _grid_outcome(params, points, tol) == head
             # Again, now reading what the first read remembered.
             assert _grid_outcome(params, points, tol) == head

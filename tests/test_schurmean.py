@@ -477,7 +477,7 @@ def _per_point_series(a, b, ts, tol):
 
 def _series_outcome(read, a, b, ts, tol):
     """Both series from ``read`` as bits, or the message of its first NonConvergence."""
-    hypergeom._STORES.memo.clear()
+    hypergeom._MEMO.clear()
     try:
         first, second = read(a, b, ts, tol)
     except NonConvergence as exc:
@@ -500,9 +500,9 @@ class TestGridRead:
         grid = _series_outcome(schurmean._gm_series, a, b, GRID, tol)
         assert grid == _series_outcome(_per_point_series, a, b, GRID, tol)
         # The grid read finds what the per-point reads left in the memo.
-        misses = hypergeom._STORES.memo.misses
+        misses = hypergeom._MEMO.misses
         warm = schurmean._gm_series(a, b, GRID, tol)
-        assert hypergeom._STORES.memo.misses == misses
+        assert hypergeom._MEMO.misses == misses
         assert ([v.hex() for v in warm[0]], [v.hex() for v in warm[1]]) == grid
 
     def test_term_cap_is_read_once_per_series_per_grid(self, monkeypatch):
@@ -513,9 +513,11 @@ class TestGridRead:
             reads.append(1)
             return hypergeom.DEFAULT_TERM_CAP
 
-        def counted_hyp2f1(params, x, tol=1e-12, cap=None):
+        def counted_hyp2f1(params, x, tol=1e-12, cap=None, *, _ratios=None):
+            # The grid also hands each direct point its memo entry's ratios.
+            assert type(_ratios) is list
             direct.append(cap)
-            return hyp2f1(params, x, tol, cap)
+            return hyp2f1(params, x, tol, cap, _ratios=_ratios)
 
         monkeypatch.setattr(hypergeom, "term_cap", counted)
         monkeypatch.setattr(hypergeom, "hyp2f1", counted_hyp2f1)
@@ -681,10 +683,9 @@ def _exact(value):
 def _scan_outcome(grid_scan, sign_scan, q_profile, a, b, ms, t_grid, tol, sign_tol):
     """Every field of a cell's grid scan, its sign scans and its Q profile, or its first failure.
 
-    Both stores are cleared first, so every reading starts cold.
+    The memo is cleared first, so every reading starts cold.
     """
-    hypergeom._STORES.memo.clear()
-    hypergeom._STORES.ratios.clear()
+    hypergeom._MEMO.clear()
     out = []
     try:
         for report in grid_scan([a], [b], ms, t_grid, tol, sign_tol):
@@ -860,6 +861,16 @@ class TestScans:
         reports = schur_grid_scan([0.1], [0.1, 1.0], [0.5])
         assert [r.b for r in reports] == [1.0]
 
+    @pytest.mark.parametrize(
+        "a,b,message",
+        [(-1.0, 0.2, "a must lie"), (0.3, -5.0, "b must be positive"), (5.0, 0.2, "a must lie")],
+    )
+    def test_grid_scan_checks_parameters_before_the_skip(self, a, b, message):
+        # a + b < 1/2 in the first two: the skip must not hide parameters
+        # outside the mean's domain.
+        with pytest.raises(ParameterError, match=message):
+            schur_grid_scan([a], [b], [0.5])
+
     def test_one_cell_fits_the_evaluation_cache(self):
         # Both series at every grid point and probe of a cell, and still far
         # below the ~80 series and ~4000 values of a scan over many cells.
@@ -871,13 +882,13 @@ class TestScans:
     def test_scans_read_the_grid_scan_values_unchanged(self, a, b, m):
         tr = triple(a, b, m)
         q_mean = q_params_for_mean(tr.mean)
-        hypergeom._STORES.memo.clear()
+        hypergeom._MEMO.clear()
         cold = (gm_sign_scan(tr), q_p0_profile(q_mean, DEFAULT_T_GRID), g_m(0.5, tr))
-        hypergeom._STORES.memo.clear()
+        hypergeom._MEMO.clear()
         schur_grid_scan([a], [b], [m])
-        computed = hypergeom._STORES.memo.misses
+        computed = hypergeom._MEMO.misses
         warm = (gm_sign_scan(tr), q_p0_profile(q_mean, DEFAULT_T_GRID), g_m(0.5, tr))
-        assert hypergeom._STORES.memo.misses == computed
+        assert hypergeom._MEMO.misses == computed
         assert warm == cold
 
     @pytest.mark.parametrize("a,b", [(0.9, 0.5), (0.5, 0.5), (0.3, 1.1)])
@@ -885,21 +896,25 @@ class TestScans:
         # The benchmark's tracer counts work at hypergeom.hyp2f1: a cold cell
         # calls it once per direct-series point of each series, and the
         # cell's sign scans, Q profiles and g_m read the memo and call it
-        # no more.
+        # no more.  Each series' points share one list of term ratios.
         calls = []
+        lists = {}
 
-        def counted(params, x, tol=1e-12, cap=None):
+        def counted(params, x, tol=1e-12, cap=None, *, _ratios=None):
             calls.append((params, x))
-            return hyp2f1(params, x, tol, cap)
+            lists.setdefault(params, set()).add(id(_ratios))
+            return hyp2f1(params, x, tol, cap, _ratios=_ratios)
 
         monkeypatch.setattr(hypergeom, "hyp2f1", counted)
-        hypergeom._STORES.memo.clear()
+        hypergeom._MEMO.clear()
         schur_grid_scan([a], [b], [0.2, 1.3])
         s = a + b  # c - a - b of G_m's first series; the second's is s - 1
         connects = abs(s - round(s)) >= hypergeom.CONNECTION_GAP
         direct = sorted({t for t in GRID if t < hypergeom.CONNECTION_X or not connects})
         assert sorted(x for _, x in calls) == sorted(direct + direct)
         assert len(set(calls)) == len(calls)
+        assert all(len(ids) == 1 for ids in lists.values())
+        assert len({i for ids in lists.values() for i in ids}) == len(lists)
         calls.clear()
         for m in (0.2, 1.3):
             tr = triple(a, b, m)

@@ -36,6 +36,35 @@ class TestPochhammer:
         assert specfn.pochhammer(a, n + 1) == specfn.pochhammer(a, n) * (a + n)
 
 
+def _is_pole(z) -> bool:
+    return z <= 0 and z == math.floor(z)
+
+
+def _gamma_sign(z) -> int:
+    """Sign of Gamma(z) off its poles: +1 for z > 0, alternating on (-n-1, -n)."""
+    return 1 if z > 0 or math.floor(z) % 2 == 0 else -1
+
+
+def _two_pass_gamma_ratio_logs(num, den) -> tuple[int, list[float]]:
+    """``specfn.gamma_ratio_logs`` as it read before its one-pass form, kept verbatim as a reference."""
+    for z in num:
+        if _is_pole(z):
+            raise DomainError(f"Gamma has a pole at {z!r} in the numerator")
+    if any(_is_pole(z) for z in den):
+        return 0, []
+    logs = [math.lgamma(z) for z in num] + [-math.lgamma(z) for z in den]
+    return math.prod(_gamma_sign(z) for z in (*num, *den)), logs
+
+
+def _outcome(fn, num, den):
+    """fn's sign and logs as bits, or the type and message of what it raised."""
+    try:
+        sign, logs = fn(num, den)
+    except Exception as exc:  # noqa: BLE001 - the failure itself is compared
+        return type(exc), str(exc)
+    return sign, [v.hex() for v in logs]
+
+
 class TestGammaFamilyAnchors:
     def test_ln_gamma_anchors(self):
         assert specfn.ln_gamma(1.0) == 0.0
@@ -103,6 +132,27 @@ class TestGammaFamilyAnchors:
         assert specfn.scaled_gamma_ratio(0, [], math.inf) == 0.0
         with pytest.raises(DomainError):
             specfn.gamma_ratio_logs((-2.0,), (1.0,))
+
+    @given(
+        *[
+            st.lists(
+                st.one_of(
+                    st.floats(allow_nan=False),
+                    st.floats(-30, 30),
+                    st.integers(-6, 6).map(float),
+                    st.integers(-6, 6),
+                    st.sampled_from([1e308, -1e308, 1e306, -1e15 - 0.5, math.inf, -math.inf, -0.5]),
+                ),
+                max_size=4,
+            )
+        ]
+        * 2
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_gamma_ratio_logs_matches_the_two_pass_form(self, num, den):
+        # Poles, signs, logs, and every exception with its message; NaN
+        # arguments are left out, as no caller passes one.
+        assert _outcome(specfn.gamma_ratio_logs, num, den) == _outcome(_two_pass_gamma_ratio_logs, num, den)
 
     def test_beta_domain_errors(self):
         with pytest.raises(DomainError):
