@@ -136,14 +136,14 @@ def gamma_ratio_logs(num, den) -> tuple[int, list[float]]:
     """
     sign = 1
     for z in num:
-        if z <= 0:
+        if not z > 0:
             whole = math.floor(z)
             if z == whole:
                 raise DomainError(f"Gamma has a pole at {z!r} in the numerator")
             if whole % 2:
                 sign = -sign
     for z in den:
-        if z <= 0:
+        if not z > 0:
             whole = math.floor(z)
             if z == whole:
                 return 0, []

@@ -150,8 +150,13 @@ class TestGammaFamilyAnchors:
     )
     @settings(max_examples=500, deadline=None)
     def test_gamma_ratio_logs_matches_the_two_pass_form(self, num, den):
-        # Poles, signs, logs, and every exception with its message; NaN
-        # arguments are left out, as no caller passes one.
+        # Poles, signs, logs, and every exception with its message.  A NaN
+        # raises ValueError in both, though not always first among the
+        # failures of a list, so it is checked alone below.
+        assert _outcome(specfn.gamma_ratio_logs, num, den) == _outcome(_two_pass_gamma_ratio_logs, num, den)
+
+    @pytest.mark.parametrize("num, den", [((math.nan,), (1.5,)), ((2.5,), (-0.5, math.nan))])
+    def test_gamma_ratio_logs_rejects_nan_as_the_two_pass_form(self, num, den):
         assert _outcome(specfn.gamma_ratio_logs, num, den) == _outcome(_two_pass_gamma_ratio_logs, num, den)
 
     def test_beta_domain_errors(self):
