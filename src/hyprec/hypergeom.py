@@ -26,9 +26,9 @@ The library reads its series a grid at a time through ``_hyp2f1_grid``
 (``_hyp2f1_unit`` is its one-point case).  It remembers the last four series
 (a, b, c, tol and the term cap, each with its type) in a memo that counts
 the points it answered and those it computed.  A series' entry holds all
-that series reuses: its results, 256 points each; the term ratios of its
-direct series; and the connection formula's gamma ratios, formed once per
-series.  The G_m scans and the Q profile read the same two series at the
+that series reuses: the results of its first 256 points; the term ratios
+of its direct series; and the connection formula's gamma ratios, formed
+once per series.  The G_m scans and the Q profile read the same two series at the
 same points for every m, so they share one evaluation; four series are
 more than one (a, b) cell of a scan reads and far fewer than a scan of
 many cells does, so what is reused is the work on one cell.  Each
@@ -343,8 +343,8 @@ CONNECTION_GAP = 1e-3
 
 
 #: The memo of ``_hyp2f1_grid``: the last ``_MEMO_SERIES`` series, the
-#: results of ``_MEMO_POINTS`` points each, at about 400 bytes a point.  One
-#: scan cell reads two series at 52 points on the default grid.
+#: results of their first ``_MEMO_POINTS`` points each, at about 400 bytes a
+#: point.  One scan cell reads two series at 52 points on the default grid.
 _MEMO_SERIES = 4
 _MEMO_POINTS = 256
 
@@ -352,7 +352,9 @@ _MEMO_POINTS = 256
 class _Series:
     """All that the reads of one series in ``_hyp2f1_grid`` reuse.
 
-    ``points`` maps a point to its result, oldest first; ``ratios`` is the
+    ``points`` maps a point to its result, for the first ``_MEMO_POINTS``
+    points computed: a full entry stores no more, so a grid longer than that
+    keeps its first points for the next read.  ``ratios`` is the
     direct series' list for ``_sum_series``.  The first read that needs them
     forms ``connects``, ``connection`` (A, B's sign and log-gammas, and
     whether their rounding is within tol) and ``direct``, the checked params.
@@ -483,9 +485,8 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
                 if direct is None:
                     direct = entry.direct = HypParams._derived(a, b, c)
                 result = hyp2f1(direct, x, tol, cap, _ratios=entry.ratios)
-            values[point] = result
-            if len(values) > _MEMO_POINTS:
-                del values[next(iter(values))]
+            if len(values) < _MEMO_POINTS:
+                values[point] = result
             results.append(result)
     finally:
         memo.hits += hits

@@ -698,11 +698,12 @@ class TestUnitCache:
             assert all(len(v.ratios) <= hypergeom._RATIO_TERMS for v in hypergeom._MEMO.series.values())
         assert len(hypergeom._MEMO.series) == hypergeom._MEMO_SERIES
         assert {len(v.points) for v in hypergeom._MEMO.series.values()} == {hypergeom._MEMO_POINTS}
-        # A grid longer than a series may hold pushes out its own first
-        # points before the next read reaches them, so each read computes it
-        # whole.
-        assert hypergeom._MEMO.hits == 0
-        assert hypergeom._MEMO.misses == 2 * 3 * hypergeom._MEMO_SERIES * len(grid)
+        # A full entry stores no more points, so a grid longer than a series
+        # may hold keeps its first points: the second read answers them from
+        # the memo and computes only the rest.
+        series = 3 * hypergeom._MEMO_SERIES
+        assert hypergeom._MEMO.hits == series * hypergeom._MEMO_POINTS
+        assert hypergeom._MEMO.misses == series * (2 * len(grid) - hypergeom._MEMO_POINTS)
 
     def test_warm_grid_counts_hits(self):
         params = HypParams(0.3, 0.7, 1.9)
