@@ -28,12 +28,13 @@ The library reads its series a grid at a time through ``_hyp2f1_grid``
 the points it answered and those it computed.  A series' entry holds all
 that series reuses: the results of its first 256 points; the term ratios
 of its direct series; and the connection formula's gamma ratios, formed
-once per series.  The G_m scans and the Q profile read the same two series at the
-same points for every m, so they share one evaluation; four series are
-more than one (a, b) cell of a scan reads and far fewer than a scan of
-many cells does, so what is reused is the work on one cell.  Each
-direct-series point stays one call to ``hyp2f1``, which is passed the term
-cap the grid read took from ``term_cap()`` once and the entry's ratios.
+once per series.  The G_m scans and the Q profile read the same two
+series at the same points for every m, so they share one evaluation;
+four series are more than one (a, b) cell of a scan reads and far fewer
+than a scan of many cells does, so what is reused is the work on one
+cell.  Each direct-series point stays one call to ``hyp2f1``, which is
+passed the term cap the grid read took from ``term_cap()`` once and the
+entry's ratios.
 
 Every float series, public ``hyp2f1`` and both connection series, is summed
 by ``_sum_series``.  Its loop runs on a float counter and tests the tail rule

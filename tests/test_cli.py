@@ -1,9 +1,11 @@
 import csv
+import gc
 import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -332,6 +334,67 @@ class TestClassifyAndScans:
         assert code == 0
         payload = json.loads(out)
         assert float(payload["abs_difference"]) <= 1e-8
+
+
+def _script_entry():
+    """The ``module:function`` the ``hyprec`` console script runs, from pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    return tomllib.loads(pyproject.read_text())["project"]["scripts"]["hyprec"]
+
+
+class TestProcessEntry:
+    """The process entry freezes the import-time heap; in-process ``main`` leaves the collector alone."""
+
+    EVAL = ("eval", "--a", "0.5", "--b", "0.5", "--c", "1.5", "--x", "0.3")
+
+    # Wraps ``hyprec.cli.main`` to report the collector's state as the
+    # command starts, then runs the command through the given entry.
+    PROBE = """
+import gc, importlib, runpy, sys
+import hyprec.cli as cli
+real = cli.main
+def main(argv=None):
+    print(gc.get_freeze_count(), gc.isenabled(), file=sys.stderr)
+    return real(argv)
+cli.main = main
+sys.argv = ["hyprec", *sys.argv[1:]]
+entry = {entry!r}
+if entry == "-m":
+    runpy.run_module("hyprec", run_name="__main__", alter_sys=True)
+else:
+    module, _, function = entry.partition(":")
+    sys.exit(getattr(importlib.import_module(module), function)())
+"""
+
+    @pytest.mark.parametrize("entry", ["-m", "script"])
+    def test_entry_runs_the_command_with_the_heap_frozen(self, entry, capsys):
+        spec = "-m" if entry == "-m" else _script_entry()
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE.format(entry=spec), *self.EVAL],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        frozen, enabled = proc.stderr.split()
+        assert int(frozen) > 0
+        assert enabled == "True"
+        assert (proc.returncode, proc.stdout) == (main(list(self.EVAL)), capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "argv,env,code",
+        [
+            (EVAL, None, 0),
+            (("eval", "--a", "one", "--b", "1", "--c", "2", "--x", "0.5"), None, 2),
+            (("eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9"), {"HYPREC_TERM_CAP": "10"}, 3),
+        ],
+    )
+    def test_main_leaves_the_collector_as_it_was(self, argv, env, code, capsys, monkeypatch):
+        for key, value in (env or {}).items():
+            monkeypatch.setenv(key, value)
+        before = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
+        assert main(list(argv)) == code
+        assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == before
 
 
 class TestProcessLevel:

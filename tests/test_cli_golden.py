@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -226,6 +227,46 @@ def test_golden(case_id, argv, env, capsys):
     code, out = run_case(argv, env, capsys)
     assert code == expected["exit"]
     assert out == expected["stdout"]
+
+
+def _process_sample():
+    """The cases ``test_golden_through_a_process`` runs: a fixed sample of the matrix.
+
+    The first variant of each subcommand in each format (verify's is
+    ``--suite special-cases --seed 42``), and one exit-2 and one exit-3 case
+    of ``_FAILURES``, the latter through the environment.
+    """
+    firsts = {}
+    for case_id, argv, env in _CASES:
+        if env is None and "--format" in argv:
+            firsts.setdefault((argv[0], argv[argv.index("--format") + 1]), (case_id, argv, env))
+    failures = ("coeffs --a 1 --b 1 --c -2 --n 4", "HYPREC_TERM_CAP=10 eval --a 0.5 --b 0.5 --c 1 --x 0.9")
+    return list(firsts.values()) + [case for case in _CASES if case[0] in failures]
+
+
+_PROCESS_CASES = _process_sample()
+
+
+def test_process_sample_covers_each_subcommand_and_failure_kind():
+    expected = _expected()
+    assert len({argv[0] for _, argv, _ in _PROCESS_CASES}) == 8
+    assert [expected[c[0]]["exit"] for c in _PROCESS_CASES] == [0] * 8 * len(FORMATS) + [2, 3]
+    assert "verify --suite special-cases --seed 42 --format plain" in {c[0] for c in _PROCESS_CASES}
+
+
+@pytest.mark.parametrize("case_id,argv,env", _PROCESS_CASES, ids=[c[0] for c in _PROCESS_CASES])
+def test_golden_through_a_process(case_id, argv, env):
+    # ``python -m hyprec`` enters through the process entry, not ``main``,
+    # so its stdout bytes and exit code are checked in a fresh interpreter.
+    expected = _expected()[case_id]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyprec", *argv],
+        capture_output=True,
+        env={**os.environ, **(env or {})},
+        timeout=120,
+    )
+    assert proc.returncode == expected["exit"]
+    assert proc.stdout == expected["stdout"].encode()
 
 
 def test_csv_rows_are_as_wide_as_their_header():
