@@ -25,17 +25,21 @@ evaluated at four consecutive n only: scaled to integers over one common
 denominator, the rows then step by integer adds of their second differences.
 The homogeneous recurrences carry their last terms as integer numerators over
 the lcm of every denominator so far, which grows by den / gcd(den, sum) per
-step, so the one large gcd of a step reduces its new coefficient; the log
-product adds gamma_n w_n to a Fraction sum of integer multiples.
+step, so the one large gcd of a step reduces its new coefficient.  The log
+product carries z_n = w_n / ((n+a-1)(n+b-1)) beside v_n and v_(n-1): z_n
+steps over the same (n+1)(n+c), so it too stays an integer numerator over
+the common denominator, and each v_n takes one large gcd.
 
 In exact mode the oracle sums each u_n by nested Horner over the ratio of
 consecutive summands, a quotient of small integers, so every step multiplies
 a big integer by a small one; it sums only the window of k where neither
 factor vanishes (the binomial factor ends at j = p for an integer p >= 0 and
-at j = 0 for theta = 0, w ends at k = -a for a nonpositive integer a or b)
-and normalises once per coefficient, which gives the same rationals as
-summing Fraction products.  Float mode sums the products in the field of the
-inputs, as the recurrences do.
+at j = 0 for theta = 0, w ends at k = -a for a nonpositive integer a or b).
+The summands' first term and the Horner denominator come from running
+integer products of the ratios' numerators and denominators, so no Fraction
+is formed per term and each coefficient is normalised once, which gives the
+same rationals as summing Fraction products.  Float mode sums the products
+in the field of the inputs, as the recurrences do.
 """
 
 from __future__ import annotations
@@ -375,8 +379,20 @@ def v_log_product(params: HypParams, n_max: int) -> CoeffSequence:
         gamma_n = [(c-b-a) n^2 + (a+b-2ab) n - c(a-1)(b-1)]
                   / ((n+1)(n+a-1)(n+b-1)(n+c)).
 
-    Raises :class:`DomainError` when a gamma_n denominator vanishes, i.e. when
-    a or b is a nonpositive integer >= 1 - N.
+    Raises :class:`DomainError` when a gamma_n denominator vanishes for some
+    n <= N - 1, i.e. when a or b is a nonpositive integer >= 2 - N (the factor
+    n + a - 1 vanishes at n = 1 - a).
+
+    Exact mode steps on integers.  With z_n = w_n / ((n+a-1)(n+b-1)), which
+    is w_(n-1) / (n (n+c-1)), the step reads
+
+        v_(n+1) = [2 alpha'_n v_n - beta'_n v_(n-1) + gamma'_n z_n] / den_n,
+        z_(n+1) = (n+a-1)(n+b-1) z_n / den_n,
+
+    with den_n = (n+1)(n+c) and every primed numerator quadratic in n, so the
+    rows come from ``_integer_rows`` and v_n, v_(n-1) and z_n are carried as
+    integer numerators over one common denominator.  It grows by the small
+    den_n / gcd(den_n, numerators) per step, and each v_n is normalised once.
     """
     _check_n(n_max)
     a, b, c = params.a, params.b, params.c
@@ -388,7 +404,6 @@ def v_log_product(params: HypParams, n_max: int) -> CoeffSequence:
     v = [0 * one]
     if n_max >= 1:
         v.append(-one)
-    w = hyp_series_coeffs(params, max(n_max - 1, 0))
 
     def vanished(n):
         return DomainError(
@@ -400,16 +415,26 @@ def v_log_product(params: HypParams, n_max: int) -> CoeffSequence:
 
         def row_at(n):
             # gamma_n's denominator over (n+1)(n+c) is (n+a-1)(n+b-1), which
-            # is quadratic; the trailing 1 brings out the rows' common scale.
+            # is quadratic and is z_n's step factor.
             den, two_alpha, beta, gnum, gden = _log_product_step(a, b, c, p, n)
-            return den, two_alpha, -beta, gnum, gden / den, 1
+            return den, two_alpha, -beta, gnum, gden / den
 
-        rows = _integer_rows(row_at, 1)
-        for n, (den, x0, x1, gnum, gquot, scale) in zip(range(1, n_max), rows):
+        # v_1 = -1, v_0 = 0 and z_1 = 1/c over the common denominator.
+        z = 1 / c
+        scale = z.denominator
+        v1, v0, z = -scale, 0, z.numerator
+        for n, (den, x0, x1, gnum, gquot) in zip(range(1, n_max), _integer_rows(row_at, 1)):
             if den == 0 or gquot == 0:
                 raise vanished(n)
-            v.append((v[n] * x0 + v[n - 1] * x1 + w[n] * (gnum * scale) / gquot) / den)
+            total = x0 * v1 + x1 * v0 + gnum * z
+            z *= gquot
+            g = math.gcd(den, total, z)
+            k = den // g
+            scale *= k
+            v1, v0, z = total // g, v1 * k, z // g
+            v.append(Fraction(v1, scale))
     else:
+        w = hyp_series_coeffs(params, max(n_max - 1, 0))
         for n in range(1, n_max):
             den, two_alpha, beta, gnum, gden = _log_product_step(a, b, c, p, n)
             if gden == 0:
@@ -440,11 +465,20 @@ def _exact_cauchy_product(spec: WeightedSeriesSpec | LogProductSpec, n_max: int)
     j / (j-1) for ln(1-x).  That ratio is P/Q with integers of a few dozen
     bits, so each step num <- den Q + P num, den <- den Q (from k = k_hi - 1
     down to k_lo, starting at num = den = 1) multiplies a big integer by a
-    small one, and u_n = T_lo num / den is normalised once.  Only the nonzero
-    window of k is summed: g ends at j = p for an integer p >= 0 and at j = 0
-    for theta = 0, the ln(1-x) factor starts at j = 1, and w ends at k = -a
-    (or -b) for a nonpositive integer a (or b).  Fraction is canonical, so
-    the values are identical to the termwise Fraction sums.
+    small one.  Only the nonzero window of k is summed: g ends at j = p for an
+    integer p >= 0 and at j = 0 for theta = 0, the ln(1-x) factor starts at
+    j = 1, and w ends at k = -a (or -b) for a nonpositive integer a (or b).
+
+    No Fraction is formed per term.  w_k = WP_k / WQ_k and the binomial
+    g_j = GQ_j / GP_j are kept as running integer products of the ratios'
+    numerators and denominators, and den = (WQ_hi / WQ_lo) (GQ_(n-lo) /
+    GQ_(n-hi)), so
+
+        u_n = WP_lo GQ_(n-hi) num / (WQ_hi GP_(n-lo)),
+        u_n = -WP_lo num / (WQ_hi (n-lo)(n-lo-1)...(n-hi))   for ln(1-x),
+
+    with lo = k_lo and hi = k_hi, is normalised once.  Fraction is canonical,
+    so the values are identical to the termwise Fraction sums.
     """
     params = spec.params
     (an, ad), (bn, bd), (cn, cd) = ((v.numerator, v.denominator) for v in (params.a, params.b, params.c))
@@ -457,12 +491,12 @@ def _exact_cauchy_product(spec: WeightedSeriesSpec | LogProductSpec, n_max: int)
         _reduced((an + k * ad) * (bn + k * bd) * cd, ad * bd * (cn + k * cd) * (k + 1))
         for k in range(k_end)
     ]
-    # w_0..w_(k_end), the only w the sums below read, as a running product.
-    w = [Fraction(1)]
+    wps, wqs = [1], [1]
     for wp, wq in w_ratio:
-        w.append(w[-1] * Fraction(wp, wq))
-    if isinstance(spec, LogProductSpec):
-        g = _log_series_coeffs(Fraction(1), n_max)
+        wps.append(wps[-1] * wp)
+        wqs.append(wqs[-1] * wq)
+    log = isinstance(spec, LogProductSpec)
+    if log:
         j_lo, j_end = 1, n_max
         # g_(j-1)/g_j = j/(j-1); g_0 = 0 lies outside the window.
         g_ratio = [None, None] + [(j, j - 1) for j in range(2, n_max + 1)]
@@ -475,13 +509,14 @@ def _exact_cauchy_product(spec: WeightedSeriesSpec | LogProductSpec, n_max: int)
             j_end = min(n_max, pn)
         else:
             j_end = n_max
-        g = [Fraction(1)]
-        for j in range(1, j_end + 1):
-            g.append(g[-1] * Fraction(tn * ((j - 1) * pd - pn), td * pd * j))
         # g_(j-1)/g_j = j / (theta (j-1-p)).
         g_ratio = [None] + [
             _reduced(j * td * pd, tn * ((j - 1) * pd - pn)) for j in range(1, j_end + 1)
         ]
+        gps, gqs = [1], [1]
+        for gp, gq in g_ratio[1:]:
+            gps.append(gps[-1] * gp)
+            gqs.append(gqs[-1] * gq)
     coeffs = []
     for n in range(n_max + 1):
         k_lo, k_hi = max(0, n - j_end), min(n - j_lo, k_end)
@@ -494,8 +529,11 @@ def _exact_cauchy_product(spec: WeightedSeriesSpec | LogProductSpec, n_max: int)
         ):
             den *= wq * gq
             num = den + (wp * gp) * num
-        first = w[k_lo] * g[n - k_lo]
-        coeffs.append(Fraction(first.numerator * num, first.denominator * den))
+        if log:
+            span = math.perm(n - k_lo, k_hi - k_lo + 1)
+            coeffs.append(Fraction(-wps[k_lo] * num, wqs[k_hi] * span))
+        else:
+            coeffs.append(Fraction(wps[k_lo] * gqs[n - k_hi] * num, wqs[k_hi] * gps[n - k_lo]))
     return tuple(coeffs)
 
 
@@ -509,9 +547,11 @@ def cauchy_oracle(spec: WeightedSeriesSpec | LogProductSpec, n_max: int) -> Coef
 
     Exact mode (every parameter an int or Fraction) sums each u_n by nested
     Horner over the term ratio of its summands, which is a quotient of small
-    integers, over the window of k where neither factor vanishes, and
-    normalises once per coefficient; the result is the same Fraction,
-    numerator and denominator, as summing Fraction products.  Float mode (any
+    integers, over the window of k where neither factor vanishes.  It puts
+    the sum over a closed-form denominator built from integer running
+    products of the ratios, forms no Fraction per term and normalises once
+    per coefficient; the result is the same Fraction, numerator and
+    denominator, as summing Fraction products.  Float mode (any
     parameter a float) takes the Pochhammer factors as finite products, never
     via gamma, and sums the products in the field of the inputs.
     """
