@@ -5,7 +5,8 @@ Each suite re-runs the mathematical guarantees of one layer of the package
 special cases and closed forms, mean representations, region classification,
 monotone-ratio machinery) with a deterministic parameter sampler.  Failures
 are data, not exceptions: the driver returns one record per property with a
-status and a worst-case margin, and identical inputs produce byte-identical
+status and a margin (what a margin holds differs by record; see
+:class:`PropertyResult`), and identical inputs produce byte-identical
 reports.
 """
 
@@ -73,6 +74,22 @@ def _p_set(a, b, c):
 
 
 class PropertyResult(Record):
+    """One checked property: its suite, name, status, margin and a note.
+
+    For most records the margin is the worst deviation found, an error or a
+    residual, so smaller is better and 0.0 is an exact match; a pass/fail
+    check with no number reads 0.0 when it passes and None when it fails.
+    Four records hold something else:
+
+    - ``classify-double-entry``: the number of triples whose two
+      classifications disagree;
+    - ``schur-differential-sign``: the number of draws, of 20, whose signs
+      agree, so larger is better;
+    - ``alpha-prime-positivity``: the smallest alpha'_n;
+    - ``published-recurrence-divergence``: the gap between the published
+      and the oracle's u_1, 7/8 against 9/8 at q = 1, so 0.25.
+    """
+
     __slots__ = ("suite", "name", "status", "margin", "note")
 
     def __init__(self, suite: str, name: str, status: str, margin: float | None, note: str = ""):

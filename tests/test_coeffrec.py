@@ -482,6 +482,27 @@ class TestExactRecurrenceReference:
                 call(params, 12)
         assert_same_recurrence("log", params, None, None, 12)
 
+    @pytest.mark.parametrize("field", [Fraction, float], ids=["exact", "float"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("n_max", [2, 4, 12])
+    def test_log_product_domain_boundary(self, field, side, n_max):
+        # n + a - 1 vanishes at n = 1 - a and the steps stop at n = N - 1, so
+        # a = 1 - N still returns and a = 2 - N is the first to raise.
+        def params(top):
+            free = field(_F(2, 5))
+            a, b = (field(top), free) if side == "a" else (free, field(top))
+            return HypParams(a, b, field(_F(3, 2)))
+
+        inside = params(1 - n_max)
+        got = v_log_product(inside, n_max).coeffs
+        want = cauchy_oracle(LogProductSpec(inside), n_max).coeffs
+        if field is Fraction:
+            assert got == want
+        else:
+            assert max(rel_with_floor(x, y) for x, y in zip(got, want)) <= 1e-12
+        with pytest.raises(DomainError, match=f"at n={n_max - 1} "):
+            v_log_product(params(2 - n_max), n_max)
+
     @pytest.mark.parametrize(
         "kind,abc,p,theta",
         [
