@@ -491,6 +491,7 @@ def _exact_cauchy_product(spec: WeightedSeriesSpec | LogProductSpec, n_max: int)
         _reduced((an + k * ad) * (bn + k * bd) * cd, ad * bd * (cn + k * cd) * (k + 1))
         for k in range(k_end)
     ]
+    # w_k = wps[k] / wqs[k], k = 0..k_end, as unreduced running products.
     wps, wqs = [1], [1]
     for wp, wq in w_ratio:
         wps.append(wps[-1] * wp)
@@ -513,6 +514,7 @@ def _exact_cauchy_product(spec: WeightedSeriesSpec | LogProductSpec, n_max: int)
         g_ratio = [None] + [
             _reduced(j * td * pd, tn * ((j - 1) * pd - pn)) for j in range(1, j_end + 1)
         ]
+        # g_j = gqs[j] / gps[j], j = 0..j_end, likewise.
         gps, gqs = [1], [1]
         for gp, gq in g_ratio[1:]:
             gps.append(gps[-1] * gp)
