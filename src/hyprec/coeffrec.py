@@ -50,7 +50,7 @@ from fractions import Fraction
 
 from ._record import Record, set_field
 from .errors import DomainError, ParameterError
-from .hypergeom import HypParams
+from .hypergeom import HypParams, _require_finite
 from .specfn import pochhammer
 
 __all__ = [
@@ -92,13 +92,14 @@ def _one(*values):
 
 
 class WeightedSeriesSpec(Record):
-    """Generating data (a, b, c, p, theta) of (1 - theta*x)^p F(a,b;c;x)."""
+    """Generating data (a, b, c, p, theta) of (1 - theta*x)^p F(a,b;c;x); p finite, theta in [-1, 1]."""
 
     __slots__ = ("params", "p", "theta")
 
     def __init__(self, params: HypParams, p: float, theta: float):
         if not -1 <= theta <= 1:
             raise ParameterError(f"theta must lie in [-1, 1], got {theta!r}")
+        _require_finite("p", p)
         set_field(self, "params", params)
         set_field(self, "p", p)
         set_field(self, "theta", theta)

@@ -89,13 +89,18 @@ def term_cap() -> int:
 POLE_TOL = 1e-12
 
 
+def _require_finite(name: str, value) -> None:
+    """Reject a floating value that is NaN or infinite; int and Fraction values always pass."""
+    if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {name}={value!r}")
+
+
 def _require_off_poles(c, tol: float) -> None:
     """Reject c = 0, -1, -2, ...: exactly for int and Fraction c, within tol for floating c."""
     if isinstance(c, (int, Fraction)):
         on_pole = c <= 0 and c.denominator == 1
     else:
-        if not math.isfinite(c):
-            raise ParameterError(f"c must be finite, got c={c!r}")
+        _require_finite("c", c)
         nearest = round(c)
         on_pole = nearest <= 0 and (c == nearest or abs(c - nearest) < tol)
     if on_pole:
@@ -109,12 +114,15 @@ class HypParams(Record):
     """Parameter triple (a, b, c) of F(a,b;c;x); c must not be 0, -1, -2, ...
 
     Floating c is also rejected within ``POLE_TOL`` of those poles, where the
-    series terms blow up and the result carries no accuracy.
+    series terms blow up and the result carries no accuracy.  Floating a, b
+    and c must be finite; int and Fraction values always are.
     """
 
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: float, b: float, c: float):
+        _require_finite("a", a)
+        _require_finite("b", b)
         _require_off_poles(c, POLE_TOL)
         set_field(self, "a", a)
         set_field(self, "b", b)
@@ -178,7 +186,7 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, cap: int | None = No
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-    if abs(x) >= 1:
+    if not abs(x) < 1:
         raise ParameterError(f"series evaluation requires |x| < 1, got x={x!r}")
     if cap is None:
         cap = term_cap()
@@ -194,81 +202,59 @@ _RATIO_TERMS = 1024
 def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalResult:
     """The direct series of ``hyp2f1``, summed past the pole of 1/(c)_n, in at most cap terms.
 
-    The tail rule counts no term before the ``settle``-th, the first n with
-    every later denominator c + n positive; for c > -1 that is no constraint.
-    The loop is the hot path of every float series in the package, so it
-    keeps its arithmetic float-float: the counter n is a float when a, b and
-    c are, which forms each a + n, c + n and n + 1 exactly as an int counter
-    does, and other parameter types (a ``Fraction``) keep an int counter, so
-    their terms are formed as before.  |term| <= tol |total| is tested as
+    One loop takes term k + 1 = term k * q_k * x for k = 0, 1, ..., cap - 1,
+    with the term ratio q_k = (a+k)(b+k) / ((c+k)(k+1)).  The tail rule
+    counts no term before the ``settle``-th, the first n with every later
+    denominator c + n positive; for c > -1 that is no constraint.  The loop
+    is the hot path of every float series in the package, so it keeps its
+    arithmetic float-float: the counter is a float when a, b and c are,
+    which forms each a + k, c + k and k + 1 exactly as an int counter does,
+    and other parameter types (a ``Fraction``) keep an int counter, so their
+    ratios are formed as before.  |term| <= tol |total| is tested as
     -lim <= term <= lim with lim = tol * total negated when total is, and
-    |factor| < 1 as -1 < factor < 1; both decide alike for every float,
-    NaN included, and the ratio is taken only at the stop.  Every result
-    and message is the one the plain loop with ``abs`` gives.
+    |factor| < 1 as -1 < factor < 1; both decide alike for every float, NaN
+    included, and the ratio is taken only at the stop.  Every result and
+    message is the one the plain loop with ``abs`` gives.
 
-    The term ratio q_n = (a+n)(b+n) / ((c+n)(n+1)) does not depend on x, so
-    a caller that reads one series at many x (``_hyp2f1_grid``) passes a
-    list, ``ratios``, that it keeps for (a, b, c) with their types, as the
-    counter's type depends on them.  The sum runs over the q_n stored there,
-    with factor q_n * x, the same float product as the inline one, and past
-    them goes on inline from the same term, total and streak, appending the
-    q_n it forms up to the first ``_RATIO_TERMS``.  With None, as for every
-    one-off sum, nothing is stored.
+    q_k does not depend on x, so a caller that reads one series at many x
+    (``_hyp2f1_grid``) passes a list, ``ratios``, that it keeps for (a, b, c)
+    with their types, as the counter's type depends on them.  Step k reads
+    q_k from that list while k is below its length on entry, and otherwise
+    forms q_k on the counter, which moves only then, and appends it while k
+    is below min(``_RATIO_TERMS``, cap).  So after a sum of s terms the
+    list holds min(max(its length before, s), ``_RATIO_TERMS``, cap)
+    ratios, and the factor q_k * x is the same float product whether q_k
+    was read or formed.  With None, as for every one-off sum, nothing is
+    stored.
     """
     settle = max(0, math.floor(-c) + 1)
     total = 1.0
     term = 1.0
     streak = 0
-    floats = type(a) is type(b) is type(c) is float
-    done = record = 0
+    stored = record = 0
     if ratios is not None:
-        done = min(len(ratios), cap)
-        for n, q in zip(range(1, done + 1), ratios):
-            factor = q * x
-            term *= factor
-            total += term
-            lim = tol * total
-            if total < 0.0:
-                lim = -lim
-            if term <= lim and -lim <= term and -1.0 < factor < 1.0 and n >= settle:
-                streak += 1
-                if streak >= 3:
-                    ratio = abs(factor)
-                    return EvalResult(total, abs(term) * ratio / (1.0 - ratio), n + 1)
-            else:
-                streak = 0
-        record = min(_RATIO_TERMS, cap) - done
-    n, one = (float(done), 1.0) if floats else (done, 1)
-    for _ in range(record):
-        q = (a + n) * (b + n) / ((c + n) * (n + 1.0))
-        ratios.append(q)
+        stored = len(ratios)
+        record = min(_RATIO_TERMS, cap)
+    n, one = (float(stored), 1.0) if type(a) is type(b) is type(c) is float else (stored, 1)
+    for k in range(cap):
+        if k < stored:
+            q = ratios[k]
+        else:
+            q = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+            n += one
+            if k < record:
+                ratios.append(q)
         factor = q * x
         term *= factor
         total += term
-        n += one
         lim = tol * total
         if total < 0.0:
             lim = -lim
-        if term <= lim and -lim <= term and -1.0 < factor < 1.0 and n >= settle:
+        if term <= lim and -lim <= term and -1.0 < factor < 1.0 and k >= settle - 1:
             streak += 1
             if streak >= 3:
                 ratio = abs(factor)
-                return EvalResult(total, abs(term) * ratio / (1.0 - ratio), int(n) + 1)
-        else:
-            streak = 0
-    for _ in range(cap - done - record):
-        factor = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-        term *= factor
-        total += term
-        n += one
-        lim = tol * total
-        if total < 0.0:
-            lim = -lim
-        if term <= lim and -lim <= term and -1.0 < factor < 1.0 and n >= settle:
-            streak += 1
-            if streak >= 3:
-                ratio = abs(factor)
-                return EvalResult(total, abs(term) * ratio / (1.0 - ratio), int(n) + 1)
+                return EvalResult(total, abs(term) * ratio / (1.0 - ratio), k + 2)
         else:
             streak = 0
     raise NonConvergence(
@@ -325,7 +311,7 @@ def euler_transform_eval(params: HypParams, x: float, tol: float = 1e-12) -> Eva
     point of using it near x = 1.
     """
     a, b, c = params.a, params.b, params.c
-    if abs(x) >= 1:
+    if not abs(x) < 1:
         raise ParameterError(f"Euler transform evaluation requires |x| < 1, got x={x!r}")
     weight = (1.0 - x) ** (c - a - b)
     inner = hyp2f1(HypParams(c - a, c - b, c), x, tol)

@@ -30,7 +30,7 @@ from ._record import Record, set_field
 from .compare import rel_with_floor
 from .coeffrec import is_exact, u_theta_plus1
 from .errors import DomainError, HyprecError, NonConvergence, ParameterError
-from .hypergeom import HypParams, _hyp2f1_grid, _hyp2f1_unit
+from .hypergeom import HypParams, _hyp2f1_grid, _hyp2f1_unit, _require_finite
 from .hypergeom import hyp2f1  # noqa: F401  (kept as schurmean.hyp2f1, the binding perfbench's tracer wraps)
 
 __all__ = [
@@ -84,11 +84,12 @@ class MeanParams(Record):
 
 
 class RegionTriple(Record):
-    """A point (a, b, m): mean parameters plus the Schur power index m."""
+    """A point (a, b, m): mean parameters plus the Schur power index m, finite."""
 
     __slots__ = ("mean", "m")
 
     def __init__(self, mean: MeanParams, m: float):
+        _require_finite("m", m)
         set_field(self, "mean", mean)
         set_field(self, "m", m)
 
@@ -111,8 +112,8 @@ class RegionLabel(Record):
 
 
 def _require_positive_args(x: float, y: float) -> None:
-    if not (x > 0 and y > 0):
-        raise ParameterError(f"mean arguments must be positive, got ({x!r}, {y!r})")
+    if not (0 < x < math.inf and 0 < y < math.inf):
+        raise ParameterError(f"mean arguments must be positive and finite, got ({x!r}, {y!r})")
 
 
 def mean_series(x: float, y: float, mp: MeanParams, tol: float = 1e-12) -> float:

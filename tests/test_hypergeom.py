@@ -242,13 +242,18 @@ class TestSumSeriesLoop:
     def test_series_past_the_stored_ratios_match_the_plain_loop(self, abc, cap):
         # At 0.999 the direct series runs past the ratios a list may store,
         # and c = -7/2 and -29.5 sum past their pole before the streak counts.
+        # A sum of s ratios leaves the first min(s, _RATIO_TERMS, cap) of them
+        # stored, no fewer and no more.
         exact = isinstance(abc[0], Fraction)
         xs = [0.3, 0.9, 0.5] if exact else [0.5, 0.999, 0.99, 0.9995, 0.1, -0.9]
         ratios = []
         for x in xs:
             args = (*abc, x, 1e-12, cap)
-            assert _summed(hypergeom._sum_series, *args, ratios) == _summed(_plain_sum_series, *args)
-        assert 0 < len(ratios) <= min(cap, hypergeom._RATIO_TERMS)
+            before = len(ratios)
+            summed = _summed(hypergeom._sum_series, *args, ratios)
+            assert summed == _summed(_plain_sum_series, *args)
+            terms = cap if isinstance(summed, str) else summed[0].terms_used - 1
+            assert len(ratios) == min(max(before, terms), hypergeom._RATIO_TERMS, cap)
 
     def test_equal_parameters_of_other_types_keep_their_own_ratios(self):
         # Each typed triple is its own grid series, with its own memo entry

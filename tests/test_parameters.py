@@ -19,14 +19,17 @@ from hyprec import (
     MeanParams,
     RegionTriple,
     WeightedSeriesSpec,
+    classify_region,
     g_m,
     g_m_series_reduction_residual,
     gauss_value_at_one,
     hyp2f1,
+    hyp2f1_derivative,
     mean_quadrature,
     mean_series,
     schur_condition_sample,
     u_general,
+    v_log_product,
     zero_balanced_asymptote,
 )
 from hyprec.cli import main
@@ -79,8 +82,20 @@ class TestHypParamsPoles:
         lambda: mean_series(0.0, 1.0, MeanParams(0.5, 0.5)),
         lambda: mean_quadrature(1.0, -1.0, MeanParams(0.5, 0.5)),
         lambda: schur_condition_sample(-1.0, 1.0, RegionTriple(MeanParams(0.5, 0.5), 0.5)),
+        lambda: HypParams(math.nan, 0.5, 1.5),
+        lambda: HypParams(0.5, math.inf, 1.5),
+        lambda: HypParams(-math.inf, 0.5, 1.5),
+        lambda: u_general(WeightedSeriesSpec(HypParams(1, 1, 2), math.nan, 0.5), 8),
+        lambda: v_log_product(HypParams(math.nan, 1, 2), 8),
+        lambda: classify_region(RegionTriple(MeanParams(0.5, 0.5), math.nan)),
+        lambda: RegionTriple(MeanParams(0.5, 0.5), math.inf),
+        lambda: mean_series(math.inf, 1.0, MeanParams(0.5, 0.5)),
+        lambda: mean_quadrature(1.0, math.inf, MeanParams(0.5, 0.5)),
+        lambda: schur_condition_sample(1.0, math.inf, RegionTriple(MeanParams(0.5, 0.5), 0.5)),
     ],
-    ids=["mean-a", "mean-b", "mean-b-inf", "theta", "n-negative", "n-cap", "t", "series-x", "quad-y", "schur-x"],
+    ids=["mean-a", "mean-b", "mean-b-inf", "theta", "n-negative", "n-cap", "t", "series-x", "quad-y", "schur-x",
+         "hyp-a-nan", "hyp-b-inf", "hyp-a-minus-inf", "u-general-p-nan", "log-product-a-nan", "classify-m-nan",
+         "triple-m-inf", "series-x-inf", "quad-y-inf", "schur-y-inf"],
 )
 def test_construction_checks_raise_parameter_error(build):
     with pytest.raises(ParameterError):
@@ -105,9 +120,12 @@ def test_mean_series_accepts_tiny_b():
         lambda: zero_balanced_asymptote(0.0, 0.5, 0.9),
         lambda: zero_balanced_asymptote(0.5, -0.5, 0.9),
         lambda: zero_balanced_asymptote(0.5, 0.5, 1.0),
+        lambda: hyp2f1(HypParams(0.5, 0.5, 1.5), math.nan),
+        lambda: hyp2f1_derivative(HypParams(0.5, 0.5, 1.5), math.nan),
+        lambda: euler_transform_eval(HypParams(0.5, 0.5, 1.5), math.nan),
     ],
     ids=["hyp2f1-x", "value-at-one", "value-at-one-gamma-arg", "euler-x", "zero-balanced-a",
-         "zero-balanced-b", "zero-balanced-x"],
+         "zero-balanced-b", "zero-balanced-x", "hyp2f1-x-nan", "derivative-x-nan", "euler-x-nan"],
 )
 def test_evaluation_domain_checks_raise_parameter_error(evaluate):
     with pytest.raises(ParameterError):
