@@ -37,10 +37,13 @@ passed the term cap the grid read took from ``term_cap()`` once and the
 entry's ratios.
 
 Every float series, public ``hyp2f1`` and both connection series, is summed
-by ``_sum_series``.  Its loop runs on a float counter and tests the tail rule
-without ``abs``, and gives the same results and messages as the plain loop
-with an int counter and ``abs``, bit for bit.  Only a grid read passes it a
-list of term ratios to sum over and extend; a one-off sum keeps nothing.
+by ``_sum_series`` in one loop body.  It runs on a float counter and tests
+the tail rule without ``abs``, and gives the same results and messages as
+the plain loop with an int counter and ``abs``, bit for bit.  Only a grid
+read passes it a list of term ratios: each step reads its ratio from the
+list while there is one, and otherwise forms it and appends it while the
+list is shorter than ``_RATIO_TERMS`` and the cap, so the list never holds
+a ratio that no sum has used.  A one-off sum keeps nothing.
 """
 
 from __future__ import annotations
@@ -90,8 +93,12 @@ POLE_TOL = 1e-12
 
 
 def _require_finite(name: str, value) -> None:
-    """Reject a floating value that is NaN or infinite; int and Fraction values always pass."""
-    if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
+    """Reject a float that is NaN or infinite; int and Fraction values are always finite.
+
+    Only ``float`` is tested: an ``isinstance`` test against ``Fraction``, an
+    abstract base class, costs more than the rest of a record's construction.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {name}={value!r}")
 
 
@@ -100,7 +107,8 @@ def _require_off_poles(c, tol: float) -> None:
     if isinstance(c, (int, Fraction)):
         on_pole = c <= 0 and c.denominator == 1
     else:
-        _require_finite("c", c)
+        if not math.isfinite(c):
+            raise ParameterError(f"c must be finite, got c={c!r}")
         nearest = round(c)
         on_pole = nearest <= 0 and (c == nearest or abs(c - nearest) < tol)
     if on_pole:
