@@ -220,9 +220,11 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalRes
     and other parameter types (a ``Fraction``) keep an int counter, so their
     ratios are formed as before.  |term| <= tol |total| is tested as
     -lim <= term <= lim with lim = tol * total negated when total is, and
-    |factor| < 1 as -1 < factor < 1; both decide alike for every float, NaN
-    included, and the ratio is taken only at the stop.  Every result and
-    message is the one the plain loop with ``abs`` gives.
+    |q_k x| < 1 as -1 < q_k * x < 1; both decide alike for every float, NaN
+    included.  The product q_k * x is formed again where the term passes
+    rather than kept in a local, which would cost every step a store and a
+    load, and the ratio is taken only at the stop.  Every result and message
+    is the one the plain loop with ``abs`` gives.
 
     q_k does not depend on x, so a caller that reads one series at many x
     (``_hyp2f1_grid``) passes a list, ``ratios``, that it keeps for (a, b, c)
@@ -231,9 +233,8 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalRes
     forms q_k on the counter, which moves only then, and appends it while k
     is below min(``_RATIO_TERMS``, cap).  So after a sum of s terms the
     list holds min(max(its length before, s), ``_RATIO_TERMS``, cap)
-    ratios, and the factor q_k * x is the same float product whether q_k
-    was read or formed.  With None, as for every one-off sum, nothing is
-    stored.
+    ratios, and q_k * x is the same float product whether q_k was read or
+    formed.  With None, as for every one-off sum, nothing is stored.
     """
     settle = max(0, math.floor(-c) + 1)
     total = 1.0
@@ -252,16 +253,15 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalRes
             n += one
             if k < record:
                 ratios.append(q)
-        factor = q * x
-        term *= factor
+        term *= q * x
         total += term
         lim = tol * total
         if total < 0.0:
             lim = -lim
-        if term <= lim and -lim <= term and -1.0 < factor < 1.0 and k >= settle - 1:
+        if term <= lim and -lim <= term and -1.0 < q * x < 1.0 and k >= settle - 1:
             streak += 1
             if streak >= 3:
-                ratio = abs(factor)
+                ratio = abs(q * x)
                 return EvalResult(total, abs(term) * ratio / (1.0 - ratio), k + 2)
         else:
             streak = 0

@@ -242,8 +242,8 @@ class TestSumSeriesLoop:
     def test_series_past_the_stored_ratios_match_the_plain_loop(self, abc, cap):
         # At 0.999 the direct series runs past the ratios a list may store,
         # and c = -7/2 and -29.5 sum past their pole before the streak counts.
-        # A sum of s ratios leaves the first min(s, _RATIO_TERMS, cap) of them
-        # stored, no fewer and no more.
+        # A sum over s ratios leaves min(max(len before, s), _RATIO_TERMS, cap)
+        # of them stored, no fewer and no more.
         exact = isinstance(abc[0], Fraction)
         xs = [0.3, 0.9, 0.5] if exact else [0.5, 0.999, 0.99, 0.9995, 0.1, -0.9]
         ratios = []
