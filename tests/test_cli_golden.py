@@ -73,6 +73,8 @@ _CLASSIFY = (
     ("--a", "9/10", "--b", "1/2", "--m", "19/20", "--fuzz"),
     # A branch tag with a comma in it, next to the E- one above.
     ("--a", "0.9", "--b", "0.5", "--m", "1.2", "--fuzz"),
+    # A finite b so large that 1 + 2b overflows in m0 = (a + 2b)/(1 + 2b).
+    ("--a", "0.5", "--b", "1e308", "--m", "0.5"),
 )
 _MEAN = (
     ("--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2"),
