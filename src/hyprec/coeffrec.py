@@ -23,12 +23,14 @@ Each recurrence has one function of n that returns its denominator
 In exact mode every one of those values is quadratic in n, so the function is
 evaluated at four consecutive n only: scaled to integers over one common
 denominator, the rows then step by integer adds of their second differences.
-The homogeneous recurrences carry their last terms as integer numerators over
-the lcm of every denominator so far, which grows by den / gcd(den, sum) per
-step, so the one large gcd of a step reduces its new coefficient.  The log
-product carries z_n = w_n / ((n+a-1)(n+b-1)) beside v_n and v_(n-1): z_n
-steps over the same (n+1)(n+c), so it too stays an integer numerator over
-the common denominator, and each v_n takes one large gcd.
+One loop, ``_exact_steps``, steps all four: it carries the last terms as
+integer numerators over the lcm of every denominator so far, which grows by
+den / gcd(den, sum) per step, so the one large gcd of a step reduces its new
+coefficient.  Every row ends with an auxiliary's input and step (y, q): the
+log product's z_n = w_n / ((n+a-1)(n+b-1)) enters v_(n+1) with weight y and
+steps z_(n+1) = q z_n / (n+1)(n+c) over the same denominator, so it too
+stays an integer numerator; the u-recurrences pass (0, 1) with z = 0, which
+adds nothing.
 
 In exact mode the oracle sums each u_n by nested Horner over the ratio of
 consecutive summands, a quotient of small integers, so every step multiplies
@@ -51,7 +53,6 @@ from fractions import Fraction
 from ._record import Record, set_field
 from .errors import DomainError, ParameterError
 from .hypergeom import HypParams, _require_finite
-from .specfn import pochhammer
 
 __all__ = [
     "DEFAULT_N",
@@ -153,9 +154,13 @@ def hyp_series_coeffs(params: HypParams, n_max: int) -> list:
     return w
 
 
+def _den_vanished(n) -> DomainError:
+    return DomainError(f"recurrence denominator (n+1)(n+c) vanished at n={n}")
+
+
 def _check_den(den, n) -> None:
     if den == 0:
-        raise DomainError(f"recurrence denominator (n+1)(n+c) vanished at n={n}")
+        raise _den_vanished(n)
 
 
 def _integer_rows(row_at, n0):
@@ -181,29 +186,39 @@ def _integer_rows(row_at, n0):
         d1 = [d + s for d, s in zip(d1, d2)]
 
 
-def _exact_steps(u: list, row_at, n_max: int) -> None:
-    """Extend the seeds u_0..u_n0 to u_n_max by u_(n+1) = (x_0 u_n + x_1 u_(n-1) + ...) / den.
+def _exact_steps(u: list, row_at, n_max: int, z=0, vanished=_den_vanished) -> None:
+    """Extend the seeds u_0..u_n0 to u_n_max by u_(n+1) = (x_0 u_n + x_1 u_(n-1) + ... + y z_n) / den.
 
-    The integers (den, x_0, x_1, ...) at n = n0, n0+1, ... come from
-    ``_integer_rows(row_at, n0)``, and the window u_n, u_(n-1), ... is carried
-    as integer numerators over one common denominator, which starts as the
-    seeds' lcm.  A step sums integer products; the common denominator then
-    grows only by den / gcd(den, sum), which keeps it the lcm of every term so
-    far, and den is small, so the one large gcd is the one that reduces each
-    new u_(n+1).
+    Each row ``row_at(n)`` is (den, x_0, x_1, ..., y, q): the denominator and
+    numerators, then the row tail of an auxiliary z_n, its input y and its
+    step q, with z_(n+1) = q z_n / den from ``z`` at n = n0.  The log product
+    carries its z_n so; the u-recurrences end every row with (0, 1) and keep
+    z = 0, which adds nothing to a sum or a gcd.  The integers (den, x_0,
+    ..., y, q) at n = n0, n0+1, ... come from ``_integer_rows(row_at, n0)``,
+    and the window u_n, u_(n-1), ... and z_n are carried as integer
+    numerators over one common denominator, which starts as the lcm of the
+    seeds' and z's.  A step sums integer products; the common denominator
+    then grows only by den / gcd(den, sum, q z), which keeps it the lcm of
+    every term so far, and den is small, so the one large gcd is the one
+    that reduces each new u_(n+1).  A row whose den or q is 0 raises
+    ``vanished(n)``, so each recurrence keeps its own message.
     """
     n0 = len(u) - 1
     if n_max <= n0:
         return
-    scale = math.lcm(*(v.denominator for v in u))
+    scale = math.lcm(z.denominator, *(v.denominator for v in u))
     nums = [v.numerator * (scale // v.denominator) for v in reversed(u)]
-    for n, (den, *xs) in zip(range(n0, n_max), _integer_rows(row_at, n0)):
-        _check_den(den, n)
-        total = sum(x * m for x, m in zip(xs, nums))
-        g = math.gcd(den, total)
+    z = z.numerator * (scale // z.denominator)
+    for n, (den, *xs, y, q) in zip(range(n0, n_max), _integer_rows(row_at, n0)):
+        if den == 0 or q == 0:
+            raise vanished(n)
+        total = sum(x * m for x, m in zip(xs, nums)) + y * z
+        z *= q
+        g = math.gcd(den, total, z)
         k = den // g
         scale *= k
         nums = [total // g] + [m * k for m in nums[:-1]]
+        z //= g
         u.append(Fraction(nums[0], scale))
 
 
@@ -262,7 +277,7 @@ def u_general(spec: WeightedSeriesSpec, n_max: int) -> CoeffSequence:
 
         def row_at(n):
             den, xi, eta, lam = general_step(a, b, c, p, th, n)
-            return den, xi, -th * eta, th * th * lam
+            return den, xi, -th * eta, th * th * lam, 0, 1
 
         _exact_steps(u, row_at, n_max)
     else:
@@ -308,7 +323,7 @@ def u_theta_minus1(params: HypParams, p, n_max: int) -> CoeffSequence:
     if n_max >= 2:
         u.append(p * (p - 1) / 2 + p * a * b / c + a * b * (b + 1) * (a + 1) / (2 * c * (c + 1)))
     if exact:
-        _exact_steps(u, lambda n: _theta_minus1_step(a, b, c, p, n), n_max)
+        _exact_steps(u, lambda n: (*_theta_minus1_step(a, b, c, p, n), 0, 1), n_max)
     else:
         for n in range(2, n_max):
             den, xi, eta, lam = _theta_minus1_step(a, b, c, p, n)
@@ -349,7 +364,7 @@ def u_theta_plus1(params: HypParams, p, n_max: int) -> CoeffSequence:
 
         def row_at(n):
             den, two_alpha, beta = _theta_plus1_step(a, b, c, p, n)
-            return den, two_alpha, -beta
+            return den, two_alpha, -beta, 0, 1
 
         _exact_steps(u, row_at, n_max)
     else:
@@ -390,10 +405,10 @@ def v_log_product(params: HypParams, n_max: int) -> CoeffSequence:
         v_(n+1) = [2 alpha'_n v_n - beta'_n v_(n-1) + gamma'_n z_n] / den_n,
         z_(n+1) = (n+a-1)(n+b-1) z_n / den_n,
 
-    with den_n = (n+1)(n+c) and every primed numerator quadratic in n, so the
-    rows come from ``_integer_rows`` and v_n, v_(n-1) and z_n are carried as
-    integer numerators over one common denominator.  It grows by the small
-    den_n / gcd(den_n, numerators) per step, and each v_n is normalised once.
+    with den_n = (n+1)(n+c) and every primed numerator quadratic in n.  So
+    ``_exact_steps`` steps it, with z_n as the auxiliary of its rows' tail
+    (y, q) = (gamma'_n, (n+a-1)(n+b-1)) from z_1 = 1/c, and each v_n is
+    normalised once.
     """
     _check_n(n_max)
     a, b, c = params.a, params.b, params.c
@@ -420,20 +435,7 @@ def v_log_product(params: HypParams, n_max: int) -> CoeffSequence:
             den, two_alpha, beta, gnum, gden = _log_product_step(a, b, c, p, n)
             return den, two_alpha, -beta, gnum, gden / den
 
-        # v_1 = -1, v_0 = 0 and z_1 = 1/c over the common denominator.
-        z = 1 / c
-        scale = z.denominator
-        v1, v0, z = -scale, 0, z.numerator
-        for n, (den, x0, x1, gnum, gquot) in zip(range(1, n_max), _integer_rows(row_at, 1)):
-            if den == 0 or gquot == 0:
-                raise vanished(n)
-            total = x0 * v1 + x1 * v0 + gnum * z
-            z *= gquot
-            g = math.gcd(den, total, z)
-            k = den // g
-            scale *= k
-            v1, v0, z = total // g, v1 * k, z // g
-            v.append(Fraction(v1, scale))
+        _exact_steps(v, row_at, n_max, 1 / c, vanished)
     else:
         w = hyp_series_coeffs(params, max(n_max - 1, 0))
         for n in range(1, n_max):
@@ -570,7 +572,12 @@ def cauchy_oracle(spec: WeightedSeriesSpec | LogProductSpec, n_max: int) -> Coef
         g = _log_series_coeffs(_one(a, b, c), n_max)
     else:
         p, th = spec.p, spec.theta
-        g = [1.0 * th**j * pochhammer(-p, j) / math.factorial(j) for j in range(n_max + 1)]
+        # (-p)_j as a running product: pochhammer(-p, j)'s multiplications in
+        # its order, so every g_j keeps its bits, in O(N) rather than O(N^2).
+        g, rising = [], 1
+        for j in range(n_max + 1):
+            g.append(1.0 * th**j * rising / math.factorial(j))
+            rising *= -p + j
     coeffs = tuple(
         sum((w[k] * g[n - k] for k in range(n + 1)), start=0 * w[0])
         for n in range(n_max + 1)

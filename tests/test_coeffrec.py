@@ -278,6 +278,23 @@ class TestExactOracleReference:
         assert all(type(v) is float for v in got)
         assert got == fraction_sum_oracle(spec, 40)
 
+    @given(
+        st.one_of(st.floats(-3, 3), st.sampled_from([0.5, -2.0])),
+        st.one_of(st.floats(-3, 3), st.sampled_from([0.7, -3.0])),
+        st.one_of(st.floats(0.1, 5), st.sampled_from([1.5, -2.5])),
+        st.one_of(st.floats(-8, 8), st.integers(-3, 8), st.sampled_from([0.0, 3.0, -1.0, Fraction(5, 2)])),
+        st.one_of(st.floats(-1, 1), st.sampled_from([-1.0, 0.0, 1.0, 0.5, Fraction(1, 2)])),
+        st.integers(0, 60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_float_binomial_factor_keeps_its_bits(self, a, b, c, p, theta, n_max):
+        # (-p)_j from a running product makes pochhammer(-p, j)'s
+        # multiplications in its order, so every coefficient keeps its bits.
+        spec = spec_of(a, b, c, p, theta)
+        got = cauchy_oracle(spec, n_max).coeffs
+        want = fraction_sum_oracle(spec, n_max)
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
 
 def in_field(*values):
     """The values as Fractions when every one is exact, else as given, and the field's 1."""
