@@ -13,9 +13,11 @@ module, or plain text.  Numbers are spelled by ``coeffrec.format_number``;
 the library itself writes no JSON or CSV.
 
 Parameter-domain rules live in the library, not here: a value outside the
-domain raises :class:`hyprec.errors.ParameterError` where the library checks
-it, and flag problems this module finds itself (unparsable or non-finite
-literals, conflicting flags, missing flags) raise the same error.
+domain, a NaN or infinite parameter, a tolerance that is not positive or a
+negative sign tolerance raises :class:`hyprec.errors.ParameterError` where
+the library checks it, so the CLI accepts exactly the values the library
+does.  Flag problems this module finds itself (unparsable literals,
+conflicting flags, missing flags) raise the same error.
 
 Exit codes: 0 success, 2 invalid flag or parameter (ParameterError),
 3 numerical failure (any other DomainError, or NonConvergence), 1 internal
@@ -33,7 +35,6 @@ import csv
 import gc
 import io
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -79,12 +80,9 @@ RATIONAL_COMMANDS = ("coeffs", "classify")
 
 def _parse_number(raw: str, exact: bool):
     try:
-        value = Fraction(raw) if exact or "/" in raw else float(raw)
+        return Fraction(raw) if exact or "/" in raw else float(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"cannot parse numeric literal {raw!r}: {exc}") from exc
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ParameterError(f"numeric literal {raw!r} is not finite")
-    return value
 
 
 def _wants_exact(args, flag_names) -> bool:
@@ -111,12 +109,9 @@ def _quad_tol_default() -> float:
     if raw is None:
         return 1e-10
     try:
-        tol = float(raw)
+        return float(raw)
     except ValueError as exc:
         raise ParameterError(f"{QUAD_TOL_ENV} must be a float, got {raw!r}") from exc
-    if not tol > 0:
-        raise ParameterError(f"{QUAD_TOL_ENV} must be positive, got {raw!r}")
-    return tol
 
 
 def _plain_lines(pairs) -> str:
@@ -351,13 +346,6 @@ _HANDLERS = {
 }
 
 
-def _positive_float(raw: str) -> float:
-    value = float(raw)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {raw}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyprec",
@@ -394,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--deriv", action="store_true")
     add_rational_stub(p)
     add_format(p)
@@ -405,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--c", default=None)
     p.add_argument("--x", default=None)
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12)
     add_rational_stub(p)
     add_format(p)
 
@@ -423,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--method", choices=("series", "quadrature", "both"), default="series")
-    p.add_argument("--tol", type=_positive_float, default=None)
+    p.add_argument("--tol", type=float, default=None)
     add_rational_stub(p)
     add_format(p)
 
@@ -432,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--m", required=True)
     p.add_argument("--tgrid", default=None, help="comma-separated t values in (0,1)")
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
-    p.add_argument("--sign-tol", dest="sign_tol", type=_positive_float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--sign-tol", dest="sign_tol", type=float, default=1e-8)
     add_rational_stub(p)
     add_format(p)
 
@@ -441,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--tgrid", default=None)
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12)
     add_rational_stub(p)
     add_format(p)
 

@@ -39,7 +39,9 @@ entry's ratios.
 Every float series, public ``hyp2f1`` and both connection series, is summed
 by ``_sum_series`` in one loop body.  It runs on a float counter and tests
 the tail rule without ``abs``, and gives the same results and messages as
-the plain loop with an int counter and ``abs``, bit for bit.  Only a grid
+the plain loop with an int counter and ``abs``, bit for bit, except that a
+partial sum no longer finite at the end of a block of ``_RATIO_TERMS``
+steps raises at once instead of summing on to the term cap.  Only a grid
 read passes it a list of term ratios: each step reads its ratio from the
 list while there is one, and otherwise forms it and appends it while the
 list is shorter than ``_RATIO_TERMS`` and the cap, so the list never holds
@@ -48,6 +50,7 @@ a ratio that no sum has used.  A one-off sum keeps nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -56,7 +59,8 @@ from fractions import Fraction
 
 from . import specfn
 from ._record import Record, set_field
-from .errors import DomainError, NonConvergence, ParameterError
+from .errors import NonConvergence, ParameterError
+from .numkit import _require_tol
 
 __all__ = [
     "DEFAULT_TERM_CAP",
@@ -192,8 +196,7 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, cap: int | None = No
     the grid's other pass-through, its memo entry's term ratios of this
     series (see ``_sum_series``); every other caller leaves it None.
     """
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    _require_tol(tol)
     if not abs(x) < 1:
         raise ParameterError(f"series evaluation requires |x| < 1, got x={x!r}")
     if cap is None:
@@ -205,6 +208,12 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, cap: int | None = No
 
 #: A grid series stores its first ``_RATIO_TERMS`` term ratios, about 33 KB.
 _RATIO_TERMS = 1024
+
+
+@functools.lru_cache(maxsize=8)
+def _blocks(cap: int) -> tuple[range, ...]:
+    """range(cap) cut into ranges of ``_RATIO_TERMS`` steps, made once per cap."""
+    return tuple(range(s, min(s + _RATIO_TERMS, cap)) for s in range(0, cap, _RATIO_TERMS))
 
 
 def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalResult:
@@ -224,7 +233,11 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalRes
     included.  The product q_k * x is formed again where the term passes
     rather than kept in a local, which would cost every step a store and a
     load, and the ratio is taken only at the stop.  Every result and message
-    is the one the plain loop with ``abs`` gives.
+    is the one the plain loop with ``abs`` gives, but for a sum that
+    overflows: the steps run over ``_blocks(cap)``, so once per block of
+    ``_RATIO_TERMS`` steps, never per step, the partial sum is tested, and
+    one that is no longer finite raises :class:`NonConvergence` naming the
+    overflow rather than summing on to the cap.
 
     q_k does not depend on x, so a caller that reads one series at many x
     (``_hyp2f1_grid``) passes a list, ``ratios``, that it keeps for (a, b, c)
@@ -245,26 +258,29 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalRes
         stored = len(ratios)
         record = min(_RATIO_TERMS, cap)
     n, one = (float(stored), 1.0) if type(a) is type(b) is type(c) is float else (stored, 1)
-    for k in range(cap):
-        if k < stored:
-            q = ratios[k]
-        else:
-            q = (a + n) * (b + n) / ((c + n) * (n + 1.0))
-            n += one
-            if k < record:
-                ratios.append(q)
-        term *= q * x
-        total += term
-        lim = tol * total
-        if total < 0.0:
-            lim = -lim
-        if term <= lim and -lim <= term and -1.0 < q * x < 1.0 and k >= settle - 1:
-            streak += 1
-            if streak >= 3:
-                ratio = abs(q * x)
-                return EvalResult(total, abs(term) * ratio / (1.0 - ratio), k + 2)
-        else:
-            streak = 0
+    for block in _blocks(cap):
+        for k in block:
+            if k < stored:
+                q = ratios[k]
+            else:
+                q = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+                n += one
+                if k < record:
+                    ratios.append(q)
+            term *= q * x
+            total += term
+            lim = tol * total
+            if total < 0.0:
+                lim = -lim
+            if term <= lim and -lim <= term and -1.0 < q * x < 1.0 and k >= settle - 1:
+                streak += 1
+                if streak >= 3:
+                    ratio = abs(q * x)
+                    return EvalResult(total, abs(term) * ratio / (1.0 - ratio), k + 2)
+            else:
+                streak = 0
+        if not math.isfinite(total):
+            raise NonConvergence(f"F({a},{b};{c};{x}): the partial sum overflowed to {total} by term {k + 1}")
     raise NonConvergence(
         f"F({a},{b};{c};{x}) did not meet the tail criterion within {cap} terms"
     )
@@ -301,9 +317,11 @@ def gauss_value_at_one(params: HypParams) -> float:
 def zero_balanced_asymptote(a: float, b: float, x: float) -> float:
     """Leading behavior (R(a,b) - ln(1-x)) / B(a,b) of F(a,b;a+b;x) as x -> 1.
 
-    Valid for a, b > 0 and 0 < x < 1; the neglected remainder is
+    Valid for finite a, b > 0 and 0 < x < 1; the neglected remainder is
     O((1-x) ln(1-x)), so the approximation is only meaningful near x = 1.
     """
+    _require_finite("a", a)
+    _require_finite("b", b)
     if not (a > 0 and b > 0):
         raise ParameterError(f"asymptote requires a, b > 0, got a={a!r}, b={b!r}")
     if not 0 < x < 1:

@@ -16,9 +16,15 @@ import types
 from collections.abc import Callable
 
 from ._record import Record, set_field
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, ParameterError
 
 __all__ = ["QuadResult", "weighted_quad", "central_diff"]
+
+
+def _require_tol(tol) -> None:
+    """The package's one tolerance rule: tol > 0, so 0, negative values and NaN are refused."""
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol!r}")
 
 
 def _jacobi_matrix(n: int, alpha: float, beta: float) -> tuple[list[float], list[float], float]:
@@ -194,8 +200,7 @@ def weighted_quad(
     """
     if not 0 < b < math.inf:
         raise DomainError(f"weight exponent b must be positive and finite, got {b!r}")
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    _require_tol(tol)
     if not turn > 0:
         raise DomainError(f"turn must be positive, got {turn!r}")
     edges = _panel_edges(turn)

@@ -77,8 +77,9 @@ class MeanParams(Record):
     def __init__(self, a: float, b: float):
         if not 0 < a < 1:
             raise ParameterError(f"a must lie in (0, 1), got {a!r}")
-        if not 0 < b < math.inf:
-            raise ParameterError(f"b must be positive and finite, got {b!r}")
+        _require_finite("b", b)
+        if not 0 < b:
+            raise ParameterError(f"b must be positive, got {b!r}")
         set_field(self, "a", a)
         set_field(self, "b", b)
 
@@ -113,7 +114,7 @@ class RegionLabel(Record):
 
 def _require_positive_args(x: float, y: float) -> None:
     if not (0 < x < math.inf and 0 < y < math.inf):
-        raise ParameterError(f"mean arguments must be positive and finite, got ({x!r}, {y!r})")
+        raise ParameterError(f"mean arguments must be finite and positive, got ({x!r}, {y!r})")
 
 
 def mean_series(x: float, y: float, mp: MeanParams, tol: float = 1e-12) -> float:
@@ -278,7 +279,9 @@ def classify_region(triple: RegionTriple) -> RegionLabel:
     records both memberships.
     """
     a, b, m = triple.mean.a, triple.mean.b, triple.m
-    m0 = (a + 2 * b) / (1 + 2 * b)
+    den = 1 + 2 * b
+    # From b of about 9e307, 1 + 2b overflows and m0 takes its limit, 1.
+    m0 = (a + 2 * b) / den if den < math.inf else 1.0
     s = a + b
     plus = _eplus_branch(m, m0, s)
     minus = _eminus_branch(m, m0, s)
@@ -536,6 +539,8 @@ def _scan_cell(mean: MeanParams, m_values, ts, tol: float, sign_tol: float) -> l
     values this scan computed, as long as ``hypergeom._hyp2f1_grid`` still
     holds them.
     """
+    if not sign_tol >= 0:
+        raise ParameterError(f"sign_tol must be nonnegative, got {sign_tol!r}")
     cell_t = ts + NEAR_ONE_PROBES
     f1, f2 = _cell_series(1 - mean.a, mean.b, ts, cell_t, tol)
     ys = [1.0 - t for t in cell_t]

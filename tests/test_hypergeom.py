@@ -172,7 +172,7 @@ def _summed(fn, *args):
 
 
 class TestSumSeriesLoop:
-    """``_sum_series`` gives the plain loop's results and messages exactly."""
+    """``_sum_series`` gives the plain loop's results and messages exactly, but stops an overflowed sum sooner."""
 
     @given(
         st.floats(-3, 3, exclude_min=True, exclude_max=True),
@@ -202,6 +202,28 @@ class TestSumSeriesLoop:
     def test_exact_parameters_match_the_plain_loop(self, abc, cap):
         args = (*abc, 0.7, 1e-12, cap)
         assert _summed(hypergeom._sum_series, *args) == _summed(_plain_sum_series, *args)
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["one-off", "grid"])
+    @pytest.mark.parametrize(
+        "b,total,cap,last",
+        [
+            (1e200, "inf", hypergeom.DEFAULT_TERM_CAP, hypergeom._RATIO_TERMS),
+            (-1e200, "nan", hypergeom.DEFAULT_TERM_CAP, hypergeom._RATIO_TERMS),
+            (1e200, "inf", 5, 5),
+        ],
+    )
+    def test_an_overflowed_sum_stops_at_the_end_of_its_block(self, b, total, cap, last, grid):
+        # q_0 = a b / c overflows, so every term is infinite and the total
+        # inf (or nan, once terms of both signs meet); the plain loop sums
+        # all cap terms before it names the tail criterion.
+        args = (1e200, b, 1.0, 0.5, 1e-12, cap)
+        with pytest.raises(NonConvergence, match=rf"overflowed to {total} by term {last}$"):
+            hypergeom._sum_series(*args, [] if grid else None)
+        assert _summed(_plain_sum_series, *args).endswith(f"within {cap} terms")
+
+    def test_public_overflow_names_it(self):
+        with pytest.raises(NonConvergence, match="partial sum overflowed to inf"):
+            hyp2f1(HypParams(1e200, 1e200, 1.0), 0.5)
 
     def test_negative_sums_stop_as_the_plain_loop_does(self):
         # F(-3.5,1;0.5;x) turns negative for x near 1: the tail rule then

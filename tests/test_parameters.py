@@ -15,6 +15,8 @@ import pytest
 
 from hyprec import (
     HypParams,
+    gm_sign_scan,
+    schur_grid_scan,
     euler_transform_eval,
     MeanParams,
     RegionTriple,
@@ -150,15 +152,76 @@ def test_t_rounding_to_one_is_a_numerical_failure(capsys):
         ("eval", "--a", "nan", "--b", "1", "--c", "2", "--x", "0.5"),
         ("classify", "--a", "0.5", "--b", "inf", "--m", "0"),
         ("mean", "--a", "0.5", "--b", "0.5", "--x", "inf", "--y", "2"),
+        ("near-one", "--case", "zero-balanced", "--a", "inf", "--b", "0.5", "--x", "0.99"),
+        ("near-one", "--case", "zero-balanced", "--a", "0.5", "--b", "nan", "--x", "0.99"),
     ],
-    ids=["c-nan", "c-minus-inf", "a-nan", "classify-b-inf", "mean-x-inf"],
+    ids=["c-nan", "c-minus-inf", "a-nan", "classify-b-inf", "mean-x-inf", "zero-balanced-a-inf",
+         "zero-balanced-b-nan"],
 )
 def test_non_finite_flags_exit_2(argv, capsys):
+    # The CLI parses "nan" and "inf" as floats; the library refuses them.
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "not finite" in captured.err
+    assert "must be finite" in captured.err
+
+
+def _scan_cell_args():
+    return RegionTriple(MeanParams(0.9, 0.5), 0.0), [0.5]
+
+
+@pytest.mark.parametrize("sign_tol", [-1.0, math.nan, -math.inf])
+def test_negative_or_nan_sign_tol_is_a_parameter_error(sign_tol):
+    # A negative sign_tol read every sampled sign as contradicting the label.
+    triple, grid = _scan_cell_args()
+    with pytest.raises(ParameterError, match="sign_tol must be nonnegative"):
+        gm_sign_scan(triple, grid, sign_tol=sign_tol)
+    with pytest.raises(ParameterError, match="sign_tol must be nonnegative"):
+        schur_grid_scan([0.9], [0.5], [0.0], grid, sign_tol=sign_tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda tol: hyp2f1(HypParams(1, 1, 2), 0.5, tol),
+        lambda tol: mean_quadrature(1.0, 2.0, MeanParams(0.5, 0.5), tol),
+        lambda tol: mean_series(1.0, 2.0, MeanParams(0.5, 0.5), tol),
+        lambda tol: gm_sign_scan(*_scan_cell_args(), tol=tol),
+    ],
+    ids=["hyp2f1", "mean-quadrature", "mean-series", "gm-scan"],
+)
+def test_tolerance_not_positive_is_a_parameter_error(evaluate, tol):
+    with pytest.raises(ParameterError, match="tol must be positive"):
+        evaluate(tol)
+
+
+@pytest.mark.parametrize("raw", ["0", "-1", "nan", "1e-12", "inf"])
+def test_cli_and_library_accept_the_same_tolerances(raw, capsys):
+    def refused(evaluate):
+        try:
+            evaluate()
+        except ParameterError:
+            return True
+        return False
+
+    value = float(raw)
+    refuses_tol = refused(lambda: hyp2f1(HypParams(1, 1, 2), 0.5, value))
+    refuses_sign_tol = refused(lambda: gm_sign_scan(*_scan_cell_args(), sign_tol=value))
+    eval_code = main(["eval", "--a", "1", "--b", "1", "--c", "2", "--x", "0.5", f"--tol={raw}"])
+    scan_code = main(["gm-scan", "--a", "0.9", "--b", "0.5", "--m", "0", "--tgrid", "0.5", f"--sign-tol={raw}"])
+    capsys.readouterr()
+    assert (eval_code, scan_code) == (2 if refuses_tol else 0, 2 if refuses_sign_tol else 0)
+
+
+def test_eval_tol_zero_exits_2(capsys):
+    # argparse itself refused it, raising SystemExit instead of returning.
+    code = main(["eval", "--a", "1", "--b", "1", "--c", "2", "--x", "0.5", "--tol", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "tol must be positive" in captured.err
 
 
 @pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-5"])

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,21 @@ class TestClassifier:
         lab = classify_region(triple(0.9, 0.5, 0.97))
         assert lab.label is Region.NEITHER
         assert lab.branch == ""
+
+    @pytest.mark.parametrize(
+        "b,m,label,branch",
+        [
+            (1e308, 0.5, Region.EPLUS, "a+b>=1>m"),
+            (1e308, 1.0, Region.EMINUS, "a+b>=1,m>=1"),
+            (sys.float_info.max, 0.0, Region.EPLUS, "a+b>=1>m"),
+            (1e307, 0.5, Region.EPLUS, "a+b>=1>m"),
+        ],
+    )
+    def test_huge_b_takes_the_m0_limit(self, b, m, label, branch):
+        # From b of about 9e307, 1 + 2b overflows; m0 = (a + 2b)/(1 + 2b)
+        # read inf/inf = nan there, and every triple was "neither".
+        lab = classify_region(triple(0.5, b, m))
+        assert (lab.label, lab.branch, lab.m0) == (label, branch, 1.0)
 
     def test_interior_clauses(self):
         assert classify_region(triple(0.3, 0.4, 0.2)).branch == "m<a+b<1"
