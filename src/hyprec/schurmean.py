@@ -562,9 +562,9 @@ def gm_sign_scan(
 ) -> GmScanReport:
     """Sample G_m over a t-grid and compare the sign profile with the label.
 
-    E+ (E-) triples must show min >= -sign_tol (max <= sign_tol); for triples
-    in neither region the report records the first sign change if one is
-    visible.  Growth direction near t = 1 is probed at t in {0.9, 0.99, 0.999}
+    E+ (E-) triples must show min >= -sign_tol (max <= sign_tol), with
+    sign_tol >= 0; for triples in neither region the report records the
+    first sign change if one is visible.  Growth direction near t = 1 is probed at t in {0.9, 0.99, 0.999}
     rather than by computing the limit itself.
     """
     return _scan_cell(triple.mean, (triple.m,), _float_t_grid(t_grid), tol, sign_tol)[0]

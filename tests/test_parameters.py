@@ -173,7 +173,7 @@ def _scan_cell_args():
 
 @pytest.mark.parametrize("sign_tol", [-1.0, math.nan, -math.inf])
 def test_negative_or_nan_sign_tol_is_a_parameter_error(sign_tol):
-    # A negative sign_tol read every sampled sign as contradicting the label.
+    # With a negative sign_tol every sampled sign would contradict the label.
     triple, grid = _scan_cell_args()
     with pytest.raises(ParameterError, match="sign_tol must be nonnegative"):
         gm_sign_scan(triple, grid, sign_tol=sign_tol)
@@ -216,7 +216,7 @@ def test_cli_and_library_accept_the_same_tolerances(raw, capsys):
 
 
 def test_eval_tol_zero_exits_2(capsys):
-    # argparse itself refused it, raising SystemExit instead of returning.
+    # The library refuses the value, so main returns 2 rather than argparse exiting.
     code = main(["eval", "--a", "1", "--b", "1", "--c", "2", "--x", "0.5", "--tol", "0"])
     captured = capsys.readouterr()
     assert code == 2

@@ -285,8 +285,8 @@ class TestClassifier:
         ],
     )
     def test_huge_b_takes_the_m0_limit(self, b, m, label, branch):
-        # From b of about 9e307, 1 + 2b overflows; m0 = (a + 2b)/(1 + 2b)
-        # read inf/inf = nan there, and every triple was "neither".
+        # From b of about 9e307, 1 + 2b overflows and (a + 2b)/(1 + 2b) is
+        # inf/inf; m0 takes its limit 1, and 1e307 gives 1.0 from the quotient.
         lab = classify_region(triple(0.5, b, m))
         assert (lab.label, lab.branch, lab.m0) == (label, branch, 1.0)
 
