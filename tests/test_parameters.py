@@ -15,8 +15,6 @@ import pytest
 
 from hyprec import (
     HypParams,
-    gm_sign_scan,
-    schur_grid_scan,
     euler_transform_eval,
     MeanParams,
     RegionTriple,
@@ -25,11 +23,13 @@ from hyprec import (
     g_m,
     g_m_series_reduction_residual,
     gauss_value_at_one,
+    gm_sign_scan,
     hyp2f1,
     hyp2f1_derivative,
     mean_quadrature,
     mean_series,
     schur_condition_sample,
+    schur_grid_scan,
     u_general,
     v_log_product,
     zero_balanced_asymptote,
