@@ -15,12 +15,20 @@ Every recurrence is written over an abstract field: feed it floats and it
 runs in double precision, feed it ``fractions.Fraction`` (or int) values and
 every coefficient comes back exact.  Exact mode is what certifies the
 floating tolerances, since the higher-order recurrences can amplify rounding.
-Exact inputs are taken as Fractions once, where a routine starts, so int
-inputs never divide as floats.
+One helper, ``_in_field``, makes that decision for all four recurrences:
+exact inputs are taken as Fractions once, where a routine starts, so int
+inputs never divide as floats.  The three u-recurrences share their seeds
+u_0, u_1, u_2 through ``_seeds``; the specialisations pass theta as the int
+-1 or 1, which keeps every product in the field of p.
 
-Each recurrence has one function of n that returns its denominator
-(n+1)(n+c) and its coefficient numerators; float mode calls it every step.
-In exact mode every one of those values is quadratic in n, so the function is
+Each recurrence has one row function of n, ``row_at``, that returns its
+denominator (n+1)(n+c) and its coefficient numerators.  The two third-order
+recurrences read that one row in both fields: float mode one row per step
+through ``_float_steps``, exact mode through ``_exact_steps``.  The theta = 1
+and log-product float loops keep their own form, which divides each
+numerator by den before it multiplies, since a sum over den would round
+their coefficients differently.
+In exact mode every row entry is quadratic in n, so the function is
 evaluated at four consecutive n only: scaled to integers over one common
 denominator, the rows then step by integer adds of their second differences.
 One loop, ``_exact_steps``, steps all four: it carries the last terms as
@@ -39,9 +47,11 @@ factor vanishes (the binomial factor ends at j = p for an integer p >= 0 and
 at j = 0 for theta = 0, w ends at k = -a for a nonpositive integer a or b).
 The summands' first term and the Horner denominator come from running
 integer products of the ratios' numerators and denominators, so no Fraction
-is formed per term and each coefficient is normalised once, which gives the
-same rationals as summing Fraction products.  Float mode sums the products
-in the field of the inputs, as the recurrences do.
+is formed per term and each coefficient is normalised once, through one
+closed form for both factors (ln(1-x) enters as g_1 = -1 with
+g_(j-1)/g_j = j/(j-1)), which gives the same rationals as summing Fraction
+products.  Float mode sums the products in the field of the inputs, as the
+recurrences do.
 """
 
 from __future__ import annotations
@@ -158,9 +168,46 @@ def _den_vanished(n) -> DomainError:
     return DomainError(f"recurrence denominator (n+1)(n+c) vanished at n={n}")
 
 
-def _check_den(den, n) -> None:
-    if den == 0:
-        raise _den_vanished(n)
+def _in_field(*values):
+    """A recurrence's field: its values, the field's 1 and whether the field is exact.
+
+    When every value is an int or Fraction they come back as Fractions, so
+    int inputs never divide as floats; otherwise they come back as given.
+    """
+    if is_exact(*values):
+        return [Fraction(v) for v in values], Fraction(1), True
+    return values, 1.0, False
+
+
+def _seeds(a, b, c, p, th, one, n_max: int, count: int) -> list:
+    """The first ``count`` (at most N + 1) of the seeds of (1 - theta*x)^p F(a,b;c;x):
+
+        u_0 = 1,  u_1 = ab/c - p theta,
+        u_2 = theta^2 p(p-1)/2 - theta p ab/c + ab(a+1)(b+1) / (2c(c+1)).
+
+    The specialisations pass theta as the int -1 or 1, so theta^2 p and
+    theta p are p and -p exactly, in p's own field.  (An exact zero p has
+    no sign, so in a float field u_1 = ab/c - 0 at theta = -1 keeps the sign
+    of a zero ab/c, as ``u_general`` does at an exact theta = -1.)
+    """
+    u = [one, a * b / c - p * th][: n_max + 1]
+    if n_max >= 2 and count == 3:
+        u.append(th * th * p * (p - 1) / 2 - th * p * a * b / c + a * b * (b + 1) * (a + 1) / (2 * c * (c + 1)))
+    return u
+
+
+def _float_steps(u: list, row_at, n_max: int) -> None:
+    """Extend the seeds u_0..u_2 to u_n_max by u_(n+1) = (x_0 u_n + x_1 u_(n-1) + x_2 u_(n-2)) / den.
+
+    Each row ``row_at(n)`` is (den, x_0, x_1, x_2, y, q), the row that
+    ``_exact_steps`` reads, its tail (y, q) unused; the values stay in the
+    field the row is formed in.
+    """
+    for n in range(len(u) - 1, n_max):
+        den, x0, x1, x2, _, _ = row_at(n)
+        if den == 0:
+            raise _den_vanished(n)
+        u.append((x0 * u[n] + x1 * u[n - 1] + x2 * u[n - 2]) / den)
 
 
 def _integer_rows(row_at, n0):
@@ -259,32 +306,16 @@ def u_general(spec: WeightedSeriesSpec, n_max: int) -> CoeffSequence:
     equivalence suite certifies those regimes.
     """
     _check_n(n_max)
-    a, b, c = spec.params.a, spec.params.b, spec.params.c
-    p, th = spec.p, spec.theta
-    exact = is_exact(a, b, c, p, th)
-    if exact:
-        a, b, c, p, th = map(Fraction, (a, b, c, p, th))
-    u = [_one(a, b, c, p, th)]
-    if n_max >= 1:
-        u.append(a * b / c - p * th)
-    if n_max >= 2:
-        u.append(
-            th * th * p * (p - 1) / 2
-            - th * p * a * b / c
-            + a * b * (b + 1) * (a + 1) / (2 * c * (c + 1))
-        )
-    if exact:
+    (a, b, c, p, th), one, exact = _in_field(spec.params.a, spec.params.b, spec.params.c, spec.p, spec.theta)
 
-        def row_at(n):
-            den, xi, eta, lam = general_step(a, b, c, p, th, n)
-            return den, xi, -th * eta, th * th * lam, 0, 1
+    def row_at(n):
+        # -(theta eta), not (-theta) eta: an exact zero theta has no sign to
+        # negate, and the float step must subtract theta eta u_(n-1).
+        den, xi, eta, lam = general_step(a, b, c, p, th, n)
+        return den, xi, -(th * eta), th * th * lam, 0, 1
 
-        _exact_steps(u, row_at, n_max)
-    else:
-        for n in range(2, n_max):
-            den, xi, eta, lam = general_step(a, b, c, p, th, n)
-            _check_den(den, n)
-            u.append((xi * u[n] - th * eta * u[n - 1] + th * th * lam * u[n - 2]) / den)
+    u = _seeds(a, b, c, p, th, one, n_max, 3)
+    (_exact_steps if exact else _float_steps)(u, row_at, n_max)
     return CoeffSequence(spec, tuple(u), Method.RECURRENCE)
 
 
@@ -308,27 +339,16 @@ def u_theta_minus1(params: HypParams, p, n_max: int) -> CoeffSequence:
         lam = (n+a-p-2)(n+b-p-2)
 
     and seeds u_0 = 1, u_1 = ab/c + p,
-    u_2 = p(p-1)/2 + p ab/c + ab(a+1)(b+1)/(2c(c+1)).
-    Agrees termwise with ``u_general`` at theta = -1.
+    u_2 = p(p-1)/2 + p ab/c + ab(a+1)(b+1)/(2c(c+1)), which are
+    ``u_general``'s at theta = -1 (``_seeds``).  Agrees termwise with
+    ``u_general`` at theta = -1.
     """
     _check_n(n_max)
-    a, b, c = params.a, params.b, params.c
-    spec = WeightedSeriesSpec(params, p, -_one(a, b, c, p))
-    exact = is_exact(a, b, c, p)
-    if exact:
-        a, b, c, p = map(Fraction, (a, b, c, p))
-    u = [_one(a, b, c, p)]
-    if n_max >= 1:
-        u.append(a * b / c + p)
-    if n_max >= 2:
-        u.append(p * (p - 1) / 2 + p * a * b / c + a * b * (b + 1) * (a + 1) / (2 * c * (c + 1)))
-    if exact:
-        _exact_steps(u, lambda n: (*_theta_minus1_step(a, b, c, p, n), 0, 1), n_max)
-    else:
-        for n in range(2, n_max):
-            den, xi, eta, lam = _theta_minus1_step(a, b, c, p, n)
-            _check_den(den, n)
-            u.append((xi * u[n] + eta * u[n - 1] + lam * u[n - 2]) / den)
+    field, one, exact = _in_field(params.a, params.b, params.c, p)
+    spec = WeightedSeriesSpec(params, p, -one)
+    a, b, c, p = field
+    u = _seeds(a, b, c, p, -1, one, n_max, 3)
+    (_exact_steps if exact else _float_steps)(u, lambda n: (*_theta_minus1_step(a, b, c, p, n), 0, 1), n_max)
     return CoeffSequence(spec, tuple(u), Method.RECURRENCE)
 
 
@@ -348,18 +368,15 @@ def u_theta_plus1(params: HypParams, p, n_max: int) -> CoeffSequence:
         alpha_n = [2n^2 + (a+b+c-2p-1) n + ab - cp] / (2 (n+1)(n+c))
         beta_n  = (n+a-p-1)(n+b-p-1) / ((n+1)(n+c))
 
-    with seeds u_0 = 1, u_1 = ab/c - p.  This is the order-reduced form of the
-    theta = 1 case of ``u_general`` and is the numerically preferred route.
+    with seeds u_0 = 1, u_1 = ab/c - p, ``u_general``'s first two at
+    theta = 1.  This is the order-reduced form of the theta = 1 case of
+    ``u_general`` and is the numerically preferred route.
     """
     _check_n(n_max)
-    a, b, c = params.a, params.b, params.c
-    spec = WeightedSeriesSpec(params, p, _one(a, b, c, p))
-    exact = is_exact(a, b, c, p)
-    if exact:
-        a, b, c, p = map(Fraction, (a, b, c, p))
-    u = [_one(a, b, c, p)]
-    if n_max >= 1:
-        u.append(a * b / c - p)
+    field, one, exact = _in_field(params.a, params.b, params.c, p)
+    spec = WeightedSeriesSpec(params, p, one)
+    a, b, c, p = field
+    u = _seeds(a, b, c, p, 1, one, n_max, 2)
     if exact:
 
         def row_at(n):
@@ -370,7 +387,8 @@ def u_theta_plus1(params: HypParams, p, n_max: int) -> CoeffSequence:
     else:
         for n in range(1, n_max):
             den, two_alpha, beta = _theta_plus1_step(a, b, c, p, n)
-            _check_den(den, n)
+            if den == 0:
+                raise _den_vanished(n)
             u.append(two_alpha / den * u[n] - beta / den * u[n - 1])
     return CoeffSequence(spec, tuple(u), Method.RECURRENCE)
 
@@ -411,11 +429,7 @@ def v_log_product(params: HypParams, n_max: int) -> CoeffSequence:
     normalised once.
     """
     _check_n(n_max)
-    a, b, c = params.a, params.b, params.c
-    exact = is_exact(a, b, c)
-    if exact:
-        a, b, c = map(Fraction, (a, b, c))
-    one = _one(a, b, c)
+    (a, b, c), one, exact = _in_field(params.a, params.b, params.c)
     p = 0 * one
     v = [0 * one]
     if n_max >= 1:
@@ -472,16 +486,19 @@ def _exact_cauchy_product(spec: WeightedSeriesSpec | LogProductSpec, n_max: int)
     integer p >= 0 and at j = 0 for theta = 0, the ln(1-x) factor starts at
     j = 1, and w ends at k = -a (or -b) for a nonpositive integer a (or b).
 
-    No Fraction is formed per term.  w_k = WP_k / WQ_k and the binomial
-    g_j = GQ_j / GP_j are kept as running integer products of the ratios'
-    numerators and denominators, and den = (WQ_hi / WQ_lo) (GQ_(n-lo) /
-    GQ_(n-hi)), so
+    No Fraction is formed per term.  w_k = WP_k / WQ_k and g_j = GQ_j / GP_j
+    are kept as running integer products of the ratios' numerators and
+    denominators, from w_0 = 1 and from g_0 = 1 for the binomial factor or
+    g_1 = -1 for ln(1-x) (GQ_1 = -1, GP_1 = 1), and den = (WQ_hi / WQ_lo)
+    (GQ_(n-lo) / GQ_(n-hi)), so one closed form serves both factors,
 
         u_n = WP_lo GQ_(n-hi) num / (WQ_hi GP_(n-lo)),
-        u_n = -WP_lo num / (WQ_hi (n-lo)(n-lo-1)...(n-hi))   for ln(1-x),
 
-    with lo = k_lo and hi = k_hi, is normalised once.  Fraction is canonical,
-    so the values are identical to the termwise Fraction sums.
+    with lo = k_lo and hi = k_hi, normalised once.  For ln(1-x) it is
+    -WP_lo num (n-hi-1)! / (WQ_hi (n-lo)!), so where hi < n - 1 (w ends
+    before the window does) (n-hi-1)! enters numerator and denominator alike.
+    Fraction is canonical, so the values are identical to the termwise
+    Fraction sums.
     """
     params = spec.params
     (an, ad), (bn, bd), (cn, cd) = ((v.numerator, v.denominator) for v in (params.a, params.b, params.c))
@@ -499,11 +516,11 @@ def _exact_cauchy_product(spec: WeightedSeriesSpec | LogProductSpec, n_max: int)
     for wp, wq in w_ratio:
         wps.append(wps[-1] * wp)
         wqs.append(wqs[-1] * wq)
-    log = isinstance(spec, LogProductSpec)
-    if log:
+    if isinstance(spec, LogProductSpec):
         j_lo, j_end = 1, n_max
-        # g_(j-1)/g_j = j/(j-1); g_0 = 0 lies outside the window.
+        # g_1 = -1 and g_(j-1)/g_j = j/(j-1); g_0 = 0 lies outside the window.
         g_ratio = [None, None] + [(j, j - 1) for j in range(2, n_max + 1)]
+        gps, gqs = [None, 1], [None, -1]
     else:
         (pn, pd), (tn, td) = ((v.numerator, v.denominator) for v in (spec.p, spec.theta))
         j_lo = 0
@@ -517,11 +534,11 @@ def _exact_cauchy_product(spec: WeightedSeriesSpec | LogProductSpec, n_max: int)
         g_ratio = [None] + [
             _reduced(j * td * pd, tn * ((j - 1) * pd - pn)) for j in range(1, j_end + 1)
         ]
-        # g_j = gqs[j] / gps[j], j = 0..j_end, likewise.
         gps, gqs = [1], [1]
-        for gp, gq in g_ratio[1:]:
-            gps.append(gps[-1] * gp)
-            gqs.append(gqs[-1] * gq)
+    # g_j = gqs[j] / gps[j], j = j_lo..j_end, likewise.
+    for gp, gq in g_ratio[j_lo + 1 :]:
+        gps.append(gps[-1] * gp)
+        gqs.append(gqs[-1] * gq)
     coeffs = []
     for n in range(n_max + 1):
         k_lo, k_hi = max(0, n - j_end), min(n - j_lo, k_end)
@@ -534,11 +551,7 @@ def _exact_cauchy_product(spec: WeightedSeriesSpec | LogProductSpec, n_max: int)
         ):
             den *= wq * gq
             num = den + (wp * gp) * num
-        if log:
-            span = math.perm(n - k_lo, k_hi - k_lo + 1)
-            coeffs.append(Fraction(-wps[k_lo] * num, wqs[k_hi] * span))
-        else:
-            coeffs.append(Fraction(wps[k_lo] * gqs[n - k_hi] * num, wqs[k_hi] * gps[n - k_lo]))
+        coeffs.append(Fraction(wps[k_lo] * gqs[n - k_hi] * num, wqs[k_hi] * gps[n - k_lo]))
     return tuple(coeffs)
 
 
@@ -574,10 +587,15 @@ def cauchy_oracle(spec: WeightedSeriesSpec | LogProductSpec, n_max: int) -> Coef
         p, th = spec.p, spec.theta
         # (-p)_j as a running product: pochhammer(-p, j)'s multiplications in
         # its order, so every g_j keeps its bits, in O(N) rather than O(N^2).
+        # From j = 171 on, j! no longer converts to a float, and g_j steps
+        # from g_(j-1) instead.
         g, rising = [], 1
         for j in range(n_max + 1):
-            g.append(1.0 * th**j * rising / math.factorial(j))
-            rising *= -p + j
+            if j <= 170:
+                g.append(1.0 * th**j * rising / math.factorial(j))
+                rising *= -p + j
+            else:
+                g.append(g[-1] * th * (j - 1 - p) / j)
     coeffs = tuple(
         sum((w[k] * g[n - k] for k in range(n + 1)), start=0 * w[0])
         for n in range(n_max + 1)

@@ -236,8 +236,9 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalRes
     is the one the plain loop with ``abs`` gives, but for a sum that
     overflows: the steps run over ``_blocks(cap)``, so once per block of
     ``_RATIO_TERMS`` steps, never per step, the partial sum is tested, and
-    one that is no longer finite raises :class:`NonConvergence` naming the
-    overflow rather than summing on to the cap.
+    so is it where the tail rule stops, since an infinite total passes that
+    rule; one that is no longer finite raises :class:`NonConvergence` naming
+    the overflow rather than summing on to the cap or returning it.
 
     q_k does not depend on x, so a caller that reads one series at many x
     (``_hyp2f1_grid``) passes a list, ``ratios``, that it keeps for (a, b, c)
@@ -275,6 +276,8 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalRes
             if term <= lim and -lim <= term and -1.0 < q * x < 1.0 and k >= settle - 1:
                 streak += 1
                 if streak >= 3:
+                    if not math.isfinite(total):
+                        break
                     ratio = abs(q * x)
                     return EvalResult(total, abs(term) * ratio / (1.0 - ratio), k + 2)
             else:

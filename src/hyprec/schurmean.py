@@ -117,6 +117,18 @@ def _require_positive_args(x: float, y: float) -> None:
         raise ParameterError(f"mean arguments must be finite and positive, got ({x!r}, {y!r})")
 
 
+def _series_c(b, shift: int):
+    """c = 2b + shift, the c that the mean's series and G_m's derive from b.
+
+    From b of about 9e307 it overflows to inf; b, the parameter the caller
+    gave, is then named as too large.
+    """
+    c = 2 * b + shift
+    if c == math.inf:
+        raise ParameterError(f"b={b!r} is too large: the series' c = 2b{' + 1' if shift else ''} overflows to inf")
+    return c
+
+
 def mean_series(x: float, y: float, mp: MeanParams, tol: float = 1e-12) -> float:
     """M(x, y) through the series representation max * F(-a,b;2b;t)^(1/a).
 
@@ -130,7 +142,7 @@ def mean_series(x: float, y: float, mp: MeanParams, tol: float = 1e-12) -> float
     if ratio == 1.0:
         return float(hi)
     a, b = mp.a, mp.b
-    f_val = _hyp2f1_unit(HypParams._derived(-a, b, 2 * b), 1.0 - ratio, tol, ratio).value
+    f_val = _hyp2f1_unit(HypParams._derived(-a, b, _series_c(b, 0)), 1.0 - ratio, tol, ratio).value
     return hi * f_val ** (1.0 / a)
 
 
@@ -195,7 +207,7 @@ def _gm_series(a, b, ts, tol: float) -> tuple[list[float], list[float]]:
     ``hypergeom._hyp2f1_grid`` remembers per series; each series is checked
     and read a grid at a time.
     """
-    c = 2 * b + 1
+    c = _series_c(b, 1)
     points = [(t, None) for t in ts]
     return (
         [r.value for r in _hyp2f1_grid(HypParams(a, b, c), points, tol)],
@@ -221,8 +233,9 @@ def g_m_alt(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
     a, b, m = triple.mean.a, triple.mean.b, triple.m
     if not a + b < 1:
         raise DomainError(f"alternative form requires a+b < 1, got a+b={a + b!r}")
-    f1 = _hyp2f1_unit(HypParams(1 - a, b, 2 * b + 1), t, tol).value
-    f2 = _hyp2f1_unit(HypParams(a + 2 * b, b, 2 * b + 1), t, tol).value
+    c = _series_c(b, 1)
+    f1 = _hyp2f1_unit(HypParams(1 - a, b, c), t, tol).value
+    f2 = _hyp2f1_unit(HypParams(a + 2 * b, b, c), t, tol).value
     return f1 - (1.0 - t) ** (a + b - m) * f2
 
 
@@ -235,7 +248,7 @@ def g_m_series_reduction_residual(t: float, triple: RegionTriple, tol: float = 1
     """
     _require_unit_interval(t)
     a, b = triple.mean.a, triple.mean.b
-    f0 = _hyp2f1_unit(HypParams._derived(-a, b, 2 * b), t, tol).value
+    f0 = _hyp2f1_unit(HypParams._derived(-a, b, _series_c(b, 0)), t, tol).value
     (f1,), (f2,) = _gm_series(1 - a, b, (t,), tol)
     return 2.0 * f0 - (1.0 - t) * f2 - f1
 

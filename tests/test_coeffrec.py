@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyprec import coeffrec
@@ -25,7 +25,7 @@ from hyprec.coeffrec import (
     published_recurrence_pair,
 )
 from hyprec.compare import rel_with_floor
-from hyprec.errors import DomainError
+from hyprec.errors import DomainError, ParameterError
 from hyprec.hypergeom import HypParams, hyp2f1
 from hyprec.specfn import pochhammer
 from hyprec.verify import PARAM_BOX, PARAM_BOX_EXACT, THETAS, THETAS_EXACT
@@ -277,6 +277,45 @@ class TestExactOracleReference:
         got = cauchy_oracle(spec, 40).coeffs
         assert all(type(v) is float for v in got)
         assert got == fraction_sum_oracle(spec, 40)
+
+    @given(
+        st.integers(0, 8),
+        st.booleans(),
+        _prime_rationals(3),
+        _prime_rationals(4).filter(lambda c: c > 0 or c.denominator != 1),
+        st.booleans(),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_log_terminating_windows(self, k, on_a, other, c, as_int, n_max):
+        # With a (or b) = -k, w ends at k_hi = k, and from n = k + 2 the
+        # window's g_(n-k_hi) is no longer g_1: the closed form's
+        # (n-k_hi-1)! then enters numerator and denominator alike.
+        top = -k if as_int else Fraction(-k)
+        a, b = (top, other) if on_a else (other, top)
+        assert_same_rationals(LogProductSpec(HypParams(a, b, c)), n_max)
+
+    @pytest.mark.parametrize("n_max", [171, 400])
+    def test_float_oracle_past_170(self, n_max):
+        # 171! no longer converts to a float; from there g_j steps from
+        # g_(j-1), and the coefficients before keep their bits.
+        floats = spec_of(0.3, 0.7, 1.5, 2.5, 0.5)
+        got = cauchy_oracle(floats, n_max).coeffs
+        assert [v.hex() for v in got[:171]] == [v.hex() for v in cauchy_oracle(floats, 170).coeffs]
+        rational = spec_of(Fraction(3, 10), Fraction(7, 10), Fraction(3, 2), Fraction(5, 2), Fraction(1, 2))
+        exact = cauchy_oracle(rational, n_max).coeffs
+        w = hyp_series_coeffs(floats.params, n_max)
+        g = [1.0]
+        for j in range(1, n_max + 1):
+            g.append(g[-1] * 0.5 * (j - 1 - 2.5) / j)
+        for n in range(n_max + 1):
+            scale = sum(abs(w[k] * g[n - k]) for k in range(n + 1))
+            assert abs(got[n] - float(exact[n])) <= 1e-12 * scale, n
+
+    def test_float_oracle_past_170_from_the_cli(self, capsys):
+        flags = ("--family", "oracle", "--a", "0.3", "--b", "0.7", "--c", "1.5", "--p", "2.5", "--theta", "0.5")
+        coeffs = json.loads(coeffs_output(capsys, "json", *flags, "--n", "171"))["coeffs"]
+        assert len(coeffs) == 172 and all(math.isfinite(float(v)) for v in coeffs)
 
     @given(
         st.one_of(st.floats(-3, 3), st.sampled_from([0.5, -2.0])),
@@ -565,6 +604,71 @@ class TestExactRecurrenceReference:
             assert seq.coeffs == cauchy_oracle(spec, 4).coeffs
         residuals = p_minus1_identity_residual(HypParams(1, 2, 3), 1, 4)
         assert all(type(r) is Fraction and r == 0 for r in residuals)
+
+
+def _any_field(bound):
+    """An int, a Fraction or a float in [-bound, bound], the zeros of each kind included."""
+    return st.one_of(
+        _prime_rationals(bound),
+        st.integers(-bound, bound),
+        st.floats(-bound, bound),
+        st.sampled_from([0, Fraction(0), 0.0, -0.0]),
+    )
+
+
+def _bits(values):
+    """Each value as its type and bits: float.hex for a float, numerator and denominator otherwise."""
+    return [(type(v).__name__, v.hex() if type(v) is float else (v.numerator, v.denominator)) for v in values]
+
+
+class TestSharedSeedsReference:
+    """The shared seeds and rows keep the parent's expressions' bits and Fractions.
+
+    ``step_u_theta_minus1`` and ``step_u_theta_plus1`` hold the seeds each
+    specialisation wrote for itself (u_1 = ab/c + p and ab/c - p, u_2 at
+    theta = -1), and ``step_u_general`` the float loop that subtracted
+    theta eta u_(n-1); exact, float and mixed fields are drawn, the exact
+    and float zeros included.
+    """
+
+    @given(
+        st.sampled_from(["general", "theta-1", "theta1"]),
+        _any_field(3),
+        _any_field(3),
+        _any_field(4),
+        _any_field(3),
+        _any_field(1),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_seeds_and_coefficients(self, kind, a, b, c, p, theta, n_max):
+        try:
+            params = HypParams(a, b, c)
+        except ParameterError:
+            assume(False)
+        library, reference = RECURRENCES[kind]
+        (got, got_err), (want, want_err) = (_outcome(f, params, p, theta, n_max) for f in (library, reference))
+        assert got_err == want_err
+        if got_err is not None:
+            return
+        float_field = not coeffrec.is_exact(a, b, c, p)
+        if kind == "theta-1" and n_max >= 1 and float_field and type(p) is not float and p == 0:
+            ab_c = a * b / c
+            # The one deliberate change: u_1 is u_general's ab/c - p theta at
+            # theta = -1, so an exact zero p leaves ab/c's own zero sign where
+            # ab/c + p gave +0.0; later zeros may follow u_1's sign.
+            assert got[1].hex() == ab_c.hex()
+            assert [type(v) for v in got] == [type(v) for v in want] and list(got) == list(want)
+        else:
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("kind", ["theta-1", "theta1"])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+    def test_seeds_alone(self, kind, n_max):
+        library, reference = RECURRENCES[kind]
+        for abc, p in [((_F(1, 3), _F(2, 5), _F(3, 2)), _F(-7, 3)), ((0.3, 0.7, 1.5), _F(1, 3)), ((0.3, 0.7, 1.5), 2.5)]:
+            params = HypParams(*abc)
+            assert _bits(library(params, p, None, n_max)) == _bits(reference(params, p, None, n_max))
 
 
 class TestCorollaries:

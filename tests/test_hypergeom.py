@@ -172,7 +172,12 @@ def _summed(fn, *args):
 
 
 class TestSumSeriesLoop:
-    """``_sum_series`` gives the plain loop's results and messages exactly, but stops an overflowed sum sooner."""
+    """``_sum_series`` gives the plain loop's results and messages exactly, but for an overflowed sum.
+
+    The plain loop sums an overflowed sum on to the cap, or returns it as
+    soon as the tail rule passes; ``_sum_series`` raises ``NonConvergence``
+    naming the overflow at the end of its block or at that stop.
+    """
 
     @given(
         st.floats(-3, 3, exclude_min=True, exclude_max=True),
@@ -220,6 +225,23 @@ class TestSumSeriesLoop:
         with pytest.raises(NonConvergence, match=rf"overflowed to {total} by term {last}$"):
             hypergeom._sum_series(*args, [] if grid else None)
         assert _summed(_plain_sum_series, *args).endswith(f"within {cap} terms")
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["one-off", "grid"])
+    @pytest.mark.parametrize(
+        "abc,x,last",
+        [((1000.0, 1000.0, 1.0), 0.1, 465), ((316.2, 316.2, 1.0), 0.5, 763)],
+        ids=["a1000-x0.1", "a316-x0.5"],
+    )
+    def test_an_overflowed_sum_that_meets_the_tail_rule_raises(self, abc, x, last, grid):
+        # Once a term is inf, tol * inf passes every comparison, so three
+        # steps with |q_k x| < 1 meet the tail rule inside the first block.
+        plain = _plain_sum_series(*abc, x, 1e-12, hypergeom.DEFAULT_TERM_CAP)
+        assert (plain.value, plain.error_bound) == (math.inf, math.inf)
+        with pytest.raises(NonConvergence, match=rf"overflowed to inf by term {last}$"):
+            if grid:
+                hypergeom._hyp2f1_grid(HypParams(*abc), [(x, None)], 1e-12)
+            else:
+                hyp2f1(HypParams(*abc), x)
 
     def test_public_overflow_names_it(self):
         with pytest.raises(NonConvergence, match="partial sum overflowed to inf"):

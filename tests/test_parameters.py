@@ -7,6 +7,7 @@ code 2; NonConvergence and any other DomainError stay numerical failures
 """
 
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,6 +29,7 @@ from hyprec import (
     hyp2f1_derivative,
     mean_quadrature,
     mean_series,
+    q_p0_profile,
     schur_condition_sample,
     schur_grid_scan,
     u_general,
@@ -165,6 +167,47 @@ def test_non_finite_flags_exit_2(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("b", [1e308, sys.float_info.max])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda mp: mean_series(1.0, 2.0, mp),
+        lambda mp: g_m_series_reduction_residual(0.5, RegionTriple(mp, 0.5)),
+        lambda mp: g_m(0.5, RegionTriple(mp, 0.5)),
+        lambda mp: gm_sign_scan(RegionTriple(mp, 0.5), [0.5]),
+        lambda mp: schur_grid_scan([mp.a], [mp.b], [0.5], [0.5]),
+        lambda mp: q_p0_profile(mp, [0.5]),
+    ],
+    ids=["mean-series", "reduction-residual", "g-m", "gm-scan", "grid-scan", "qprofile"],
+)
+def test_b_whose_series_c_overflows_is_named(evaluate, b):
+    # The series' c = 2b (or 2b + 1) overflows to inf from b of about 9e307;
+    # the error names b, which the caller gave, not that derived c.
+    with pytest.raises(ParameterError, match=re.escape(f"b={b!r} is too large")):
+        evaluate(MeanParams(0.5, b))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mean", "--a", "0.5", "--b", "1e308", "--x", "1", "--y", "2"),
+        ("gm-scan", "--a", "0.5", "--b", "1e308", "--m", "0.5"),
+        ("qprofile", "--a", "0.5", "--b", "1e308"),
+    ],
+    ids=["mean", "gm-scan", "qprofile"],
+)
+def test_b_whose_series_c_overflows_exits_2(argv, capsys):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "b=1e+308 is too large" in captured.err
+    assert "c must be finite" not in captured.err
+    # classify forms no series, and answers at the same b.
+    assert main(["classify", "--a", "0.5", "--b", "1e308", "--m", "0.5"]) == 0
+    assert '"label": "E+"' in capsys.readouterr().out
 
 
 def _scan_cell_args():
