@@ -174,13 +174,13 @@ def _in_field(*values):
     When every value is an int or Fraction they come back as Fractions, so
     int inputs never divide as floats; otherwise they come back as given.
     """
-    if is_exact(*values):
-        return [Fraction(v) for v in values], Fraction(1), True
-    return values, 1.0, False
+    one = _one(*values)
+    exact = type(one) is Fraction
+    return ([Fraction(v) for v in values] if exact else values), one, exact
 
 
-def _seeds(a, b, c, p, th, one, n_max: int, count: int) -> list:
-    """The first ``count`` (at most N + 1) of the seeds of (1 - theta*x)^p F(a,b;c;x):
+def _seeds(a, b, c, p, th, one, n_max: int) -> list:
+    """The seeds of (1 - theta*x)^p F(a,b;c;x) up to u_min(2, N):
 
         u_0 = 1,  u_1 = ab/c - p theta,
         u_2 = theta^2 p(p-1)/2 - theta p ab/c + ab(a+1)(b+1) / (2c(c+1)).
@@ -191,7 +191,7 @@ def _seeds(a, b, c, p, th, one, n_max: int, count: int) -> list:
     of a zero ab/c, as ``u_general`` does at an exact theta = -1.)
     """
     u = [one, a * b / c - p * th][: n_max + 1]
-    if n_max >= 2 and count == 3:
+    if n_max >= 2:
         u.append(th * th * p * (p - 1) / 2 - th * p * a * b / c + a * b * (b + 1) * (a + 1) / (2 * c * (c + 1)))
     return u
 
@@ -314,7 +314,7 @@ def u_general(spec: WeightedSeriesSpec, n_max: int) -> CoeffSequence:
         den, xi, eta, lam = general_step(a, b, c, p, th, n)
         return den, xi, -(th * eta), th * th * lam, 0, 1
 
-    u = _seeds(a, b, c, p, th, one, n_max, 3)
+    u = _seeds(a, b, c, p, th, one, n_max)
     (_exact_steps if exact else _float_steps)(u, row_at, n_max)
     return CoeffSequence(spec, tuple(u), Method.RECURRENCE)
 
@@ -347,7 +347,7 @@ def u_theta_minus1(params: HypParams, p, n_max: int) -> CoeffSequence:
     field, one, exact = _in_field(params.a, params.b, params.c, p)
     spec = WeightedSeriesSpec(params, p, -one)
     a, b, c, p = field
-    u = _seeds(a, b, c, p, -1, one, n_max, 3)
+    u = _seeds(a, b, c, p, -1, one, n_max)
     (_exact_steps if exact else _float_steps)(u, lambda n: (*_theta_minus1_step(a, b, c, p, n), 0, 1), n_max)
     return CoeffSequence(spec, tuple(u), Method.RECURRENCE)
 
@@ -376,7 +376,7 @@ def u_theta_plus1(params: HypParams, p, n_max: int) -> CoeffSequence:
     field, one, exact = _in_field(params.a, params.b, params.c, p)
     spec = WeightedSeriesSpec(params, p, one)
     a, b, c, p = field
-    u = _seeds(a, b, c, p, 1, one, n_max, 2)
+    u = _seeds(a, b, c, p, 1, one, n_max)[:2]
     if exact:
 
         def row_at(n):

@@ -235,10 +235,10 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalRes
     load, and the ratio is taken only at the stop.  Every result and message
     is the one the plain loop with ``abs`` gives, but for a sum that
     overflows: the steps run over ``_blocks(cap)``, so once per block of
-    ``_RATIO_TERMS`` steps, never per step, the partial sum is tested, and
-    so is it where the tail rule stops, since an infinite total passes that
-    rule; one that is no longer finite raises :class:`NonConvergence` naming
-    the overflow rather than summing on to the cap or returning it.
+    ``_RATIO_TERMS`` steps, never per step, the partial sum is tested, as it
+    is where the tail rule stops (an infinite total passes that rule), and
+    one that is no longer finite raises :class:`NonConvergence` naming the
+    overflow rather than summing on to the cap or returning it.
 
     q_k does not depend on x, so a caller that reads one series at many x
     (``_hyp2f1_grid``) passes a list, ``ratios``, that it keeps for (a, b, c)

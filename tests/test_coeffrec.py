@@ -622,13 +622,13 @@ def _bits(values):
 
 
 class TestSharedSeedsReference:
-    """The shared seeds and rows keep the parent's expressions' bits and Fractions.
+    """The shared seeds and rows give the bits and Fractions of each recurrence's own expressions.
 
-    ``step_u_theta_minus1`` and ``step_u_theta_plus1`` hold the seeds each
-    specialisation wrote for itself (u_1 = ab/c + p and ab/c - p, u_2 at
-    theta = -1), and ``step_u_general`` the float loop that subtracted
-    theta eta u_(n-1); exact, float and mixed fields are drawn, the exact
-    and float zeros included.
+    ``step_u_theta_minus1`` and ``step_u_theta_plus1`` write out each
+    specialisation's seeds (u_1 = ab/c + p and ab/c - p, u_2 at theta = -1),
+    and ``step_u_general`` a float loop that subtracts theta eta u_(n-1);
+    exact, float and mixed fields are drawn, the exact and float zeros
+    included.
     """
 
     @given(
@@ -654,21 +654,14 @@ class TestSharedSeedsReference:
         float_field = not coeffrec.is_exact(a, b, c, p)
         if kind == "theta-1" and n_max >= 1 and float_field and type(p) is not float and p == 0:
             ab_c = a * b / c
-            # The one deliberate change: u_1 is u_general's ab/c - p theta at
+            # The one exception: u_1 is u_general's ab/c - p theta at
             # theta = -1, so an exact zero p leaves ab/c's own zero sign where
-            # ab/c + p gave +0.0; later zeros may follow u_1's sign.
+            # the written-out ab/c + p gives +0.0; later zero coefficients
+            # may follow u_1's sign.
             assert got[1].hex() == ab_c.hex()
             assert [type(v) for v in got] == [type(v) for v in want] and list(got) == list(want)
         else:
             assert _bits(got) == _bits(want)
-
-    @pytest.mark.parametrize("kind", ["theta-1", "theta1"])
-    @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
-    def test_seeds_alone(self, kind, n_max):
-        library, reference = RECURRENCES[kind]
-        for abc, p in [((_F(1, 3), _F(2, 5), _F(3, 2)), _F(-7, 3)), ((0.3, 0.7, 1.5), _F(1, 3)), ((0.3, 0.7, 1.5), 2.5)]:
-            params = HypParams(*abc)
-            assert _bits(library(params, p, None, n_max)) == _bits(reference(params, p, None, n_max))
 
 
 class TestCorollaries:
