@@ -376,7 +376,7 @@ def u_theta_plus1(params: HypParams, p, n_max: int) -> CoeffSequence:
     field, one, exact = _in_field(params.a, params.b, params.c, p)
     spec = WeightedSeriesSpec(params, p, one)
     a, b, c, p = field
-    u = _seeds(a, b, c, p, 1, one, n_max)[:2]
+    u = _seeds(a, b, c, p, 1, one, min(n_max, 1))
     if exact:
 
         def row_at(n):

@@ -663,6 +663,12 @@ class TestSharedSeedsReference:
         else:
             assert _bits(got) == _bits(want)
 
+    def test_theta_plus1_forms_no_u2(self):
+        # At this exact p in a float field, u_2's p(p-1)/2 would not convert
+        # to a float; the second-order recurrence needs only u_0 and u_1.
+        params, p = HypParams(0.3, 0.7, 1.5), Fraction(10**200)
+        assert _bits(u_theta_plus1(params, p, 3).coeffs) == _bits(step_u_theta_plus1(params, p, 3))
+
 
 class TestCorollaries:
     def test_theta_minus1_literals(self):
