@@ -144,6 +144,9 @@ _FAILURES = (
     (("near-one", "--case", "euler", "--a", "0.7", "--b", "0.9", "--c", "1.2"), None),
     (("near-one", "--case", "euler", "--a", "0.7", "--b", "0.9", "--c", "1.2", "--x", "1"), None),
     (("near-one", "--case", "euler", "--a", "0.7", "--b", "0.9", "--c", "1.2", "--x=-1.5"), None),
+    # A malformed literal in a flag that the case ignores.
+    (("near-one", "--case", "zero-balanced", "--a", "0.5", "--b", "0.5", "--x", "0.99", "--c", "bogus"), None),
+    (("near-one", "--case", "value-at-one", "--a", "0.5", "--b", "0.5", "--c", "2", "--x", "bogus"), None),
     (("classify", "--a", "1.5", "--b", "0.5", "--m", "0"), None),
     (("classify", "--a", "0.5", "--b=-1/2", "--m", "0"), None),
     (("classify", "--a", "1", "--b", "0.5", "--m", "0", "--format", "csv", "--rational"), None),
@@ -151,6 +154,8 @@ _FAILURES = (
     (("mean", "--a", "0.5", "--b", "0.5", "--x", "1", "--y", "0", "--method", "quadrature"), None),
     (("mean", "--a", "0", "--b", "0.5", "--x", "1", "--y", "2"), None),
     (("mean", "--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2", "--rational"), None),
+    # A b so large that ln Gamma(b) overflows, far past B(b, b)'s underflow.
+    (("mean", "--a", "0.5", "--b", "1e308", "--x", "1", "--y", "2", "--method", "quadrature"), None),
     (("mean", "--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2", "--method", "quadrature"), {"HYPREC_QUAD_TOL": "bogus"}),
     (("mean", "--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2", "--method", "both"), {"HYPREC_QUAD_TOL": "-1"}),
     (("gm-scan", "--a", "0.9", "--b", "0.5", "--m", "0", "--tgrid", "0,0.5"), None),
