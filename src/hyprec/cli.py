@@ -1,10 +1,16 @@
 """Deterministic command-line front end.
 
 Subcommands: coeffs, eval, near-one, verify, classify, mean, gm-scan,
-qprofile.  Every numeric flag accepts a decimal literal or an exact rational
-"p/q"; a rational literal (or --rational) routes the coeffs and classify
-subcommands through exact arithmetic end to end.  Output is byte-identical
-for identical inputs.
+qprofile.  Every numeric flag (--a --b --c --p --theta --x --y --m) accepts
+a decimal literal or an exact rational "p/q"; a rational literal (or
+--rational) routes the coeffs and classify subcommands through exact
+arithmetic end to end.  The parser keeps each such flag as its text, and
+:func:`main` converts every one given, once and before dispatch, by that one
+rule: in coeffs and classify, all of them become Fractions when --rational
+is set or any of them holds a "/"; elsewhere a "p/q" literal is a Fraction
+and any other a float.  The handlers read numbers, and a flag that a
+subcommand ignores (near-one's --c or --x, by case) is checked all the same.
+Output is byte-identical for identical inputs.
 
 Every subcommand builds its own table (a header, rows and, where the JSON or
 plain layout is not the single row itself, a payload or text) and prints it
@@ -78,19 +84,15 @@ FORMATS = ("json", "csv", "plain")
 RATIONAL_COMMANDS = ("coeffs", "classify")
 
 
+class _Literal(str):
+    """The text of a numeric flag, which :func:`main` converts before dispatch."""
+
+
 def _parse_number(raw: str, exact: bool):
     try:
         return Fraction(raw) if exact or "/" in raw else float(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"cannot parse numeric literal {raw!r}: {exc}") from exc
-
-
-def _wants_exact(args, flag_names) -> bool:
-    if getattr(args, "rational", False):
-        return True
-    return any(
-        "/" in raw for raw in (getattr(args, name) for name in flag_names) if raw is not None
-    )
 
 
 def _parse_t_grid(raw: str | None):
@@ -144,14 +146,10 @@ def _render(fmt: str, header, rows, payload=None, plain=None) -> str:
 
 
 def _run_coeffs(args, sink) -> int:
-    exact = _wants_exact(args, ("a", "b", "c", "p", "theta"))
-    a = _parse_number(args.a, exact)
-    b = _parse_number(args.b, exact)
-    c = _parse_number(args.c, exact)
-    params = HypParams(a, b, c)
-    zero = Fraction(0) if exact else 0.0
-    p = _parse_number(args.p, exact) if args.p is not None else zero
-    theta = _parse_number(args.theta, exact) if args.theta is not None else None
+    params = HypParams(args.a, args.b, args.c)
+    zero = Fraction(0) if isinstance(args.a, Fraction) else 0.0
+    p = zero if args.p is None else args.p
+    theta = args.theta
     family = args.family
     if family == "log":
         if args.p is not None or args.theta is not None:
@@ -189,52 +187,41 @@ def _eval_fields(result) -> dict:
 
 
 def _run_eval(args, sink) -> int:
-    a = _parse_number(args.a, False)
-    b = _parse_number(args.b, False)
-    c = _parse_number(args.c, False)
-    params = HypParams(a, b, c)
-    x = _parse_number(args.x, False)
     fn = hyp2f1_derivative if args.deriv else hyp2f1
-    fields = _eval_fields(fn(params, x, args.tol))
+    fields = _eval_fields(fn(HypParams(args.a, args.b, args.c), args.x, args.tol))
     sink.write(_render(args.format, fields, [fields.values()]))
     return 0
 
 
 def _run_near_one(args, sink) -> int:
-    a = _parse_number(args.a, False)
-    b = _parse_number(args.b, False)
     if args.case == "zero-balanced":
         if args.x is None:
             raise ParameterError("--x is required for the zero-balanced asymptote")
-        value = zero_balanced_asymptote(a, b, _parse_number(args.x, False))
+        value = zero_balanced_asymptote(args.a, args.b, args.x)
         fields = {"case": args.case, "value": format_number(value)}
     else:
         if args.c is None:
             raise ParameterError(f"--c is required for case {args.case}")
-        params = HypParams(a, b, _parse_number(args.c, False))
+        params = HypParams(args.a, args.b, args.c)
         if args.case == "value-at-one":
             value = gauss_value_at_one(params)
             fields = {"case": args.case, "value": format_number(value)}
         else:
             if args.x is None:
                 raise ParameterError("--x is required for the Euler-transform evaluation")
-            result = euler_transform_eval(params, _parse_number(args.x, False), args.tol)
+            result = euler_transform_eval(params, args.x, args.tol)
             fields = {"case": args.case, **_eval_fields(result)}
     sink.write(_render(args.format, fields, [fields.values()]))
     return 0
 
 
 def _run_classify(args, sink) -> int:
-    exact = _wants_exact(args, ("a", "b", "m"))
-    a = _parse_number(args.a, exact)
-    b = _parse_number(args.b, exact)
-    m = _parse_number(args.m, exact)
-    triple = RegionTriple(MeanParams(a, b), m)
+    triple = RegionTriple(MeanParams(args.a, args.b), args.m)
     if args.fuzz:
         label, boundary, (lo, hi) = classify_region_fuzzed(triple)
     else:
         label = classify_region(triple)
-    m0_repr = format_number(label.m0) if exact else float(label.m0)
+    m0_repr = format_number(label.m0) if isinstance(args.a, Fraction) else float(label.m0)
     fields = {"label": label.label.value, "m0": m0_repr, "branch": label.branch}
     if args.fuzz:
         fields["boundary"] = boundary
@@ -246,19 +233,15 @@ def _run_classify(args, sink) -> int:
 
 
 def _run_mean(args, sink) -> int:
-    a = _parse_number(args.a, False)
-    b = _parse_number(args.b, False)
-    x = _parse_number(args.x, False)
-    y = _parse_number(args.y, False)
-    mp = MeanParams(a, b)
+    mp = MeanParams(args.a, args.b)
     series_tol = args.tol if args.tol is not None else 1e-12
     quad_tol = args.tol if args.tol is not None else _quad_tol_default()
     fields = {}
     if args.method in ("series", "both"):
-        series = mean_series(x, y, mp, series_tol)
+        series = mean_series(args.x, args.y, mp, series_tol)
         fields["series"] = format_number(series)
     if args.method in ("quadrature", "both"):
-        quadrature = mean_quadrature(x, y, mp, quad_tol)
+        quadrature = mean_quadrature(args.x, args.y, mp, quad_tol)
         fields["quadrature"] = format_number(quadrature)
     if args.method == "both":
         fields["abs_difference"] = format_number(abs(series - quadrature))
@@ -267,11 +250,8 @@ def _run_mean(args, sink) -> int:
 
 
 def _run_gm_scan(args, sink) -> int:
-    a = _parse_number(args.a, False)
-    b = _parse_number(args.b, False)
-    m = _parse_number(args.m, False)
-    grid = _parse_t_grid(args.tgrid)
-    r = gm_sign_scan(RegionTriple(MeanParams(a, b), m), t_grid=grid, tol=args.tol, sign_tol=args.sign_tol)
+    triple = RegionTriple(MeanParams(args.a, args.b), args.m)
+    r = gm_sign_scan(triple, t_grid=_parse_t_grid(args.tgrid), tol=args.tol, sign_tol=args.sign_tol)
     fields = (
         ("a", format_number(r.a)),
         ("b", format_number(r.b)),
@@ -291,11 +271,9 @@ def _run_gm_scan(args, sink) -> int:
 
 
 def _run_qprofile(args, sink) -> int:
-    a = _parse_number(args.a, False)
-    b = _parse_number(args.b, False)
     grid = _parse_t_grid(args.tgrid)
     ts = list(DEFAULT_T_GRID) if grid is None else [float(t) for t in grid]
-    values = q_p0_profile(MeanParams(a, b), ts, args.tol)
+    values = q_p0_profile(MeanParams(args.a, args.b), ts, args.tol)
     payload = {"q": [[t, v] for t, v in zip(ts, values)]}
     rows = [(format_number(t), format_number(v)) for t, v in zip(ts, values)]
     plain = _plain_lines((f"Q({t})", v) for t, v in rows)
@@ -363,11 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rational", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("coeffs", help="coefficient sequences by recurrence or oracle")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--p", default=None)
-    p.add_argument("--theta", default=None)
+    p.add_argument("--a", type=_Literal, required=True)
+    p.add_argument("--b", type=_Literal, required=True)
+    p.add_argument("--c", type=_Literal, required=True)
+    p.add_argument("--p", type=_Literal)
+    p.add_argument("--theta", type=_Literal)
     p.add_argument("--n", type=int, default=DEFAULT_N)
     p.add_argument(
         "--family",
@@ -378,10 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("eval", help="evaluate F(a,b;c;x) or its derivative")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--x", required=True)
+    p.add_argument("--a", type=_Literal, required=True)
+    p.add_argument("--b", type=_Literal, required=True)
+    p.add_argument("--c", type=_Literal, required=True)
+    p.add_argument("--x", type=_Literal, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--deriv", action="store_true")
     add_rational_stub(p)
@@ -389,36 +367,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("near-one", help="behavior near x=1 (three explicit regimes)")
     p.add_argument("--case", choices=("value-at-one", "zero-balanced", "euler"), required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", default=None)
-    p.add_argument("--x", default=None)
+    p.add_argument("--a", type=_Literal, required=True)
+    p.add_argument("--b", type=_Literal, required=True)
+    p.add_argument("--c", type=_Literal)
+    p.add_argument("--x", type=_Literal)
     p.add_argument("--tol", type=float, default=1e-12)
     add_rational_stub(p)
     add_format(p)
 
     p = sub.add_parser("classify", help="E+/E- membership of a triple (a,b,m)")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--m", required=True)
+    p.add_argument("--a", type=_Literal, required=True)
+    p.add_argument("--b", type=_Literal, required=True)
+    p.add_argument("--m", type=_Literal, required=True)
     p.add_argument("--fuzz", action="store_true")
     p.add_argument("--rational", action="store_true")
     add_format(p)
 
     p = sub.add_parser("mean", help="hypergeometric mean M(x,y)")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    p.add_argument("--a", type=_Literal, required=True)
+    p.add_argument("--b", type=_Literal, required=True)
+    p.add_argument("--x", type=_Literal, required=True)
+    p.add_argument("--y", type=_Literal, required=True)
     p.add_argument("--method", choices=("series", "quadrature", "both"), default="series")
     p.add_argument("--tol", type=float, default=None)
     add_rational_stub(p)
     add_format(p)
 
     p = sub.add_parser("gm-scan", help="sign scan of G_m over a t grid")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--m", required=True)
+    p.add_argument("--a", type=_Literal, required=True)
+    p.add_argument("--b", type=_Literal, required=True)
+    p.add_argument("--m", type=_Literal, required=True)
     p.add_argument("--tgrid", default=None, help="comma-separated t values in (0,1)")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--sign-tol", dest="sign_tol", type=float, default=1e-8)
@@ -426,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("qprofile", help="weighted ratio profile Q_p0 on a t grid")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
+    p.add_argument("--a", type=_Literal, required=True)
+    p.add_argument("--b", type=_Literal, required=True)
     p.add_argument("--tgrid", default=None)
     p.add_argument("--tol", type=float, default=1e-12)
     add_rational_stub(p)
@@ -445,11 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "rational", False) and args.command not in RATIONAL_COMMANDS:
+        if args.rational and args.command not in RATIONAL_COMMANDS:
             raise ParameterError(
                 f"--rational is not supported by {args.command!r} "
                 f"(supported: {', '.join(RATIONAL_COMMANDS)})"
             )
+        literals = {name: raw for name, raw in vars(args).items() if isinstance(raw, _Literal)}
+        exact = args.command in RATIONAL_COMMANDS and (
+            args.rational or any("/" in raw for raw in literals.values())
+        )
+        for name, raw in literals.items():
+            setattr(args, name, _parse_number(raw, exact))
         return _HANDLERS[args.command](args, sys.stdout)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,12 +107,10 @@ def _require_finite(name: str, value) -> None:
 
 
 def _require_off_poles(c, tol: float) -> None:
-    """Reject c = 0, -1, -2, ...: exactly for int and Fraction c, within tol for floating c."""
+    """Reject c = 0, -1, -2, ...: exactly for int and Fraction c, within tol for finite floating c."""
     if isinstance(c, (int, Fraction)):
         on_pole = c <= 0 and c.denominator == 1
     else:
-        if not math.isfinite(c):
-            raise ParameterError(f"c must be finite, got c={c!r}")
         nearest = round(c)
         on_pole = nearest <= 0 and (c == nearest or abs(c - nearest) < tol)
     if on_pole:
@@ -135,6 +133,7 @@ class HypParams(Record):
     def __init__(self, a: float, b: float, c: float):
         _require_finite("a", a)
         _require_finite("b", b)
+        _require_finite("c", c)
         _require_off_poles(c, POLE_TOL)
         set_field(self, "a", a)
         set_field(self, "b", b)
@@ -148,6 +147,7 @@ class HypParams(Record):
         pole, and the series stays well conditioned there, so the near-pole
         tolerance meant for caller input must not reject it.
         """
+        _require_finite("c", c)
         _require_off_poles(c, 0.0)
         params = object.__new__(cls)
         set_field(params, "a", a)
@@ -372,16 +372,16 @@ class _Series:
     points computed: a full entry stores no more, so a grid longer than that
     keeps its first points for the next read.  ``ratios`` is the
     direct series' list for ``_sum_series``.  The first read that needs them
-    forms ``connects``, ``connection`` (A, B's sign and log-gammas, and
-    whether their rounding is within tol) and ``direct``, the checked params.
+    forms ``connects`` and ``connection`` (A, B's sign and log-gammas, and
+    whether their rounding is within tol).
     """
 
-    __slots__ = ("points", "ratios", "connects", "connection", "direct")
+    __slots__ = ("points", "ratios", "connects", "connection")
 
     def __init__(self) -> None:
         self.points: dict = {}
         self.ratios: list = []
-        self.connects = self.connection = self.direct = None
+        self.connects = self.connection = None
 
 
 class _Memo(threading.local):
@@ -433,12 +433,13 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
     computes is remembered in the calling thread's memo (``_MEMO``), in the
     entry of the series (a, b, c, tol and the cap, with the type of each, so
     a Fraction and an equal float never share; see ``_Series``).  A, B's
-    sign and log-gammas and the checked parameters are formed once per
-    series; each connection point scales B by its own y^(c-a-b) through
-    ``specfn.scaled_gamma_ratio``, the rule ``specfn.gamma_ratio`` uses, and
-    each direct point's ``hyp2f1`` sums over and extends the entry's term
-    ratios.  x and y enter only through comparisons, ``1.0 - x`` and float
-    arithmetic, so equal points of other types give the same result.  A grid
+    sign and log-gammas are formed once per series; each connection point
+    scales B by its own y^(c-a-b) through ``specfn.scaled_gamma_ratio``, the
+    rule ``specfn.gamma_ratio`` uses, and each direct point's ``hyp2f1``
+    takes ``params`` as they came, already checked, and sums over and
+    extends the entry's term ratios.  x and y enter only through
+    comparisons, ``1.0 - x`` and float arithmetic, so equal points of other
+    types give the same result.  A grid
     read before is answered by one comprehension; the points it misses are
     computed in order.  A remembered result is the frozen ``EvalResult``
     computed for it; a point that raises is not remembered, and the first
@@ -461,7 +462,7 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
     s = c - a - b
     if entry.connects is None:
         entry.connects = abs(s - round(s)) >= CONNECTION_GAP
-    connects, connection, direct = entry.connects, entry.connection, entry.direct
+    connects, connection = entry.connects, entry.connection
     results = []
     hits = misses = 0
     try:
@@ -498,9 +499,7 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
                         f"F({a},{b};{c};x) at 1-x={y!r}: x rounds to 1, where the direct series "
                         "cannot answer, and the connection formula does not apply"
                     )
-                if direct is None:
-                    direct = entry.direct = HypParams._derived(a, b, c)
-                result = hyp2f1(direct, x, tol, cap, _ratios=entry.ratios)
+                result = hyp2f1(params, x, tol, cap, _ratios=entry.ratios)
             if len(values) < _MEMO_POINTS:
                 values[point] = result
             results.append(result)

@@ -161,12 +161,19 @@ def mean_quadrature(x: float, y: float, mp: MeanParams, tol: float = 1e-10) -> f
     The integral is about B(b, b), which leaves the normal double range from
     b of about 510 and is 0 from about 537; the rule's weights shrink with
     it and lose their digits, so there :class:`NonConvergence` is raised.
+    Where ``specfn.beta`` overflows, B(b, b) is taken as the double it
+    rounds to: 0 from b of about 2.6e305, where ln Gamma(b) overflows, so
+    :class:`NonConvergence` is raised there too, and inf below b of about
+    1.1e-308, where the rule itself refuses the weight.
     """
     _require_positive_args(x, y)
     hi, lo = (x, y) if x >= y else (y, x)
     ratio = lo / hi
     a, b = mp.a, mp.b
-    norm = specfn.beta(b, b)
+    try:
+        norm = specfn.beta(b, b)
+    except OverflowError:
+        norm = 0.0 if b > 1.0 else math.inf
     if norm < sys.float_info.min:
         raise NonConvergence(
             f"B(b, b) = {norm!r} at b={b!r} underflows the normal double range, and the "
@@ -343,6 +350,11 @@ def q_p0_profile(mp: MeanParams, t_grid, tol: float = 1e-12) -> list[float]:
     return [(1.0 - t) ** (-p0) * n / d for t, n, d in zip(ts, num, den)]
 
 
+def _alpha_prime(a, b, n):
+    """alpha'_n = n ((2b+1)n + 4b^2 + 2a - 1) / ((2b+1)(n+1)(n+2b+1)), the d_n recursion's factor."""
+    return n * ((2 * b + 1) * n + 4 * b * b + 2 * a - 1) / ((2 * b + 1) * (n + 1) * (n + 2 * b + 1))
+
+
 def q_p0_dn_sequence(mp: MeanParams, n_max: int) -> list:
     """Differences d_n = u_(n+1) - (v_(n+1)/v_n) u_n driving the Q monotonicity.
 
@@ -372,7 +384,7 @@ def q_p0_dn_sequence(mp: MeanParams, n_max: int) -> list:
     d = [u[n + 1] - (n + a) * (n + b + 1) / ((n + 1) * (n + c)) * u[n] for n in range(n_max + 1)]
     half = _HALF if exact else 0.5
     for n in range(1, n_max + 1):
-        alpha_p = n * ((2 * b + 1) * n + 4 * b * b + 2 * a - 1) / ((2 * b + 1) * (n + 1) * (n + 2 * b + 1))
+        alpha_p = _alpha_prime(a, b, n)
         beta_p = (
             -(2 * b * (2 * b + 1 - a) * (a - b - half) / (2 * b + 1) ** 2)
             * (n - 1)

@@ -169,6 +169,53 @@ def test_non_finite_flags_exit_2(argv, capsys):
     assert "must be finite" in captured.err
 
 
+#: A valid invocation of each subcommand (each near-one case apart) and
+#: every numeric flag it accepts, whether or not it reads it.
+_NUMERIC_INVOCATIONS = {
+    "coeffs": (("coeffs",), {"a": "0.3", "b": "0.7", "c": "1.5", "p": "2", "theta": "0.5"}),
+    "eval": (("eval",), {"a": "1", "b": "1", "c": "2", "x": "0.5"}),
+    "value-at-one": (("near-one", "--case", "value-at-one"), {"a": "0.5", "b": "0.5", "c": "2", "x": None}),
+    "zero-balanced": (("near-one", "--case", "zero-balanced"), {"a": "0.5", "b": "0.5", "c": None, "x": "0.99"}),
+    "euler": (("near-one", "--case", "euler"), {"a": "0.7", "b": "0.9", "c": "1.2", "x": "0.5"}),
+    "classify": (("classify",), {"a": "0.9", "b": "0.5", "m": "0"}),
+    "mean": (("mean",), {"a": "0.5", "b": "0.5", "x": "1", "y": "2"}),
+    "gm-scan": (("gm-scan",), {"a": "0.9", "b": "0.5", "m": "0", "tgrid": "0.5"}),
+    "qprofile": (("qprofile",), {"a": "0.9", "b": "0.4", "tgrid": "0.5"}),
+}
+
+
+def _numeric_argv(name, **override):
+    prefix, flags = _NUMERIC_INVOCATIONS[name]
+    flags = {**flags, **override}
+    return [*prefix, *(f"--{flag}={raw}" for flag, raw in flags.items() if raw is not None)]
+
+
+@pytest.mark.parametrize("name", list(_NUMERIC_INVOCATIONS))
+def test_numeric_invocations_answer(name, capsys):
+    assert main(_numeric_argv(name)) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("raw", ["bogus", "1/0"])
+@pytest.mark.parametrize(
+    "name,flag",
+    [
+        (name, flag)
+        for name, (_, flags) in _NUMERIC_INVOCATIONS.items()
+        for flag in flags
+        if flag != "tgrid"
+    ],
+)
+def test_malformed_literal_in_any_numeric_flag_exits_2(name, flag, raw, capsys):
+    # Every numeric flag is converted before the subcommand runs, so a literal
+    # in a flag that the near-one case ignores is refused too.
+    code = main(_numeric_argv(name, **{flag: raw}))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cannot parse numeric literal" in captured.err
+
+
 @pytest.mark.parametrize("b", [1e308, sys.float_info.max])
 @pytest.mark.parametrize(
     "evaluate",

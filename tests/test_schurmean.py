@@ -109,6 +109,20 @@ class TestMean:
             mean_quadrature(1.0, 3.0, MeanParams(0.5, b))
         mean_series(1.0, 3.0, MeanParams(0.5, b))
 
+    @pytest.mark.parametrize("b", [1e305, 2.6e305, 1e308, sys.float_info.max])
+    def test_quadrature_names_the_underflow_where_ln_gamma_overflows(self, b):
+        # From b of about 2.6e305 math.lgamma(b) overflows inside specfn.beta,
+        # which escaped as OverflowError, an internal error to the CLI.
+        with pytest.raises(NonConvergence, match="underflows"):
+            mean_quadrature(1.0, 2.0, MeanParams(0.5, b))
+
+    @pytest.mark.parametrize("b", [1e-300, 1e-310, 5e-324])
+    def test_quadrature_refuses_a_vanishing_b_as_a_numerical_failure(self, b):
+        # Below b of about 1.1e-308 B(b, b) overflows inside specfn.beta, and
+        # the rule's weight (1-u)^(b-1) has b - 1 = -1.0 in doubles.
+        with pytest.raises(DomainError, match="Gauss-Jacobi"):
+            mean_quadrature(1.0, 2.0, MeanParams(0.5, b))
+
     def test_quadrature_still_answers_below_the_underflow(self):
         mp = MeanParams(0.5, 500.0)
         assert abs(mean_quadrature(1.0, 3.0, mp) - mean_series(1.0, 3.0, mp)) <= 1e-11
