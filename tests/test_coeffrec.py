@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -311,6 +312,21 @@ class TestExactOracleReference:
         for n in range(n_max + 1):
             scale = sum(abs(w[k] * g[n - k]) for k in range(n + 1))
             assert abs(got[n] - float(exact[n])) <= 1e-12 * scale, n
+
+    @pytest.mark.parametrize(
+        "p,theta,n_max,digest",
+        [
+            (Fraction(-1000), Fraction(1, 2), 100, "efcdd630d431c5fae8bb2da78a293db943e822b1fa5224625503ca95206b590a"),
+            (2.5, 0.5, 400, "145855436976b13eb3ab2a7674f74a0129b2bc7ec865af1f3800a93de8cc77ae"),
+        ],
+        ids=["mixed-field-n100", "float-field-n400"],
+    )
+    def test_float_oracle_keeps_its_bits(self, p, theta, n_max, digest):
+        # The SHA-256 of every coefficient's float.hex, joined by commas.
+        # With an exact p of size 1000 the direct form of g_j still converts
+        # at N = 100, and the float field steps g_j only past j = 170.
+        got = cauchy_oracle(spec_of(0.3, 0.7, 1.5, p, theta), n_max).coeffs
+        assert hashlib.sha256(",".join(v.hex() for v in got).encode()).hexdigest() == digest
 
     def test_float_oracle_past_170_from_the_cli(self, capsys):
         flags = ("--family", "oracle", "--a", "0.3", "--b", "0.7", "--c", "1.5", "--p", "2.5", "--theta", "0.5")
