@@ -23,18 +23,20 @@ c, and takes y from the caller when the caller holds it to more digits than
 ``hyp2f1_derivative`` and the three near-one entry points never take it.
 
 The library reads its series a grid at a time through ``_hyp2f1_grid``
-(``_hyp2f1_unit`` is its one-point case).  It remembers the last four series
-(a, b, c, tol and the term cap, each with its type) in a memo that counts
-the points it answered and those it computed.  A series' entry holds all
-that series reuses: the results of its first 256 points; the term ratios
-of its direct series; and the connection formula's gamma ratios, formed
-once per series.  The G_m scans and the Q profile read the same two
-series at the same points for every m, so they share one evaluation;
-four series are more than one (a, b) cell of a scan reads and far fewer
-than a scan of many cells does, so what is reused is the work on one
-cell.  Each direct-series point stays one call to ``hyp2f1``, which is
-passed the term cap the grid read took from ``term_cap()`` once and the
-entry's ratios.
+(``_hyp2f1_unit`` is its one-point case), which returns plain floats: every
+reader wants the value alone, and no error bound is formed for a connection
+point, whose two truncation bounds say nothing of its rounding.  It
+remembers the last four series (a, b, c, tol and the term cap, each with
+its type) in a memo that counts the points it answered and those it
+computed.  A series' entry holds all that series reuses: the values of its
+first 256 points; the term ratios of its direct series; and the connection
+formula's gamma ratios, formed once per series.  The G_m scans and the Q
+profile read the same two series at the same points for every m, so they
+share one evaluation; four series are more than one (a, b) cell of a scan
+reads and far fewer than a scan of many cells does, so what is reused is
+the work on one cell.  Each direct-series point stays one call to
+``hyp2f1``, which is passed the term cap the grid read took from
+``term_cap()`` once and the entry's ratios, and whose value is kept.
 
 Every float series, public ``hyp2f1`` and both connection series, is summed
 by ``_sum_series`` in one loop body.  It runs on a float counter and tests
@@ -359,8 +361,10 @@ CONNECTION_GAP = 1e-3
 
 
 #: The memo of ``_hyp2f1_grid``: the last ``_MEMO_SERIES`` series, the
-#: results of their first ``_MEMO_POINTS`` points each, at about 400 bytes a
-#: point.  One scan cell reads two series at 52 points on the default grid.
+#: values of their first ``_MEMO_POINTS`` points each, at about 140 bytes a
+#: point (its key tuple, x, the value and the dict slot; ``tracemalloc`` over
+#: 256 connection-formula points of one series).  One scan cell reads two
+#: series at 52 points on the default grid.
 _MEMO_SERIES = 4
 _MEMO_POINTS = 256
 
@@ -368,7 +372,7 @@ _MEMO_POINTS = 256
 class _Series:
     """All that the reads of one series in ``_hyp2f1_grid`` reuse.
 
-    ``points`` maps a point to its result, for the first ``_MEMO_POINTS``
+    ``points`` maps a point to its value, for the first ``_MEMO_POINTS``
     points computed: a full entry stores no more, so a grid longer than that
     keeps its first points for the next read.  ``ratios`` is the
     direct series' list for ``_sum_series``.  The first read that needs them
@@ -404,13 +408,13 @@ class _Memo(threading.local):
 _MEMO = _Memo()
 
 
-def _hyp2f1_unit(params: HypParams, x: float, tol: float, y: float | None = None) -> EvalResult:
-    """F(a,b;c;x) on 0 <= x < 1 for the library's own evaluations: ``_hyp2f1_grid`` at one point."""
+def _hyp2f1_unit(params: HypParams, x: float, tol: float, y: float | None = None) -> float:
+    """The value of F(a,b;c;x) on 0 <= x < 1 for the library's own evaluations: ``_hyp2f1_grid`` at one point."""
     return _hyp2f1_grid(params, ((x, y),), tol)[0]
 
 
-def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
-    """F(a,b;c;x) at each point (x, y) of ``points``, in order, with 0 <= x < 1.
+def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[float]:
+    """The value of F(a,b;c;x), a float, at each point (x, y) of ``points``, in order, with 0 <= x < 1.
 
     From ``CONNECTION_X`` on this is the 1 - x connection formula (DLMF 15.8.4)
 
@@ -425,8 +429,7 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
     caller that holds the complement to more digits than 1 - x passes it as
     y, and None otherwise (x then only chooses the path).  The c of either
     series in y, 1 -/+ (c - a - b), may be negative, so both sum past their
-    pole before the tail rule may stop.  The error bound combines the
-    truncation bounds of the two series, as ``hyp2f1`` reports its own.
+    pole before the tail rule may stop.
 
     ``term_cap()`` is read once per call, and each direct-series point's
     ``hyp2f1`` is passed that cap rather than reading it again.  What a read
@@ -436,14 +439,15 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
     sign and log-gammas are formed once per series; each connection point
     scales B by its own y^(c-a-b) through ``specfn.scaled_gamma_ratio``, the
     rule ``specfn.gamma_ratio`` uses, and each direct point's ``hyp2f1``
-    takes ``params`` as they came, already checked, and sums over and
-    extends the entry's term ratios.  x and y enter only through
-    comparisons, ``1.0 - x`` and float arithmetic, so equal points of other
-    types give the same result.  A grid
-    read before is answered by one comprehension; the points it misses are
-    computed in order.  A remembered result is the frozen ``EvalResult``
-    computed for it; a point that raises is not remembered, and the first
-    such point in grid order raises as it would alone.
+    takes ``params`` as they came, already checked, sums over and extends
+    the entry's term ratios, and gives its value.  x and y enter only
+    through comparisons, ``1.0 - x`` and float arithmetic, so equal points
+    of other types give the same value.  A grid read before is answered by
+    one comprehension (a value may be 0.0, so the test is that no point came
+    back None); the points it misses are computed in order.  A remembered
+    value is the float computed for it; a point that raises is not
+    remembered, and the first such point in grid order raises as it would
+    alone.
     """
     a, b, c = params.a, params.b, params.c
     cap = term_cap()
@@ -456,7 +460,7 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
             del memo.series[next(iter(memo.series))]
     values = entry.points
     found = [values.get(point) for point in points]
-    if all(found):
+    if None not in found:
         memo.hits += len(found)
         return found
     s = c - a - b
@@ -486,20 +490,15 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[EvalResult]:
                 log_scale = s * math.log(y) if y > 0 else -s * math.inf
                 weight = specfn.scaled_gamma_ratio(sign, logs, log_scale)
                 if accurate:
-                    first = _sum_series(a, b, 1 - s, y, tol, cap)
-                    second = _sum_series(c - a, c - b, 1 + s, y, tol, cap)
-                    result = EvalResult(
-                        scale * first.value + weight * second.value,
-                        abs(scale) * first.error_bound + abs(weight) * second.error_bound,
-                        first.terms_used + second.terms_used,
-                    )
+                    first = _sum_series(a, b, 1 - s, y, tol, cap).value
+                    result = scale * first + weight * _sum_series(c - a, c - b, 1 + s, y, tol, cap).value
             if result is None:
                 if x >= 1:
                     raise NonConvergence(
                         f"F({a},{b};{c};x) at 1-x={y!r}: x rounds to 1, where the direct series "
                         "cannot answer, and the connection formula does not apply"
                     )
-                result = hyp2f1(params, x, tol, cap, _ratios=entry.ratios)
+                result = hyp2f1(params, x, tol, cap, _ratios=entry.ratios).value
             if len(values) < _MEMO_POINTS:
                 values[point] = result
             results.append(result)

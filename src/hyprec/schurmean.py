@@ -29,7 +29,7 @@ from . import numkit, specfn
 from ._record import Record, set_field
 from .compare import rel_with_floor
 from .coeffrec import is_exact, u_theta_plus1
-from .errors import DomainError, HyprecError, NonConvergence, ParameterError
+from .errors import DomainError, NonConvergence, ParameterError
 from .hypergeom import HypParams, _hyp2f1_grid, _hyp2f1_unit, _require_finite
 from .hypergeom import hyp2f1  # noqa: F401  (kept as schurmean.hyp2f1, the binding perfbench's tracer wraps)
 
@@ -142,7 +142,7 @@ def mean_series(x: float, y: float, mp: MeanParams, tol: float = 1e-12) -> float
     if ratio == 1.0:
         return float(hi)
     a, b = mp.a, mp.b
-    f_val = _hyp2f1_unit(HypParams._derived(-a, b, _series_c(b, 0)), 1.0 - ratio, tol, ratio).value
+    f_val = _hyp2f1_unit(HypParams._derived(-a, b, _series_c(b, 0)), 1.0 - ratio, tol, ratio)
     return hi * f_val ** (1.0 / a)
 
 
@@ -210,16 +210,14 @@ def _gm_series(a, b, ts, tol: float) -> tuple[list[float], list[float]]:
 
     G_m reads them at a -> 1-a and the Q profile at its own a, which
     ``q_params_for_mean`` sets to the same 1-a.  Built here alone, every
-    reader forms the same parameters and so shares the results
+    reader forms the same parameters and so shares the values
     ``hypergeom._hyp2f1_grid`` remembers per series; each series is checked
-    and read a grid at a time.
+    and read a grid at a time, the first before the second, and the two
+    lists of floats are returned as that evaluator gives them.
     """
     c = _series_c(b, 1)
     points = [(t, None) for t in ts]
-    return (
-        [r.value for r in _hyp2f1_grid(HypParams(a, b, c), points, tol)],
-        [r.value for r in _hyp2f1_grid(HypParams(a, b + 1, c), points, tol)],
-    )
+    return _hyp2f1_grid(HypParams(a, b, c), points, tol), _hyp2f1_grid(HypParams(a, b + 1, c), points, tol)
 
 
 def g_m(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
@@ -241,8 +239,8 @@ def g_m_alt(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
     if not a + b < 1:
         raise DomainError(f"alternative form requires a+b < 1, got a+b={a + b!r}")
     c = _series_c(b, 1)
-    f1 = _hyp2f1_unit(HypParams(1 - a, b, c), t, tol).value
-    f2 = _hyp2f1_unit(HypParams(a + 2 * b, b, c), t, tol).value
+    f1 = _hyp2f1_unit(HypParams(1 - a, b, c), t, tol)
+    f2 = _hyp2f1_unit(HypParams(a + 2 * b, b, c), t, tol)
     return f1 - (1.0 - t) ** (a + b - m) * f2
 
 
@@ -255,7 +253,7 @@ def g_m_series_reduction_residual(t: float, triple: RegionTriple, tol: float = 1
     """
     _require_unit_interval(t)
     a, b = triple.mean.a, triple.mean.b
-    f0 = _hyp2f1_unit(HypParams._derived(-a, b, _series_c(b, 0)), t, tol).value
+    f0 = _hyp2f1_unit(HypParams._derived(-a, b, _series_c(b, 0)), t, tol)
     (f1,), (f2,) = _gm_series(1 - a, b, (t,), tol)
     return 2.0 * f0 - (1.0 - t) * f2 - f1
 
@@ -533,41 +531,22 @@ def _build_report(
     )
 
 
-def _cell_series(a, b, ts, cell_t, tol: float) -> tuple[list[float], list[float]]:
-    """G_m's two series over cell_t (ts, then ``NEAR_ONE_PROBES``), one grid read each.
-
-    When a point fails, the series are read again as separate grid and
-    probe reads take them (both over ts, then both over the probes), so the
-    failure raised is the first those reads meet: a probe of the first
-    series comes after every grid point of the second.  A failing cell is
-    thus read twice, and ``_hyp2f1_grid`` remembers no point that raises,
-    so its failing point is summed twice, up to the term cap each time,
-    even when the second read is bound to meet it first again.  Only the
-    library's own errors are retried.
-    """
-    try:
-        return _gm_series(a, b, cell_t, tol)
-    except HyprecError:
-        pass
-    f1, f2 = _gm_series(a, b, ts, tol)
-    f1_near, f2_near = _gm_series(a, b, NEAR_ONE_PROBES, tol)
-    return f1 + f1_near, f2 + f2_near
-
-
 def _scan_cell(mean: MeanParams, m_values, ts, tol: float, sign_tol: float) -> list[GmScanReport]:
     """Reports for (a, b, m) over m_values, reading each series once per cell.
 
-    Both series are read once over ts and the near-one probes together
-    (``_cell_series``), and 1 - t is formed once per point for every m.  The
-    series come from ``_gm_series``, so a later ``gm_sign_scan``,
-    ``q_p0_profile`` or ``g_m`` of the same cell at the same points reads the
-    values this scan computed, as long as ``hypergeom._hyp2f1_grid`` still
-    holds them.
+    One ``_gm_series`` call reads both series over ts and the near-one
+    probes together, and 1 - t is formed once per point for every m.  A
+    later ``gm_sign_scan``, ``q_p0_profile`` or ``g_m`` of the same cell at
+    the same points reads the values this scan computed, as long as
+    ``hypergeom._hyp2f1_grid`` still holds them.  A cell that fails raises
+    the first failure of that one read: F(1-a,b;2b+1;t) over ts and then the
+    probes, then F(1-a,b+1;2b+1;t) likewise.  Nothing is read again, so each
+    point, the failing one included, is summed once.
     """
     if not sign_tol >= 0:
         raise ParameterError(f"sign_tol must be nonnegative, got {sign_tol!r}")
     cell_t = ts + NEAR_ONE_PROBES
-    f1, f2 = _cell_series(1 - mean.a, mean.b, ts, cell_t, tol)
+    f1, f2 = _gm_series(1 - mean.a, mean.b, cell_t, tol)
     ys = [1.0 - t for t in cell_t]
     n = len(ts)
     reports = []
@@ -608,12 +587,14 @@ def schur_grid_scan(
     Both series in G_m depend only on (a, b, t), so for each (a, b) they are
     evaluated once per grid point and combined per m (``gm_sign_scan`` is the
     one-m case).  ``hypergeom._hyp2f1_grid`` remembers the last four series,
-    256 points each, more than the two series at 52 points of one cell on
+    256 values each, more than the two series at 52 points of one cell on
     the default grid, so scans, Q profiles and ``g_m`` of the cell just
     scanned read them again, while a scan of many cells still computes each
     value once.  Grid points are processed in the given order and reports
     are returned in that deterministic order.  Each (a, b) is checked first;
     triples with a + b < 1/2, outside the dichotomy's hypothesis, are skipped.
+    The first cell that fails raises the first failure of its one read (see
+    ``_scan_cell``), and the cells before it are not returned.
     """
     ts = _float_t_grid(t_grid)
     reports = []

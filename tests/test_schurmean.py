@@ -500,8 +500,8 @@ class TestSchurSample:
 def _per_point_series(a, b, ts, tol):
     """G_m's two series read one point at a time, each through ``_hyp2f1_unit``."""
     c = 2 * b + 1
-    first = [_hyp2f1_unit(HypParams(a, b, c), t, tol).value for t in ts]
-    second = [_hyp2f1_unit(HypParams(a, b + 1, c), t, tol).value for t in ts]
+    first = [_hyp2f1_unit(HypParams(a, b, c), t, tol) for t in ts]
+    second = [_hyp2f1_unit(HypParams(a, b + 1, c), t, tol) for t in ts]
     return first, second
 
 
@@ -590,9 +590,12 @@ class TestGridRead:
         assert GRID[0] < t < 0.9
 
 
-# The scan path before each series was read once per cell, kept verbatim as
-# the reference the scans must reproduce: separate grid and probe reads, the
-# default grid checked on every call and signs tested through a helper.
+# The scan path before each series was read once per cell, kept as the
+# reference the scans must reproduce: the default grid checked on every
+# call, signs tested through a helper and 1 - t formed per m.  Only its read
+# order follows the scans: each series is read over the grid and then the
+# probes, first F(1-a,b;2b+1;t), then F(1-a,b+1;2b+1;t), so a failing cell
+# names the first failure of that order.
 
 
 def _old_float_t_grid(t_grid):
@@ -608,8 +611,8 @@ def _old_gm_series(a, b, ts, tol):
     c = 2 * b + 1
     points = [(t, None) for t in ts]
     return (
-        [r.value for r in hypergeom._hyp2f1_grid(HypParams(a, b, c), points, tol)],
-        [r.value for r in hypergeom._hyp2f1_grid(HypParams(a, b + 1, c), points, tol)],
+        hypergeom._hyp2f1_grid(HypParams(a, b, c), points, tol),
+        hypergeom._hyp2f1_grid(HypParams(a, b + 1, c), points, tol),
     )
 
 
@@ -665,8 +668,9 @@ def _old_build_report(triple, t_values, g_values, near_one, sign_tol):
 
 def _old_scan_cell(mean, m_values, ts, tol, sign_tol):
     a, b = mean.a, mean.b
-    f1, f2 = _old_gm_series(1 - a, b, ts, tol)
-    f1_near, f2_near = _old_gm_series(1 - a, b, NEAR_ONE_PROBES, tol)
+    n = len(ts)
+    f1, f2 = _old_gm_series(1 - a, b, ts + NEAR_ONE_PROBES, tol)
+    f1, f1_near, f2, f2_near = f1[:n], f1[n:], f2[:n], f2[n:]
     reports = []
     for m in m_values:
         g_values = [f1[i] - (1.0 - ts[i]) ** (1.0 - m) * f2[i] for i in range(len(ts))]
@@ -811,26 +815,49 @@ class TestScanPathEquivalence:
             _exact(getattr(old, f)) for f in GmScanReport.__slots__
         ]
 
-    def test_a_probe_failure_of_the_first_series_waits_for_the_grid_of_the_second(self, monkeypatch):
+    def test_a_probe_failure_of_the_first_series_comes_before_the_grid_of_the_second(self, monkeypatch):
         # At a + b = 1 both series stay direct near t = 1.  With 700 terms the
         # first series meets its tail rule on the whole grid and fails at the
-        # probe 0.99, the second already fails at t = 0.98: the grid comes
-        # first, so that is the failure raised.
+        # probe 0.99, the second already fails at t = 0.98: the first series
+        # is read over the grid and the probes before the second, so its
+        # probe failure is the one raised.
         monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "700")
         args = (0.5, 0.5, [0.3], None, 1e-12, 1e-8)
         old = _scan_outcome(_old_schur_grid_scan, _old_gm_sign_scan, _old_q_p0_profile, *args)
-        assert old == ("NonConvergence", "F(0.5,1.5;2.0;0.98) did not meet the tail criterion within 700 terms", [])
+        assert old == ("NonConvergence", "F(0.5,0.5;2.0;0.99) did not meet the tail criterion within 700 terms", [])
         assert _scan_outcome(schur_grid_scan, gm_sign_scan, q_p0_profile, *args) == old
 
-    def test_only_library_errors_are_read_again(self, monkeypatch):
+    def test_a_failing_cell_sums_its_failing_point_once(self, monkeypatch):
+        # With 10 terms F(0.6,1.1;3.2;t) meets its tail rule at t = 0.02 and
+        # 0.04 and fails at 0.06.  The cell is read once, and a point that
+        # raises is not remembered, so a second read would sum it again.
+        summed = hypergeom._sum_series
+        calls = []
+
+        def recorded(a, b, c, x, tol, cap, ratios=None):
+            calls.append((a, b, c, x))
+            return summed(a, b, c, x, tol, cap, ratios)
+
+        monkeypatch.setattr(hypergeom, "_sum_series", recorded)
+        monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "10")
+        hypergeom._MEMO.clear()
+        with pytest.raises(NonConvergence, match=r"^F\(0\.6,1\.1;3\.2;0\.06\) did not meet"):
+            gm_sign_scan(triple(0.4, 1.1, 0.5))
+        failing = (1 - 0.4, 1.1, 2 * 1.1 + 1, DEFAULT_T_GRID[2])
+        assert calls.count(failing) == 1
+        assert calls == [(*failing[:3], t) for t in DEFAULT_T_GRID[:3]]
+
+    @pytest.mark.parametrize("error", [MemoryError, NonConvergence])
+    def test_a_failing_read_is_not_repeated(self, monkeypatch, error):
+        # Neither the library's own failure nor any other is read again.
         reads = []
 
         def failing(a, b, ts, tol):
             reads.append(len(ts))
-            raise MemoryError
+            raise error
 
         monkeypatch.setattr(schurmean, "_gm_series", failing)
-        with pytest.raises(MemoryError):
+        with pytest.raises(error):
             gm_sign_scan(triple(0.3, 0.5, 1.0))
         assert reads == [len(DEFAULT_T_GRID) + len(NEAR_ONE_PROBES)]
 
