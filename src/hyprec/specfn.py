@@ -9,8 +9,9 @@ ratio of the 1 - x connection formula takes any real argument off the poles
 of its numerator, since that formula's gamma arguments go negative.
 
 Everything here rests on the standard library's ``math`` module:
-``math.lgamma`` for the gamma family, and a recurrence plus asymptotic
-series for ``digamma``.
+``math.lgamma`` for the gamma family, a recurrence plus asymptotic series
+for ``digamma``, and Stirling's series for the ln Gamma difference that
+``beta`` needs beside a large argument.
 """
 
 from __future__ import annotations
@@ -93,22 +94,68 @@ def digamma(x: float) -> float:
     return math.fsum(parts)
 
 
+#: ``_ln_gamma_drop`` takes Stirling's series from this x on, where its
+#: terms through x^-7 leave less than 1e-18 of ln Gamma(x) out.
+_STIRLING_X = 85.0
+
+#: Coefficients B_2k / (2k (2k-1)) of Stirling's series for ln Gamma(x),
+#: k = 1..4, the terms of x^-1, x^-3, x^-5 and x^-7.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680)
+
+
+def _stirling_tail(x: float) -> float:
+    """ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi) / 2 for x >= ``_STIRLING_X``."""
+    z = 1.0 / (x * x)
+    series = 0.0
+    for coefficient in reversed(_STIRLING):
+        series = series * z + coefficient
+    return series / x
+
+
+def _ln_gamma_drop(hi: float, lo: float) -> float:
+    """ln Gamma(hi) - ln Gamma(hi + lo) for hi >= ``_STIRLING_X`` and 0 < lo <= hi.
+
+    Stirling's series for both, with r = lo/hi, leaves
+
+        -lo ln hi + hi (r - log1p(r)) - (lo - 1/2) log1p(r) + S(hi) - S(hi + lo),
+
+    S the series' tail (``_stirling_tail``).  No term is as large as
+    ln Gamma(hi), so the difference keeps the digits that subtracting two
+    ``math.lgamma`` values loses (all of them at lo = 1e-3, hi = 1e16), and
+    hi up to the largest double forms no overflowing term.
+    """
+    r = lo / hi
+    log1p_r = math.log1p(r)
+    return (
+        -lo * math.log(hi)
+        + hi * (r - log1p_r)
+        - (lo - 0.5) * log1p_r
+        + (_stirling_tail(hi) - _stirling_tail(hi + lo))
+    )
+
+
 def beta(z: float, w: float) -> float:
     """Beta function B(z, w) = Gamma(z) Gamma(w) / Gamma(z+w), z, w > 0.
 
     Below z + w = 171 it is a ratio of ``math.gamma`` values, good to a few
     ulp, taken as Gamma(hi) / Gamma(z+w) * Gamma(lo) so that no factor
     overflows.  Above, or for an argument under 1e-300, it goes through
-    ``ln_gamma`` so large arguments cannot overflow; exp of a sum of large
-    logarithms loses digits in proportion to their size (4.5e-14 at
-    z = w = 27.5).  Either way the arguments are ordered first, so
-    ``beta(z, w) == beta(w, z)`` bit for bit.
+    logarithms so large arguments cannot overflow: ln Gamma(lo) plus
+    ln Gamma(hi) - ln Gamma(lo + hi), the latter from Stirling's series
+    (``_ln_gamma_drop``) once hi >= ``_STIRLING_X``, and else from
+    ``ln_gamma``.  exp of the sum loses digits in proportion to the size of
+    its terms (4.5e-14 at z = w = 27.5), but the drop is never as large as
+    ln Gamma(hi), so a small lo beside a huge hi keeps its digits:
+    B(1e-3, 1e308) = 491.756.  Either way the arguments are ordered first,
+    so ``beta(z, w) == beta(w, z)`` bit for bit.
     """
     _require_positive("z", z)
     _require_positive("w", w)
     lo, hi = (z, w) if z <= w else (w, z)
     if lo + hi < 171.0 and lo > 1e-300:
         return math.gamma(hi) / math.gamma(lo + hi) * math.gamma(lo)
+    if hi >= _STIRLING_X:
+        return math.exp(ln_gamma(lo) + _ln_gamma_drop(hi, lo))
     return math.exp(ln_gamma(lo) + ln_gamma(hi) - ln_gamma(lo + hi))
 
 

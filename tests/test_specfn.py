@@ -191,6 +191,41 @@ class TestAgainstMpmath:
             ref = mpmath.beta(b, b)
             assert abs(specfn.beta(b, b) - ref) <= 8 * _EPS * ref, b
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1e-3, 1e12), (1e-3, 1e16), (1e-3, 1e308), (0.5, 1e300), (2.5, 1e6)],
+    )
+    def test_small_beside_huge_beta(self, lo, hi):
+        # Subtracting ln Gamma(hi + lo) from ln Gamma(hi) lost every digit of
+        # these.  mpmath's own beta at 60 digits returns Gamma(lo) for the
+        # last two, so the reference is exp of loggamma differences at 400.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(400):
+            lo_mp, hi_mp = mpmath.mpf(lo), mpmath.mpf(hi)
+            ref = mpmath.exp(mpmath.loggamma(lo_mp) + mpmath.loggamma(hi_mp) - mpmath.loggamma(lo_mp + hi_mp))
+            for value in (specfn.beta(lo, hi), specfn.beta(hi, lo)):
+                assert abs(value - ref) <= 1e-12 * ref
+
+    def test_large_beta_within_digits_of_its_exponent(self):
+        # From z + w = 171, B = exp(ln B) loses about ulp * |ln B| and no
+        # more, over small and huge arguments and nearly equal ones.
+        mpmath = pytest.importorskip("mpmath")
+        cases = [
+            (lo, hi)
+            for lo in (1e-6, 1e-3, 0.5, 2.5, 30.0, 100.0, 300.0, 1e3)
+            for hi in (171.0 - lo, lo, 1.5 * lo, 1e3, 1e6, 1e12, 1e30, 1e100, 1e300)
+            if lo <= hi and lo + hi >= 171.0
+        ]
+        assert len(cases) > 50
+        for lo, hi in cases:
+            with mpmath.workdps(400):
+                lo_mp, hi_mp = mpmath.mpf(lo), mpmath.mpf(hi)
+                ln_ref = mpmath.loggamma(lo_mp) + mpmath.loggamma(hi_mp) - mpmath.loggamma(lo_mp + hi_mp)
+                ref = mpmath.exp(ln_ref)
+                if ref < 1e-300:
+                    continue
+                assert abs(specfn.beta(lo, hi) - ref) <= 4 * _EPS * (abs(ln_ref) + 8) * ref, (lo, hi)
+
 
 class TestFunctionalEquations:
     @given(st.floats(min_value=0.1, max_value=50.0))
@@ -212,6 +247,27 @@ class TestFunctionalEquations:
     @settings(max_examples=40)
     def test_beta_symmetry_bitwise(self, z, w):
         assert specfn.beta(z, w) == specfn.beta(w, z)
+
+    @given(st.floats(min_value=-300, max_value=305), st.floats(min_value=-300, max_value=305))
+    @settings(max_examples=200)
+    def test_beta_symmetry_bitwise_over_the_double_range(self, log_z, log_w):
+        z, w = 10.0**log_z, 10.0**log_w
+        try:
+            forward = specfn.beta(z, w)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                specfn.beta(w, z)
+            return
+        assert forward.hex() == specfn.beta(w, z).hex()
+
+    @given(st.floats(min_value=1e-300, max_value=170.0), st.floats(min_value=1e-300, max_value=170.0))
+    @settings(max_examples=300)
+    def test_beta_below_171_is_the_gamma_ratio(self, z, w):
+        # Below z + w = 171 (and above 1e-300) beta is this ratio, bit for bit.
+        lo, hi = sorted((z, w))
+        if lo + hi >= 171.0 or lo <= 1e-300:
+            return
+        assert specfn.beta(z, w).hex() == (math.gamma(hi) / math.gamma(lo + hi) * math.gamma(lo)).hex()
 
     def test_r_symmetry(self):
         assert specfn.r_zero_balanced(0.3, 1.7) == specfn.r_zero_balanced(1.7, 0.3)
