@@ -587,15 +587,18 @@ def cauchy_oracle(spec: WeightedSeriesSpec | LogProductSpec, n_max: int) -> Coef
         p, th = spec.p, spec.theta
         # (-p)_j as a running product: pochhammer(-p, j)'s multiplications in
         # its order, so every g_j keeps its bits, in O(N) rather than O(N^2).
-        # From j = 171 on, j! no longer converts to a float, and g_j steps
-        # from g_(j-1) instead.
+        # Once that direct form no longer converts to a float (j! from
+        # j = 171, or an exact theta^j (-p)_j of more than about 1e308), g_j
+        # steps from g_(j-1) instead.
         g, rising = [], 1
         for j in range(n_max + 1):
-            if j <= 170:
+            try:
                 g.append(1.0 * th**j * rising / math.factorial(j))
-                rising *= -p + j
-            else:
-                g.append(g[-1] * th * (j - 1 - p) / j)
+            except OverflowError:
+                break
+            rising *= -p + j
+        for j in range(len(g), n_max + 1):
+            g.append(g[-1] * th * (j - 1 - p) / j)
     coeffs = tuple(
         sum((w[k] * g[n - k] for k in range(n + 1)), start=0 * w[0])
         for n in range(n_max + 1)

@@ -328,6 +328,18 @@ class TestExactOracleReference:
         got = cauchy_oracle(spec_of(0.3, 0.7, 1.5, p, theta), n_max).coeffs
         assert hashlib.sha256(",".join(v.hex() for v in got).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n_max", [103, 150])
+    def test_mixed_field_oracle_steps_past_an_exact_factor_too_large_for_a_float(self, n_max):
+        # (-p)_j stays an exact Fraction for an exact p; with p = -1000 and
+        # theta = 1/2, theta^j (-p)_j / j! no longer converts from j = 103,
+        # and g_j steps from g_(j-1).  Every term of the product is positive.
+        p, theta = Fraction(-1000), Fraction(1, 2)
+        got = cauchy_oracle(spec_of(0.3, 0.7, 1.5, p, theta), n_max).coeffs
+        exact = cauchy_oracle(spec_of(Fraction(3, 10), Fraction(7, 10), Fraction(3, 2), p, theta), n_max).coeffs
+        assert got[:101] == cauchy_oracle(spec_of(0.3, 0.7, 1.5, p, theta), 100).coeffs
+        for n in range(n_max + 1):
+            assert abs(got[n] - float(exact[n])) <= 1e-12 * float(exact[n]), n
+
     def test_float_oracle_past_170_from_the_cli(self, capsys):
         flags = ("--family", "oracle", "--a", "0.3", "--b", "0.7", "--c", "1.5", "--p", "2.5", "--theta", "0.5")
         coeffs = json.loads(coeffs_output(capsys, "json", *flags, "--n", "171"))["coeffs"]
