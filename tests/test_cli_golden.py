@@ -49,6 +49,9 @@ _COEFFS = (
     ("--family", "log", "--a", "1/3", "--b", "2/5", "--c", "3/2", "--n", "40"),
     ("--family", "theta-1", "--a=-2/1", "--b", "2/5", "--c=-5/2", "--p", "3/1", "--n", "12"),
     ("--family", "log", "--a", "0/1", "--b", "2/5", "--c", "3/2", "--n", "5"),
+    # The float oracle past the float range of (-p)_j: inf from n = 103,
+    # where the exact oracle's coefficients are finite.
+    ("--family", "oracle", "--a", "0.3", "--b", "0.7", "--c", "1.5", "--p", "-1000", "--theta", "0.5", "--n", "150"),
     ("--a", "-2", "--b", "0.5", "--c", "-2.5", "--n", "4"),
     ("--a", "1", "--b", "1", "--c", "2", "--n", "0"),
 )
@@ -132,6 +135,8 @@ _FAILURES = (
     (("eval", "--a", "1", "--b", "1", "--c", "2", "--x=-1"), None),
     (("eval", "--a", "1", "--b", "1", "--c", "2", "--x", "0.5", "--rational"), None),
     (("eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9"), {"HYPREC_TERM_CAP": "10"}),
+    # Past the term cap at its default.
+    (("eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9999"), None),
     (("near-one", "--case", "value-at-one", "--a", "0.5", "--b", "0.5", "--c", "1"), None),
     (("near-one", "--case", "value-at-one", "--a", "0.5", "--b", "0.5"), None),
     (("near-one", "--case", "value-at-one", "--a", "0.5", "--b", "0.5", "--c", "-4"), None),
@@ -241,13 +246,13 @@ def _process_sample():
 
     The first variant of each subcommand in each format (verify's is
     ``--suite special-cases --seed 42``), and one exit-2 and one exit-3 case
-    of ``_FAILURES``, the latter through the environment.
+    of ``_FAILURES``, the latter a series past the default term cap.
     """
     firsts = {}
     for case_id, argv, env in _CASES:
         if env is None and "--format" in argv:
             firsts.setdefault((argv[0], argv[argv.index("--format") + 1]), (case_id, argv, env))
-    failures = ("coeffs --a 1 --b 1 --c -2 --n 4", "HYPREC_TERM_CAP=10 eval --a 0.5 --b 0.5 --c 1 --x 0.9")
+    failures = ("coeffs --a 1 --b 1 --c -2 --n 4", "eval --a 0.5 --b 0.5 --c 1 --x 0.9999")
     return list(firsts.values()) + [case for case in _CASES if case[0] in failures]
 
 
