@@ -29,9 +29,6 @@ Exit codes: 0 success, 2 invalid flag or parameter (ParameterError),
 3 numerical failure (any other DomainError, or NonConvergence), 1 internal
 error.  The verify subcommand instead exits with the number of failing
 properties (0 on full pass).
-
-Environment: HYPREC_TERM_CAP overrides the series term cap and
-HYPREC_QUAD_TOL the default quadrature tolerance.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ import csv
 import gc
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -78,7 +74,6 @@ from .schurmean import (
     q_p0_profile,
 )
 
-QUAD_TOL_ENV = "HYPREC_QUAD_TOL"
 FORMATS = ("json", "csv", "plain")
 
 RATIONAL_COMMANDS = ("coeffs", "classify")
@@ -104,16 +99,6 @@ def _parse_t_grid(raw: str | None):
         if piece:
             values.append(_parse_number(piece, False))
     return values
-
-
-def _quad_tol_default() -> float:
-    raw = os.environ.get(QUAD_TOL_ENV)
-    if raw is None:
-        return 1e-10
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ParameterError(f"{QUAD_TOL_ENV} must be a float, got {raw!r}") from exc
 
 
 def _plain_lines(pairs) -> str:
@@ -234,14 +219,14 @@ def _run_classify(args, sink) -> int:
 
 def _run_mean(args, sink) -> int:
     mp = MeanParams(args.a, args.b)
-    series_tol = args.tol if args.tol is not None else 1e-12
-    quad_tol = args.tol if args.tol is not None else _quad_tol_default()
+    # Without --tol each method keeps its own default tolerance.
+    tol = {} if args.tol is None else {"tol": args.tol}
     fields = {}
     if args.method in ("series", "both"):
-        series = mean_series(args.x, args.y, mp, series_tol)
+        series = mean_series(args.x, args.y, mp, **tol)
         fields["series"] = format_number(series)
     if args.method in ("quadrature", "both"):
-        quadrature = mean_quadrature(args.x, args.y, mp, quad_tol)
+        quadrature = mean_quadrature(args.x, args.y, mp, **tol)
         fields["quadrature"] = format_number(quadrature)
     if args.method == "both":
         fields["abs_difference"] = format_number(abs(series - quadrature))

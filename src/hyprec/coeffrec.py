@@ -140,12 +140,6 @@ class CoeffSequence(Record):
         set_field(self, "coeffs", coeffs)
         set_field(self, "method", method)
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, n):
-        return self.coeffs[n]
-
 
 def _check_n(n: int) -> None:
     if n < 0:

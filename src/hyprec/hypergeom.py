@@ -26,17 +26,17 @@ The library reads its series a grid at a time through ``_hyp2f1_grid``
 (``_hyp2f1_unit`` is its one-point case), which returns plain floats: every
 reader wants the value alone, and no error bound is formed for a connection
 point, whose two truncation bounds say nothing of its rounding.  It
-remembers the last four series (a, b, c, tol and the term cap, each with
-its type) in a memo that counts the points it answered and those it
-computed.  A series' entry holds all that series reuses: the values of its
-first 256 points; the term ratios of its direct series; and the connection
-formula's gamma ratios, formed once per series.  The G_m scans and the Q
-profile read the same two series at the same points for every m, so they
-share one evaluation; four series are more than one (a, b) cell of a scan
-reads and far fewer than a scan of many cells does, so what is reused is
-the work on one cell.  Each direct-series point stays one call to
-``hyp2f1``, which is passed the term cap the grid read took from
-``term_cap()`` once and the entry's ratios, and whose value is kept.
+remembers the last four series (a, b, c and tol, each with its type) in a
+memo that counts the points it answered and those it computed.  A series'
+entry holds all that series reuses: the values of its first 256 points;
+the term ratios of its direct series; and the connection formula's gamma
+ratios, formed once per series.  The G_m scans and the Q profile read the
+same two series at the same points for every m, so they share one
+evaluation; four series are more than one (a, b) cell of a scan reads and
+far fewer than a scan of many cells does, so what is reused is the work on
+one cell.  Each direct-series point stays one call to ``hyp2f1``, which is
+passed the entry's ratios and whose value is kept.  Every sum stops at
+``DEFAULT_TERM_CAP`` terms, a constant that no setting changes.
 
 Every float series, public ``hyp2f1`` and both connection series, is summed
 by ``_sum_series`` in one loop body.  It runs on a float counter and tests
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import sys
 import threading
 from fractions import Fraction
@@ -68,7 +67,6 @@ __all__ = [
     "DEFAULT_TERM_CAP",
     "HypParams",
     "EvalResult",
-    "term_cap",
     "hyp2f1",
     "hyp2f1_derivative",
     "gauss_value_at_one",
@@ -76,22 +74,8 @@ __all__ = [
     "euler_transform_eval",
 ]
 
+#: The most terms any float series sums before it raises :class:`NonConvergence`.
 DEFAULT_TERM_CAP = 100_000
-TERM_CAP_ENV = "HYPREC_TERM_CAP"
-
-
-def term_cap() -> int:
-    """Series term cap; override with the HYPREC_TERM_CAP environment variable."""
-    raw = os.environ.get(TERM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_TERM_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"{TERM_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap <= 0:
-        raise ParameterError(f"{TERM_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
 
 
 #: Floating c within this distance of 0, -1, -2, ... counts as sitting on a pole.
@@ -157,9 +141,6 @@ class HypParams(Record):
         set_field(params, "c", c)
         return params
 
-    def shift_a(self, delta: int) -> "HypParams":
-        return HypParams(self.a + delta, self.b, self.c)
-
 
 class EvalResult(Record):
     """A value plus an a-posteriori truncation bound and the term count used."""
@@ -176,7 +157,7 @@ class EvalResult(Record):
         set_field(self, "terms_used", terms_used)
 
 
-def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, cap: int | None = None, *, _ratios=None) -> EvalResult:
+def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, *, _ratios=None) -> EvalResult:
     """Sum the series F(a,b;c;x) = sum (a)_n (b)_n / ((c)_n n!) x^n on |x| < 1.
 
     Stops once three consecutive terms satisfy |term| <= tol*|partial sum|
@@ -190,22 +171,14 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, cap: int | None = No
     When a or b is a nonpositive integer the series terminates and the result
     is exact up to rounding (error_bound 0).
 
-    At most ``cap`` terms are summed; None reads ``term_cap()``.  ``cap`` is
-    the pass-through of ``_hyp2f1_grid``, which hands each direct point the
-    cap it read once for the grid, so that point stays one call here; a
-    value passed in must be a positive int, as the environment's must.
-    ``HYPREC_TERM_CAP`` remains the one setting of the cap.  ``_ratios`` is
-    the grid's other pass-through, its memo entry's term ratios of this
+    At most ``DEFAULT_TERM_CAP`` terms are summed.  ``_ratios`` is the
+    pass-through of ``_hyp2f1_grid``, its memo entry's term ratios of this
     series (see ``_sum_series``); every other caller leaves it None.
     """
     _require_tol(tol)
     if not abs(x) < 1:
         raise ParameterError(f"series evaluation requires |x| < 1, got x={x!r}")
-    if cap is None:
-        cap = term_cap()
-    elif type(cap) is not int or cap <= 0:
-        raise ParameterError(f"cap must be a positive integer, got {cap!r}")
-    return _sum_series(params.a, params.b, params.c, float(x), tol, cap, _ratios)
+    return _sum_series(params.a, params.b, params.c, float(x), tol, DEFAULT_TERM_CAP, _ratios)
 
 
 #: A grid series stores its first ``_RATIO_TERMS`` term ratios, about 33 KB.
@@ -431,11 +404,11 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[float]:
     series in y, 1 -/+ (c - a - b), may be negative, so both sum past their
     pole before the tail rule may stop.
 
-    ``term_cap()`` is read once per call, and each direct-series point's
-    ``hyp2f1`` is passed that cap rather than reading it again.  What a read
-    computes is remembered in the calling thread's memo (``_MEMO``), in the
-    entry of the series (a, b, c, tol and the cap, with the type of each, so
-    a Fraction and an equal float never share; see ``_Series``).  A, B's
+    What a read computes is remembered in the calling thread's memo
+    (``_MEMO``), in the entry of the series (a, b, c and tol, with the type
+    of each, so a Fraction and an equal float never share; see
+    ``_Series``).  The term cap is not part of the key: it decides only
+    whether a sum raises, never the value of a sum that converged.  A, B's
     sign and log-gammas are formed once per series; each connection point
     scales B by its own y^(c-a-b) through ``specfn.scaled_gamma_ratio``, the
     rule ``specfn.gamma_ratio`` uses, and each direct point's ``hyp2f1``
@@ -450,9 +423,8 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[float]:
     alone.
     """
     a, b, c = params.a, params.b, params.c
-    cap = term_cap()
     memo = _MEMO
-    key = (a, b, c, tol, cap, type(a), type(b), type(c), type(tol))
+    key = (a, b, c, tol, type(a), type(b), type(c), type(tol))
     entry = memo.series.get(key)
     if entry is None:
         entry = memo.series[key] = _Series()
@@ -490,15 +462,16 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[float]:
                 log_scale = s * math.log(y) if y > 0 else -s * math.inf
                 weight = specfn.scaled_gamma_ratio(sign, logs, log_scale)
                 if accurate:
-                    first = _sum_series(a, b, 1 - s, y, tol, cap).value
-                    result = scale * first + weight * _sum_series(c - a, c - b, 1 + s, y, tol, cap).value
+                    first = _sum_series(a, b, 1 - s, y, tol, DEFAULT_TERM_CAP).value
+                    second = _sum_series(c - a, c - b, 1 + s, y, tol, DEFAULT_TERM_CAP).value
+                    result = scale * first + weight * second
             if result is None:
                 if x >= 1:
                     raise NonConvergence(
                         f"F({a},{b};{c};x) at 1-x={y!r}: x rounds to 1, where the direct series "
                         "cannot answer, and the connection formula does not apply"
                     )
-                result = hyp2f1(params, x, tol, cap, _ratios=entry.ratios).value
+                result = hyp2f1(params, x, tol, _ratios=entry.ratios).value
             if len(values) < _MEMO_POINTS:
                 values[point] = result
             results.append(result)

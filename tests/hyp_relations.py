@@ -16,9 +16,9 @@ def contiguous_residual(params: HypParams, x: float, tol: float = 1e-12) -> floa
     Returns the left-hand side; callers assert it is numerically small.
     """
     a, b, c = params.a, params.b, params.c
-    f_minus = hyp2f1(params.shift_a(-1), x, tol).value
+    f_minus = hyp2f1(HypParams(a - 1, b, c), x, tol).value
     f_mid = hyp2f1(params, x, tol).value
-    f_plus = hyp2f1(params.shift_a(+1), x, tol).value
+    f_plus = hyp2f1(HypParams(a + 1, b, c), x, tol).value
     return (c - a) * f_minus + (2 * a - c - a * x + b * x) * f_mid + a * (x - 1) * f_plus
 
 
@@ -35,9 +35,9 @@ def df_relation_residuals(params: HypParams, x: float, tol: float = 1e-12) -> tu
         raise DomainError(f"residuals require 0 < |x| < 1, got x={x!r}")
     a, b, c = params.a, params.b, params.c
     f_mid = hyp2f1(params, x, tol).value
-    f_minus = hyp2f1(params.shift_a(-1), x, tol).value
+    f_minus = hyp2f1(HypParams(a - 1, b, c), x, tol).value
     df_mid = hyp2f1_derivative(params, x, tol).value
-    df_minus = hyp2f1_derivative(params.shift_a(-1), x, tol).value
+    df_minus = hyp2f1_derivative(HypParams(a - 1, b, c), x, tol).value
     res_1 = df_mid - ((c - a) * f_minus + (a - c + b * x) * f_mid) / (x * (1.0 - x))
     res_2 = df_minus - (a - 1) / x * (f_mid - f_minus)
     return res_1, res_2

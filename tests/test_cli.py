@@ -162,10 +162,9 @@ class TestValidation:
         assert code == 2
         assert "|x| < 1" in err
 
-    def test_numerical_failure_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYPREC_TERM_CAP", "10")
+    def test_numerical_failure_exits_3(self, capsys):
         code, _, err = run_main(
-            capsys, "eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9"
+            capsys, "eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9999"
         )
         assert code == 3
         assert "numerical failure" in err
@@ -382,16 +381,14 @@ else:
         assert (proc.returncode, proc.stdout) == (main(list(self.EVAL)), capsys.readouterr().out)
 
     @pytest.mark.parametrize(
-        "argv,env,code",
+        "argv,code",
         [
-            (EVAL, None, 0),
-            (("eval", "--a", "one", "--b", "1", "--c", "2", "--x", "0.5"), None, 2),
-            (("eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9"), {"HYPREC_TERM_CAP": "10"}, 3),
+            (EVAL, 0),
+            (("eval", "--a", "one", "--b", "1", "--c", "2", "--x", "0.5"), 2),
+            (("eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9999"), 3),
         ],
     )
-    def test_main_leaves_the_collector_as_it_was(self, argv, env, code, capsys, monkeypatch):
-        for key, value in (env or {}).items():
-            monkeypatch.setenv(key, value)
+    def test_main_leaves_the_collector_as_it_was(self, argv, code, capsys):
         before = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
         assert main(list(argv)) == code
         assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == before
@@ -399,21 +396,24 @@ else:
 
 class TestProcessLevel:
     def test_term_cap_env(self):
-        proc = run_proc(
-            "eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9",
-            env={"HYPREC_TERM_CAP": "10"},
-        )
-        assert proc.returncode == 3
-        ok = run_proc("eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9")
-        assert ok.returncode == 0
+        # The cap is the constant 100000: 0.9999 fails at it, and the
+        # variable that once set it neither lowers nor raises it.
+        argv = ("eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x")
+        for env in (None, {"HYPREC_TERM_CAP": "10"}, {"HYPREC_TERM_CAP": "1000000"}):
+            proc = run_proc(*argv, "0.9999", env=env)
+            assert proc.returncode == 3
+            assert "within 100000 terms" in proc.stderr
+        plain = run_proc(*argv, "0.9")
+        lowered = run_proc(*argv, "0.9", env={"HYPREC_TERM_CAP": "10"})
+        assert (lowered.returncode, lowered.stdout) == (plain.returncode, plain.stdout)
+        assert plain.returncode == 0
 
-    def test_quad_tol_env_validated(self):
-        proc = run_proc(
-            "mean", "--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2",
-            "--method", "quadrature",
-            env={"HYPREC_QUAD_TOL": "bogus"},
-        )
-        assert proc.returncode == 2
+    def test_quad_tol_env_changes_nothing(self):
+        argv = ("mean", "--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2", "--method", "quadrature")
+        plain = run_proc(*argv)
+        bogus = run_proc(*argv, env={"HYPREC_QUAD_TOL": "bogus"})
+        assert (bogus.returncode, bogus.stdout) == (plain.returncode, plain.stdout)
+        assert plain.returncode == 0
 
     def test_verify_exit_zero(self):
         proc = run_proc("verify", "--suite", "mean", "--seed", "3")

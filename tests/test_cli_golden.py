@@ -134,8 +134,7 @@ _FAILURES = (
     (("eval", "--a", "1", "--b", "1", "--c", "2", "--x", "1", "--deriv"), None),
     (("eval", "--a", "1", "--b", "1", "--c", "2", "--x=-1"), None),
     (("eval", "--a", "1", "--b", "1", "--c", "2", "--x", "0.5", "--rational"), None),
-    (("eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9"), {"HYPREC_TERM_CAP": "10"}),
-    # Past the term cap at its default.
+    # Past the term cap.
     (("eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9999"), None),
     (("near-one", "--case", "value-at-one", "--a", "0.5", "--b", "0.5", "--c", "1"), None),
     (("near-one", "--case", "value-at-one", "--a", "0.5", "--b", "0.5"), None),
@@ -161,8 +160,6 @@ _FAILURES = (
     (("mean", "--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2", "--rational"), None),
     # A b so large that ln Gamma(b) overflows, far past B(b, b)'s underflow.
     (("mean", "--a", "0.5", "--b", "1e308", "--x", "1", "--y", "2", "--method", "quadrature"), None),
-    (("mean", "--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2", "--method", "quadrature"), {"HYPREC_QUAD_TOL": "bogus"}),
-    (("mean", "--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2", "--method", "both"), {"HYPREC_QUAD_TOL": "-1"}),
     (("gm-scan", "--a", "0.9", "--b", "0.5", "--m", "0", "--tgrid", "0,0.5"), None),
     (("gm-scan", "--a", "0.9", "--b", "0.5", "--m", "0", "--tgrid", "0.5,1.5"), None),
     (("gm-scan", "--a", "0.9", "--b", "0.5", "--m", "0", "--tgrid", " , "), None),
@@ -171,6 +168,15 @@ _FAILURES = (
     (("qprofile", "--a", "0.9", "--b", "0", "--tgrid", "0.5"), None),
     (("qprofile", "--a", "0.9", "--b", "0.4", "--tgrid", "x"), None),
     (("verify", "--suite", "mean", "--rational"), None),
+)
+
+#: Invocations under variables that set the term cap and the quadrature
+#: tolerance in earlier versions: (argv, env).  hyprec reads no environment,
+#: so each prints what it prints without them.
+_ENVIRONMENT = (
+    (("eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9"), {"HYPREC_TERM_CAP": "10"}),
+    (("mean", "--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2", "--method", "quadrature"), {"HYPREC_QUAD_TOL": "bogus"}),
+    (("mean", "--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2", "--method", "both"), {"HYPREC_QUAD_TOL": "-1"}),
 )
 
 
@@ -192,7 +198,7 @@ def cases():
             for fmt in FORMATS:
                 argv = (command, *flags, "--format", fmt)
                 out.append((" ".join(argv), argv, None))
-    for argv, env in _FAILURES:
+    for argv, env in _FAILURES + _ENVIRONMENT:
         prefix = " ".join(f"{k}={v}" for k, v in sorted((env or {}).items()))
         out.append(((prefix + " " if prefix else "") + " ".join(argv), argv, env))
     return out
@@ -279,6 +285,13 @@ def test_golden_through_a_process(case_id, argv, env):
     )
     assert proc.returncode == expected["exit"]
     assert proc.stdout == expected["stdout"].encode()
+
+
+@pytest.mark.parametrize("argv,env", _ENVIRONMENT)
+def test_the_environment_changes_nothing(argv, env, capsys):
+    case_id = next(case_id for case_id, case_argv, case_env in _CASES if (case_argv, case_env) == (argv, env))
+    expected = _expected()[case_id]
+    assert run_case(argv, None, capsys) == (expected["exit"], expected["stdout"])
 
 
 def test_csv_rows_are_as_wide_as_their_header():

@@ -1,6 +1,5 @@
 import contextlib
 import math
-import os
 import sys
 import threading
 from fractions import Fraction
@@ -97,30 +96,24 @@ class TestSeries:
             HypParams(1.0, 1.0, -2.0)
         HypParams(1.0, 1.0, -0.5)  # negative non-integer c is allowed
 
-    def test_term_cap_env_triggers_nonconvergence(self, monkeypatch):
-        monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "10")
-        with pytest.raises(NonConvergence):
-            hyp2f1(HypParams(0.5, 0.5, 1.0), 0.9, 1e-12)
-        monkeypatch.delenv(hypergeom.TERM_CAP_ENV)
-        hyp2f1(HypParams(0.5, 0.5, 1.0), 0.9, 1e-12)
-
-    @pytest.mark.parametrize("cap", [0, -1, 1.5, True, "10"])
-    def test_bad_cap_rejected(self, cap):
-        with pytest.raises(ParameterError, match="cap must be a positive integer"):
-            hyp2f1(HypParams(0.5, 0.5, 1.5), 0.5, 1e-12, cap)
-
-    def test_passed_cap_stands_for_the_environment(self, monkeypatch):
-        params = HypParams(0.5, 0.5, 1.5)
+    def test_lowered_term_cap_triggers_nonconvergence(self, monkeypatch):
+        # The cap is read from the module when hyp2f1 is called, so a
+        # lowered constant takes effect at once and a restored one answers.
+        params = HypParams(0.5, 0.5, 1.0)
         full = hyp2f1(params, 0.9, 1e-12)
         assert full.terms_used > 10
-        with pytest.raises(NonConvergence, match="within 10 terms"):
-            hyp2f1(params, 0.9, 1e-12, 10)
-        # A lowered environment cap still stops a call that passes none ...
-        monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "10")
+        monkeypatch.setattr(hypergeom, "DEFAULT_TERM_CAP", 10)
         with pytest.raises(NonConvergence, match="within 10 terms"):
             hyp2f1(params, 0.9, 1e-12)
-        # ... and a passed cap is the one summed to, whatever it holds.
-        assert hyp2f1(params, 0.9, 1e-12, hypergeom.DEFAULT_TERM_CAP) == full
+        monkeypatch.undo()
+        assert hyp2f1(params, 0.9, 1e-12) == full
+
+    def test_cap_is_not_an_argument(self):
+        params = HypParams(0.5, 0.5, 1.5)
+        with pytest.raises(TypeError):
+            hyp2f1(params, 0.5, 1e-12, cap=10)
+        with pytest.raises(TypeError):
+            hyp2f1(params, 0.5, 1e-12, 10)
 
     @given(
         st.floats(min_value=-2, max_value=2),
@@ -534,12 +527,12 @@ class TestContiguousAndDerivativeRelations:
     def test_shift_relations(self, abc, x):
         # x F' + a F = a F(a+1,b;c;x) and x F_(a-)' = (a-1)(F - F_(a-)).
         params = HypParams(*abc)
-        a = params.a
+        a, b, c = abc
         f_mid = hyp2f1(params, x, 1e-13).value
-        f_plus = hyp2f1(params.shift_a(+1), x, 1e-13).value
-        f_minus = hyp2f1(params.shift_a(-1), x, 1e-13).value
+        f_plus = hyp2f1(HypParams(a + 1, b, c), x, 1e-13).value
+        f_minus = hyp2f1(HypParams(a - 1, b, c), x, 1e-13).value
         df_mid = hyp2f1_derivative(params, x, 1e-13).value
-        df_minus = hyp2f1_derivative(params.shift_a(-1), x, 1e-13).value
+        df_minus = hyp2f1_derivative(HypParams(a - 1, b, c), x, 1e-13).value
         assert abs(x * df_mid + a * f_mid - a * f_plus) <= 1e-9
         assert abs(x * df_minus - (a - 1) * (f_mid - f_minus)) <= 1e-9
 
@@ -739,15 +732,21 @@ class TestUnitCache:
         for p, result in zip(params, results):
             assert result == _cold(p, x, 1e-12)
 
-    def test_lowered_term_cap_still_takes_effect(self, monkeypatch):
+    def test_remembered_value_answers_after_the_cap_is_lowered(self, monkeypatch):
+        # The cap is not part of the memo key: it decides only whether a sum
+        # raises, never the value of one that converged.  A remembered point
+        # answers under a lowered cap; a point not remembered is summed and
+        # fails.
         params = HypParams(0.7, 0.9, 2.3)
         with _summed_terms() as terms:
             remembered = _cold(params, 0.5, 1e-12)
         assert terms[0] > 10
-        monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "10")
-        with pytest.raises(NonConvergence):
-            _hyp2f1_unit(params, 0.5, 1e-12)
-        monkeypatch.delenv(hypergeom.TERM_CAP_ENV)
+        monkeypatch.setattr(hypergeom, "DEFAULT_TERM_CAP", 10)
+        assert _hyp2f1_unit(params, 0.5, 1e-12).hex() == remembered.hex()
+        assert (hypergeom._MEMO.hits, hypergeom._MEMO.misses) == (1, 1)
+        with pytest.raises(NonConvergence, match="within 10 terms"):
+            _hyp2f1_unit(params, 0.6, 1e-12)
+        monkeypatch.undo()
         assert _hyp2f1_unit(params, 0.5, 1e-12).hex() == remembered.hex()
 
     def test_size_is_bounded(self):
@@ -940,23 +939,18 @@ class TestGridEvaluator:
         params = HypParams(a, b, c)
         points = points + data.draw(st.lists(st.sampled_from(points), max_size=4))
         points = data.draw(st.permutations(points))
-        previous = os.environ.get(hypergeom.TERM_CAP_ENV)
-        if cap is not None:
-            os.environ[hypergeom.TERM_CAP_ENV] = str(cap)
-        try:
-            head = _head_outcome(params, points, tol, hypergeom.term_cap())
+        with pytest.MonkeyPatch.context() as patch:
+            if cap is not None:
+                patch.setattr(hypergeom, "DEFAULT_TERM_CAP", cap)
+            cap = hypergeom.DEFAULT_TERM_CAP
+            head = _head_outcome(params, points, tol, cap)
             hypergeom._MEMO.clear()
             assert _grid_outcome(params, points, tol) == head
             # Again, now reading what the first read remembered.
             assert _grid_outcome(params, points, tol) == head
             # And point by point, partly warm.
             for point in points[::2]:
-                assert _grid_outcome(params, [point], tol) == _head_outcome(params, [point], tol, hypergeom.term_cap())
-        finally:
-            if previous is None:
-                os.environ.pop(hypergeom.TERM_CAP_ENV, None)
-            else:
-                os.environ[hypergeom.TERM_CAP_ENV] = previous
+                assert _grid_outcome(params, [point], tol) == _head_outcome(params, [point], tol, cap)
 
 
 class TestEntryPointDomains:

@@ -39,7 +39,6 @@ from hyprec import (
 from hyprec.cli import main
 from hyprec.coeffrec import MAX_N
 from hyprec.errors import DomainError, ParameterError
-from hyprec.hypergeom import TERM_CAP_ENV, term_cap
 
 
 def test_parameter_error_is_a_domain_error():
@@ -314,16 +313,15 @@ def test_eval_tol_zero_exits_2(capsys):
     assert "tol must be positive" in captured.err
 
 
-@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-5"])
-def test_bad_term_cap_is_a_parameter_error(raw, monkeypatch, capsys):
-    monkeypatch.setenv(TERM_CAP_ENV, raw)
-    with pytest.raises(ParameterError):
-        term_cap()
-    code = main(["eval", "--a", "1", "--b", "1", "--c", "2", "--x", "0.5"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert TERM_CAP_ENV in captured.err
+@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-5", "10"])
+def test_term_cap_env_changes_nothing(raw, monkeypatch, capsys):
+    # The term cap is a library constant: no value of the variable that once
+    # set it, malformed or lowered, changes an output or an exit code.
+    argv = ["eval", "--a", "0.5", "--b", "0.5", "--c", "1", "--x", "0.9"]
+    plain = (main(argv), capsys.readouterr().out)
+    monkeypatch.setenv("HYPREC_TERM_CAP", raw)
+    assert (main(argv), capsys.readouterr().out) == plain
+    assert plain[0] == 0
 
 
 def test_import_defers_scipy_and_numpy():

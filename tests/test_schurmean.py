@@ -1,5 +1,4 @@
 import math
-import os
 import random
 import sys
 from fractions import Fraction
@@ -535,55 +534,44 @@ class TestGridRead:
         assert hypergeom._MEMO.misses == misses
         assert ([v.hex() for v in warm[0]], [v.hex() for v in warm[1]]) == grid
 
-    def test_term_cap_is_read_once_per_series_per_grid(self, monkeypatch):
-        reads = []
-        direct = []
+    def test_each_direct_point_is_one_hyp2f1_call_passed_only_its_ratios(self, monkeypatch):
+        passed = []
 
-        def counted():
-            reads.append(1)
-            return hypergeom.DEFAULT_TERM_CAP
+        def counted_hyp2f1(params, x, tol=1e-12, **kwargs):
+            passed.append(kwargs)
+            return hyp2f1(params, x, tol, **kwargs)
 
-        def counted_hyp2f1(params, x, tol=1e-12, cap=None, *, _ratios=None):
-            # The grid also hands each direct point its memo entry's ratios.
-            assert type(_ratios) is list
-            direct.append(cap)
-            return hyp2f1(params, x, tol, cap, _ratios=_ratios)
-
-        monkeypatch.setattr(hypergeom, "term_cap", counted)
         monkeypatch.setattr(hypergeom, "hyp2f1", counted_hyp2f1)
-        # Cold, each direct-series point is a public hyp2f1 call, passed the
-        # cap the grid reader read once per series, so it reads none itself.
+        hypergeom._MEMO.clear()
+        # Cold, each direct-series point is one public hyp2f1 call, passed
+        # its memo entry's term ratios and nothing else.
         schurmean._gm_series(0.5, 0.5, GRID, 1e-12)
         # c - a - b is an integer: no connection point.  0.9 is on the grid
         # and among the probes, and is computed once.
-        assert direct == [hypergeom.DEFAULT_TERM_CAP] * (2 * len(set(GRID)))
-        assert len(reads) == 2
-        reads.clear()
-        direct.clear()
+        assert len(passed) == 2 * len(set(GRID))
+        assert all(list(kwargs) == ["_ratios"] and type(kwargs["_ratios"]) is list for kwargs in passed)
+        passed.clear()
         # A cold cell reads each series once, over the t grid and the
         # near-one probes together.
         gm_sign_scan(triple(0.9, 0.5, 0.3))
-        assert direct and set(direct) == {hypergeom.DEFAULT_TERM_CAP}
-        assert len(reads) == 2
-        # Warm, nothing else reads the cap per point, not even the evaluator.
-        reads.clear()
+        assert passed and all(list(kwargs) == ["_ratios"] for kwargs in passed)
+        # Warm, the cell's other scans and its Q profile call it no more.
+        passed.clear()
         gm_sign_scan(triple(0.9, 0.5, 0.7))
-        assert len(reads) == 2
-        reads.clear()
         q_p0_profile(q_params_for_mean(MeanParams(0.9, 0.5)), DEFAULT_T_GRID)
-        assert len(reads) == 2
+        assert passed == []
 
     @pytest.mark.parametrize("a,b", GRID_READ_CASES)
     @pytest.mark.parametrize("cap", [3, 40, 150, 2000])
     def test_lowered_cap_fails_as_per_point_reads_do(self, monkeypatch, a, b, cap):
         # The message names the series and its t, so equal messages mean the
         # same first failure.
-        monkeypatch.setenv(hypergeom.TERM_CAP_ENV, str(cap))
+        monkeypatch.setattr(hypergeom, "DEFAULT_TERM_CAP", cap)
         grid = _series_outcome(schurmean._gm_series, a, b, GRID, 1e-12)
         assert grid == _series_outcome(_per_point_series, a, b, GRID, 1e-12)
 
     def test_lowered_cap_fails_past_the_first_point(self, monkeypatch):
-        monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "60")
+        monkeypatch.setattr(hypergeom, "DEFAULT_TERM_CAP", 60)
         message = _series_outcome(schurmean._gm_series, 0.5, 0.5, GRID, 1e-12)
         assert message.startswith("F(0.5,0.5;2.0;") and message.endswith("within 60 terms")
         t = float(message.split(";")[2].split(")")[0])
@@ -773,20 +761,14 @@ class TestScanPathEquivalence:
         # sign, on an unsorted grid more than once.
         if between:
             ms = ms + [((a + 2 * b) / (1 + 2 * b) + min(a + b, 1.0)) / 2]
-        previous = os.environ.get(hypergeom.TERM_CAP_ENV)
-        if cap is not None:
-            os.environ[hypergeom.TERM_CAP_ENV] = str(cap)
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            if cap is not None:
+                patch.setattr(hypergeom, "DEFAULT_TERM_CAP", cap)
             old = _scan_outcome(
                 _old_schur_grid_scan, _old_gm_sign_scan, _old_q_p0_profile, a, b, ms, t_grid, tol, sign_tol
             )
             new = _scan_outcome(schur_grid_scan, gm_sign_scan, q_p0_profile, a, b, ms, t_grid, tol, sign_tol)
             assert new == old
-        finally:
-            if previous is None:
-                os.environ.pop(hypergeom.TERM_CAP_ENV, None)
-            else:
-                os.environ[hypergeom.TERM_CAP_ENV] = previous
 
     @given(
         st.lists(
@@ -821,7 +803,7 @@ class TestScanPathEquivalence:
         # probe 0.99, the second already fails at t = 0.98: the first series
         # is read over the grid and the probes before the second, so its
         # probe failure is the one raised.
-        monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "700")
+        monkeypatch.setattr(hypergeom, "DEFAULT_TERM_CAP", 700)
         args = (0.5, 0.5, [0.3], None, 1e-12, 1e-8)
         old = _scan_outcome(_old_schur_grid_scan, _old_gm_sign_scan, _old_q_p0_profile, *args)
         assert old == ("NonConvergence", "F(0.5,0.5;2.0;0.99) did not meet the tail criterion within 700 terms", [])
@@ -839,7 +821,7 @@ class TestScanPathEquivalence:
             return summed(a, b, c, x, tol, cap, ratios)
 
         monkeypatch.setattr(hypergeom, "_sum_series", recorded)
-        monkeypatch.setenv(hypergeom.TERM_CAP_ENV, "10")
+        monkeypatch.setattr(hypergeom, "DEFAULT_TERM_CAP", 10)
         hypergeom._MEMO.clear()
         with pytest.raises(NonConvergence, match=r"^F\(0\.6,1\.1;3\.2;0\.06\) did not meet"):
             gm_sign_scan(triple(0.4, 1.1, 0.5))
@@ -957,10 +939,10 @@ class TestScans:
         calls = []
         lists = {}
 
-        def counted(params, x, tol=1e-12, cap=None, *, _ratios=None):
+        def counted(params, x, tol=1e-12, *, _ratios=None):
             calls.append((params, x))
             lists.setdefault(params, set()).add(id(_ratios))
-            return hyp2f1(params, x, tol, cap, _ratios=_ratios)
+            return hyp2f1(params, x, tol, _ratios=_ratios)
 
         monkeypatch.setattr(hypergeom, "hyp2f1", counted)
         hypergeom._MEMO.clear()
