@@ -29,8 +29,9 @@ point, whose two truncation bounds say nothing of its rounding.  It
 remembers the last four series (a, b, c and tol, each with its type) in a
 memo that counts the points it answered and those it computed.  A series'
 entry holds all that series reuses: the values of its first 256 points;
-the term ratios of its direct series; and the connection formula's gamma
-ratios, formed once per series.  The G_m scans and the Q profile read the
+the term ratios of its direct series and of the connection formula's two
+series in y; and the connection formula's gamma ratios, formed once per
+series.  The G_m scans and the Q profile read the
 same two series at the same points for every m, so they share one
 evaluation; four series are more than one (a, b) cell of a scan reads and
 far fewer than a scan of many cells does, so what is reused is the work on
@@ -44,10 +45,12 @@ the tail rule without ``abs``, and gives the same results and messages as
 the plain loop with an int counter and ``abs``, bit for bit, except that a
 partial sum no longer finite at the end of a block of ``_RATIO_TERMS``
 steps raises at once instead of summing on to the term cap.  Only a grid
-read passes it a list of term ratios: each step reads its ratio from the
-list while there is one, and otherwise forms it and appends it while the
-list is shorter than ``_RATIO_TERMS`` and the cap, so the list never holds
-a ratio that no sum has used.  A one-off sum keeps nothing.
+read passes it a list of term ratios, the entry's list for the series it
+sums: each step reads its ratio from the list while there is one, and
+otherwise forms it and appends it while the list is shorter than
+``_RATIO_TERMS`` and the cap, so the list never holds a ratio that no sum
+has used.  A one-off sum, public ``hyp2f1`` and its relatives, keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -181,7 +184,9 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, *, _ratios=None) -> 
     return _sum_series(params.a, params.b, params.c, float(x), tol, DEFAULT_TERM_CAP, _ratios)
 
 
-#: A grid series stores its first ``_RATIO_TERMS`` term ratios, about 33 KB.
+#: Each list of term ratios a grid series keeps (its direct series and the
+#: connection formula's two series in y) holds at most its first
+#: ``_RATIO_TERMS``, about 33 KB.
 _RATIO_TERMS = 1024
 
 
@@ -347,17 +352,22 @@ class _Series:
 
     ``points`` maps a point to its value, for the first ``_MEMO_POINTS``
     points computed: a full entry stores no more, so a grid longer than that
-    keeps its first points for the next read.  ``ratios`` is the
-    direct series' list for ``_sum_series``.  The first read that needs them
-    forms ``connects`` and ``connection`` (A, B's sign and log-gammas, and
-    whether their rounding is within tol).
+    keeps its first points for the next read.  ``ratios`` is the direct
+    series' list of term ratios for ``_sum_series``, and ``first_ratios``
+    and ``second_ratios`` are those of the connection formula's series in y,
+    F(a,b;a+b-c+1;y) and F(c-a,c-b;c-a-b+1;y); none holds more than
+    ``_RATIO_TERMS``.  The first read that needs them forms ``connects`` and
+    ``connection`` (A, B's sign and log-gammas, and whether their rounding is
+    within tol).
     """
 
-    __slots__ = ("points", "ratios", "connects", "connection")
+    __slots__ = ("points", "ratios", "first_ratios", "second_ratios", "connects", "connection")
 
     def __init__(self) -> None:
         self.points: dict = {}
         self.ratios: list = []
+        self.first_ratios: list = []
+        self.second_ratios: list = []
         self.connects = self.connection = None
 
 
@@ -411,13 +421,16 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[float]:
     whether a sum raises, never the value of a sum that converged.  A, B's
     sign and log-gammas are formed once per series; each connection point
     scales B by its own y^(c-a-b) through ``specfn.scaled_gamma_ratio``, the
-    rule ``specfn.gamma_ratio`` uses, and each direct point's ``hyp2f1``
-    takes ``params`` as they came, already checked, sums over and extends
-    the entry's term ratios, and gives its value.  x and y enter only
-    through comparisons, ``1.0 - x`` and float arithmetic, so equal points
-    of other types give the same value.  A grid read before is answered by
-    one comprehension (a value may be 0.0, so the test is that no point came
-    back None); the points it misses are computed in order.  A remembered
+    rule ``specfn.gamma_ratio`` uses, and sums its two series in y over
+    and extending the entry's lists of their term ratios; each direct
+    point's ``hyp2f1`` takes ``params`` as they came, already checked, sums
+    over and extends the entry's direct term ratios, and gives its value.
+    A stored ratio gives the bits a formed one does (see ``_sum_series``).
+    x and y enter only through comparisons, ``1.0 - x`` and float
+    arithmetic, so equal points of other types give the same value.  A grid
+    read before is answered by one lookup pass, ``map(values.get, points)``
+    (a value may be 0.0, so the test is that no point came back None); the
+    points it misses are computed in order.  A remembered
     value is the float computed for it; a point that raises is not
     remembered, and the first such point in grid order raises as it would
     alone.
@@ -431,7 +444,7 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[float]:
         if len(memo.series) > _MEMO_SERIES:
             del memo.series[next(iter(memo.series))]
     values = entry.points
-    found = [values.get(point) for point in points]
+    found = list(map(values.get, points))
     if None not in found:
         memo.hits += len(found)
         return found
@@ -462,8 +475,8 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[float]:
                 log_scale = s * math.log(y) if y > 0 else -s * math.inf
                 weight = specfn.scaled_gamma_ratio(sign, logs, log_scale)
                 if accurate:
-                    first = _sum_series(a, b, 1 - s, y, tol, DEFAULT_TERM_CAP).value
-                    second = _sum_series(c - a, c - b, 1 + s, y, tol, DEFAULT_TERM_CAP).value
+                    first = _sum_series(a, b, 1 - s, y, tol, DEFAULT_TERM_CAP, entry.first_ratios).value
+                    second = _sum_series(c - a, c - b, 1 + s, y, tol, DEFAULT_TERM_CAP, entry.second_ratios).value
                     result = scale * first + weight * second
             if result is None:
                 if x >= 1:

@@ -63,6 +63,12 @@ DEFAULT_T_GRID = tuple(0.02 * k for k in range(1, 50))
 #: Large-t probes used to detect growth direction near t = 1.
 NEAR_ONE_PROBES = (0.9, 0.99, 0.999)
 
+#: The default cell grid (``DEFAULT_T_GRID`` and the probes), its points
+#: (t, None) and its complements 1 - t, built once for every scan cell.
+_CELL_T = DEFAULT_T_GRID + NEAR_ONE_PROBES
+_CELL_POINTS = tuple((t, None) for t in _CELL_T)
+_CELL_YS = tuple(1.0 - t for t in _CELL_T)
+
 #: Offset in m at which ``classify_region_fuzzed`` reclassifies a triple.
 FUZZ_EPS = 1e-9
 #: Finite-difference step of ``schur_condition_sample``, relative to max(x, y).
@@ -211,13 +217,19 @@ def _gm_series(a, b, ts, tol: float) -> tuple[list[float], list[float]]:
     G_m reads them at a -> 1-a and the Q profile at its own a, which
     ``q_params_for_mean`` sets to the same 1-a.  Built here alone, every
     reader forms the same parameters and so shares the values
-    ``hypergeom._hyp2f1_grid`` remembers per series; each series is checked
-    and read a grid at a time, the first before the second, and the two
-    lists of floats are returned as that evaluator gives them.
+    ``hypergeom._hyp2f1_grid`` remembers per series; each series is read a
+    grid at a time, the first before the second, and the two lists of floats
+    are returned as that evaluator gives them.  The callers' ``MeanParams``
+    have checked a and b, and c = 2b + 1 > 1 is never near a pole, so both
+    records are built by ``HypParams._derived``.  The default cell grid's
+    points (t, None) are built once, at import.
     """
     c = _series_c(b, 1)
-    points = [(t, None) for t in ts]
-    return _hyp2f1_grid(HypParams(a, b, c), points, tol), _hyp2f1_grid(HypParams(a, b + 1, c), points, tol)
+    points = _CELL_POINTS if ts is _CELL_T else [(t, None) for t in ts]
+    return (
+        _hyp2f1_grid(HypParams._derived(a, b, c), points, tol),
+        _hyp2f1_grid(HypParams._derived(a, b + 1, c), points, tol),
+    )
 
 
 def g_m(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
@@ -483,24 +495,34 @@ def _build_report(
     near_one,
     sign_tol: float,
 ) -> GmScanReport:
+    """The report of one triple from its grid values and its probes' (t, G_m) pairs, for sign_tol >= 0.
+
+    The sign walk finds the first t whose sign, +1 above sign_tol and -1
+    below -sign_tol, differs from the last one seen; values within sign_tol
+    have none.  It is skipped where every grid and probe value lies above
+    sign_tol, or every one below -sign_tol, since no sign can change there.
+    A NaN has no sign in the walk, and the shortcut passes over it too: min
+    and max skip a NaN unless it comes first, and then give NaN, which fails
+    both tests, so the walk runs.
+    """
     label = classify_region(triple)
     gm_min = min(g_values)
     gm_max = max(g_values)
-    # The first t whose sign, +1 above sign_tol and -1 below -sign_tol,
-    # differs from the last one seen; values within sign_tol have none.
     sign_change_t = None
-    last_sign = 0
-    for t, g in (*zip(t_values, g_values), *near_one):
-        if g > sign_tol:
-            sign = 1
-        elif g < -sign_tol:
-            sign = -1
-        else:
-            continue
-        if last_sign and sign != last_sign:
-            sign_change_t = t
-            break
-        last_sign = sign
+    near_g = [g for _, g in near_one]
+    if not (min((gm_min, *near_g)) > sign_tol or max((gm_max, *near_g)) < -sign_tol):
+        last_sign = 0
+        for t, g in (*zip(t_values, g_values), *near_one):
+            if g > sign_tol:
+                sign = 1
+            elif g < -sign_tol:
+                sign = -1
+            else:
+                continue
+            if last_sign and sign != last_sign:
+                sign_change_t = t
+                break
+            last_sign = sign
     if label.label is Region.EPLUS:
         consistent = gm_min >= -sign_tol
     elif label.label is Region.EMINUS:
@@ -535,7 +557,9 @@ def _scan_cell(mean: MeanParams, m_values, ts, tol: float, sign_tol: float) -> l
     """Reports for (a, b, m) over m_values, reading each series once per cell.
 
     One ``_gm_series`` call reads both series over ts and the near-one
-    probes together, and 1 - t is formed once per point for every m.  A
+    probes together, and 1 - t is formed once per point for every m: on the
+    default grid the cell's t values and their 1 - t are built once, at
+    import, and on any other grid once per cell.  A
     later ``gm_sign_scan``, ``q_p0_profile`` or ``g_m`` of the same cell at
     the same points reads the values this scan computed, as long as
     ``hypergeom._hyp2f1_grid`` still holds them.  A cell that fails raises
@@ -545,9 +569,12 @@ def _scan_cell(mean: MeanParams, m_values, ts, tol: float, sign_tol: float) -> l
     """
     if not sign_tol >= 0:
         raise ParameterError(f"sign_tol must be nonnegative, got {sign_tol!r}")
-    cell_t = ts + NEAR_ONE_PROBES
+    if ts is DEFAULT_T_GRID:
+        cell_t, ys = _CELL_T, _CELL_YS
+    else:
+        cell_t = ts + NEAR_ONE_PROBES
+        ys = [1.0 - t for t in cell_t]
     f1, f2 = _gm_series(1 - mean.a, mean.b, cell_t, tol)
-    ys = [1.0 - t for t in cell_t]
     n = len(ts)
     reports = []
     for m in m_values:

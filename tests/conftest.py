@@ -1,13 +1,27 @@
 """Shared fixtures: one run of every ``verify`` suite for the whole test session,
-and a cleared evaluation memo after every test."""
+and a cleared evaluation memo after every test; and hypothesis's failure
+reporting made safe under ``-W error``."""
 
 import time
+import warnings
 from dataclasses import dataclass
 
 import pytest
 
 from hyprec import hypergeom
 from hyprec.verify import SUITES, PropertyResult, VerifySummary, verify_driver
+
+# On a failing example hypothesis's pytest plugin imports this module, and
+# through it libcst, whose use of ``mypy_extensions.TypedDict`` warns.  Under
+# ``-W error`` that warning is raised inside pytest's report hook and aborts
+# the whole run with INTERNALERROR instead of reporting the failure, so the
+# module is imported here, once, with only that warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 VERIFY_SEED = 42
 

@@ -953,6 +953,51 @@ class TestGridEvaluator:
                 assert _grid_outcome(params, [point], tol) == _head_outcome(params, [point], tol, cap)
 
 
+#: Series on the connection path: G_m's two, a mixed-type one, and one whose
+#: first series in y has c = 1 - (c - a - b) = -24.5, so it sums past its pole.
+_CONNECTION_SERIES = [(0.3, 0.7, 2.4), (0.7, 1.2, 3.4), (Fraction(1, 2), 3, 5.25), (0.5, 25.0, 51.0)]
+
+#: A point at or past the crossover, with y given or not.
+_NEAR_ONE_POINT = st.one_of(
+    st.just((CONNECTION_X, None)),
+    st.floats(1e-12, 1 - CONNECTION_X).flatmap(lambda y: st.sampled_from([(1.0 - y, None), (1.0 - y, y)])),
+)
+
+
+class TestConnectionRatios:
+    """The connection formula's two series in y keep their term ratios in the series' memo entry."""
+
+    @pytest.mark.parametrize("abc", _CONNECTION_SERIES, ids=str)
+    @given(st.lists(_NEAR_ONE_POINT, min_size=1, max_size=8), st.lists(_NEAR_ONE_POINT, min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_grid_reads_equal_cold_single_reads(self, abc, first, second):
+        # A read sums its later points over the ratios its earlier points
+        # stored, and a second read sums over what the first left: every
+        # value has the bits of the same point read alone from a cleared memo.
+        params = HypParams._derived(*abc)
+        hypergeom._MEMO.clear()
+        reads = [(points, hypergeom._hyp2f1_grid(params, points, 1e-12)) for points in (first, second)]
+        (entry,) = hypergeom._MEMO.series.values()
+        assert entry.first_ratios and entry.second_ratios and not entry.ratios
+        for points, values in reads:
+            assert [v.hex() for v in values] == [_cold(params, x, 1e-12, y).hex() for x, y in points]
+
+    def test_ratio_lists_are_bounded(self):
+        # At tol 1e-9 the gamma ratios of F(0.5,1200;2401;t) round within tol,
+        # so t >= 0.9 takes the connection path, whose first series in y has
+        # c = -1199.5: it sums past its pole, more terms than a list may hold.
+        # No list grows past _RATIO_TERMS, and every value is the plain loop's.
+        params = HypParams(0.5, 1200.0, 2401.0)
+        points = [(0.95, None), (0.5, None), (0.97, 0.03), (0.99, None)]
+        hypergeom._MEMO.clear()
+        values = [v.hex() for v in hypergeom._hyp2f1_grid(params, points, 1e-9)]
+        assert values == _head_outcome(params, points, 1e-9, hypergeom.DEFAULT_TERM_CAP)
+        (entry,) = hypergeom._MEMO.series.values()
+        assert len(entry.first_ratios) == hypergeom._RATIO_TERMS
+        assert 0 < len(entry.second_ratios) <= hypergeom._RATIO_TERMS
+        assert 0 < len(entry.ratios) <= hypergeom._RATIO_TERMS
+
+
 class TestEntryPointDomains:
     @pytest.mark.parametrize("x", [1.0, -1.0, 1.5])
     def test_series_x(self, x):

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyprec import hypergeom, schurmean
@@ -842,6 +842,50 @@ class TestScanPathEquivalence:
         with pytest.raises(error):
             gm_sign_scan(triple(0.3, 0.5, 1.0))
         assert reads == [len(DEFAULT_T_GRID) + len(NEAR_ONE_PROBES)]
+
+
+@st.composite
+def _report_values(draw):
+    """sign_tol and the grid and probe values of a report that mostly keeps one sign.
+
+    Most values lie on one side, at +/- sign_tol, at 0.0 or -0.0, or are NaN,
+    all of which the walk passes over but the first; a few values of the
+    other sign go anywhere, the probes included.
+    """
+    side = draw(st.sampled_from([1, -1]))
+    sign_tol = draw(st.sampled_from([0.0, 1e-8]))
+    values = st.sampled_from(
+        [side * 1.0, side * math.inf, side * 2 * sign_tol, side * sign_tol, -side * sign_tol, 0.0, -0.0, math.nan]
+    )
+    g_values = draw(st.lists(values, min_size=1, max_size=12))
+    near_g = draw(st.lists(values, max_size=len(NEAR_ONE_PROBES)))
+    for _ in range(draw(st.integers(0, 2))):
+        cells = draw(st.sampled_from([g_values, near_g]))
+        cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from([-side * 1.0, -side * 3 * sign_tol])))
+    return sign_tol, g_values, near_g[: len(NEAR_ONE_PROBES)]
+
+
+class TestReportShortcut:
+    """``_build_report`` skips its sign-change walk only where the walk finds no change."""
+
+    @given(
+        _report_values(),
+        st.sampled_from([(0.9, 0.5, 0.0), (0.9, 0.5, 1.0), (0.3, 0.5, 0.55), (0.2, 0.2, 0.1)]),
+    )
+    # A leading NaN, then both signs; and a change that only a probe shows.
+    @example((1e-8, [math.nan, 1.0, -1.0], [1.0, 1.0, 1.0]), (0.9, 0.5, 0.0))
+    @example((0.0, [-1.0, math.nan, -1.0], [-0.0, math.nan, 1.0]), (0.3, 0.5, 0.55))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_full_walk(self, drawn, abm):
+        sign_tol, g_values, near_g = drawn
+        ts = [0.02 * (k + 1) for k in range(len(g_values))]
+        near = tuple(zip(NEAR_ONE_PROBES, near_g))
+        tr = triple(*abm)
+        new = schurmean._build_report(tr, ts, g_values, near, sign_tol)
+        old = _old_build_report(tr, ts, g_values, near, sign_tol)
+        assert [_exact(getattr(new, f)) for f in GmScanReport.__slots__] == [
+            _exact(getattr(old, f)) for f in GmScanReport.__slots__
+        ]
 
 
 class TestScans:
