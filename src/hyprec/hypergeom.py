@@ -422,7 +422,7 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[float]:
     sign and log-gammas are formed once per series; each connection point
     scales B by its own y^(c-a-b) through ``specfn.scaled_gamma_ratio``, the
     rule ``specfn.gamma_ratio`` uses, and sums its two series in y over
-    and extending the entry's lists of their term ratios; each direct
+    the entry's lists of their term ratios, which it extends; each direct
     point's ``hyp2f1`` takes ``params`` as they came, already checked, sums
     over and extends the entry's direct term ratios, and gives its value.
     A stored ratio gives the bits a formed one does (see ``_sum_series``).
