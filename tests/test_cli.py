@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import io
@@ -418,3 +419,136 @@ class TestProcessLevel:
     def test_verify_exit_zero(self):
         proc = run_proc("verify", "--suite", "mean", "--seed", "3")
         assert proc.returncode == 0
+
+
+#: Every subcommand's options as (option strings, dest, default, required,
+#: choices, type name, hidden): the parser's contract, whichever way
+#: ``build_parser`` states it.  "-h/--help" is argparse's own and left out.
+_FORMAT_CHOICES = ("json", "csv", "plain")
+_LITERAL = "_Literal"
+_PARSER_CONTRACT = {
+    "coeffs": {
+        (("--a",), "a", None, True, None, _LITERAL, False),
+        (("--b",), "b", None, True, None, _LITERAL, False),
+        (("--c",), "c", None, True, None, _LITERAL, False),
+        (("--p",), "p", None, False, None, _LITERAL, False),
+        (("--theta",), "theta", None, False, None, _LITERAL, False),
+        (("--n",), "n", 64, False, None, "int", False),
+        (("--family",), "family", "general", False, ("general", "theta1", "theta-1", "log", "oracle"), None, False),
+        (("--rational",), "rational", False, False, None, None, False),
+        (("--format",), "format", "json", False, _FORMAT_CHOICES, None, False),
+    },
+    "eval": {
+        (("--a",), "a", None, True, None, _LITERAL, False),
+        (("--b",), "b", None, True, None, _LITERAL, False),
+        (("--c",), "c", None, True, None, _LITERAL, False),
+        (("--x",), "x", None, True, None, _LITERAL, False),
+        (("--tol",), "tol", 1e-12, False, None, "float", False),
+        (("--deriv",), "deriv", False, False, None, None, False),
+        (("--rational",), "rational", False, False, None, None, True),
+        (("--format",), "format", "json", False, _FORMAT_CHOICES, None, False),
+    },
+    "near-one": {
+        (("--case",), "case", None, True, ("value-at-one", "zero-balanced", "euler"), None, False),
+        (("--a",), "a", None, True, None, _LITERAL, False),
+        (("--b",), "b", None, True, None, _LITERAL, False),
+        (("--c",), "c", None, False, None, _LITERAL, False),
+        (("--x",), "x", None, False, None, _LITERAL, False),
+        (("--tol",), "tol", 1e-12, False, None, "float", False),
+        (("--rational",), "rational", False, False, None, None, True),
+        (("--format",), "format", "json", False, _FORMAT_CHOICES, None, False),
+    },
+    "classify": {
+        (("--a",), "a", None, True, None, _LITERAL, False),
+        (("--b",), "b", None, True, None, _LITERAL, False),
+        (("--m",), "m", None, True, None, _LITERAL, False),
+        (("--fuzz",), "fuzz", False, False, None, None, False),
+        (("--rational",), "rational", False, False, None, None, False),
+        (("--format",), "format", "json", False, _FORMAT_CHOICES, None, False),
+    },
+    "mean": {
+        (("--a",), "a", None, True, None, _LITERAL, False),
+        (("--b",), "b", None, True, None, _LITERAL, False),
+        (("--x",), "x", None, True, None, _LITERAL, False),
+        (("--y",), "y", None, True, None, _LITERAL, False),
+        (("--method",), "method", "series", False, ("series", "quadrature", "both"), None, False),
+        (("--tol",), "tol", None, False, None, "float", False),
+        (("--rational",), "rational", False, False, None, None, True),
+        (("--format",), "format", "json", False, _FORMAT_CHOICES, None, False),
+    },
+    "gm-scan": {
+        (("--a",), "a", None, True, None, _LITERAL, False),
+        (("--b",), "b", None, True, None, _LITERAL, False),
+        (("--m",), "m", None, True, None, _LITERAL, False),
+        (("--tgrid",), "tgrid", None, False, None, None, False),
+        (("--tol",), "tol", 1e-12, False, None, "float", False),
+        (("--sign-tol",), "sign_tol", 1e-8, False, None, "float", False),
+        (("--rational",), "rational", False, False, None, None, True),
+        (("--format",), "format", "json", False, _FORMAT_CHOICES, None, False),
+    },
+    "qprofile": {
+        (("--a",), "a", None, True, None, _LITERAL, False),
+        (("--b",), "b", None, True, None, _LITERAL, False),
+        (("--tgrid",), "tgrid", None, False, None, None, False),
+        (("--tol",), "tol", 1e-12, False, None, "float", False),
+        (("--rational",), "rational", False, False, None, None, True),
+        (("--format",), "format", "json", False, _FORMAT_CHOICES, None, False),
+    },
+    "verify": {
+        (
+            ("--suite",), "suite", "all", False,
+            ("all", "recurrence", "corollaries", "special-cases", "mean", "regions", "monotone-ratio"),
+            None, False,
+        ),
+        (("--seed",), "seed", 42, False, None, "int", False),
+        (("--rational",), "rational", False, False, None, None, True),
+        (("--format",), "format", "plain", False, _FORMAT_CHOICES, None, False),
+    },
+}
+
+
+def _subcommands():
+    """The subparsers of ``build_parser()`` by name, in the order they were added."""
+    from hyprec.cli import build_parser
+
+    parser = build_parser()
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestParserContract:
+    def test_subcommands(self):
+        assert list(_subcommands()) == list(_PARSER_CONTRACT)
+
+    @pytest.mark.parametrize("command", list(_PARSER_CONTRACT))
+    def test_options(self, command):
+        options = {
+            (
+                tuple(action.option_strings),
+                action.dest,
+                action.default,
+                action.required,
+                None if action.choices is None else tuple(action.choices),
+                getattr(action.type, "__name__", action.type),
+                action.help == argparse.SUPPRESS,
+            )
+            for action in _subcommands()[command]._actions
+            if action.dest != "help"
+        }
+        assert options == _PARSER_CONTRACT[command]
+
+    def test_option_count(self):
+        assert sum(len(options) for options in _PARSER_CONTRACT.values()) == 57
+
+    @pytest.mark.parametrize("command", list(_PARSER_CONTRACT))
+    def test_help_renders(self, command, capsys):
+        # argparse %-formats each help string, so a stray "%" fails here.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("command", list(_PARSER_CONTRACT))
+    def test_switches_take_no_value(self, command):
+        switches = {action.dest for action in _subcommands()[command]._actions if action.nargs == 0}
+        assert switches == {"help", "rational", *{"eval": ("deriv",), "classify": ("fuzz",)}.get(command, ())}
