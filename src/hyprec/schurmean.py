@@ -123,6 +123,18 @@ def _require_positive_args(x: float, y: float) -> None:
         raise ParameterError(f"mean arguments must be finite and positive, got ({x!r}, {y!r})")
 
 
+def _power(base: float, exponent: float, name: str) -> float:
+    """base ** exponent, the power its caller's formula calls ``name``.
+
+    Float ``**`` raises a bare ``OverflowError`` where the power leaves the
+    double range; this raises :class:`NonConvergence` naming the power.
+    """
+    try:
+        return base ** exponent
+    except OverflowError as exc:
+        raise NonConvergence(f"{name} = {base!r} ** {exponent!r} overflows a double") from exc
+
+
 def _series_c(b, shift: int):
     """c = 2b + shift, the c that the mean's series and G_m's derive from b.
 
@@ -187,7 +199,7 @@ def mean_quadrature(x: float, y: float, mp: MeanParams, tol: float = 1e-10) -> f
         )
     turn = max(ratio / (1.0 - ratio), math.ulp(0.0)) if ratio < 1.0 else 0.5
     quad = numkit.weighted_quad(lambda s: (ratio + s * (1.0 - ratio)) ** a, b, tol, turn)
-    return hi * (quad.value / norm) ** (1.0 / a)
+    return hi * _power(quad.value / norm, 1.0 / a, "(integral / B(b, b))^(1/a)")
 
 
 def _require_unit_interval(t: float) -> None:
@@ -237,7 +249,7 @@ def g_m(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
     _require_unit_interval(t)
     a, b, m = triple.mean.a, triple.mean.b, triple.m
     (f1,), (f2,) = _gm_series(1 - a, b, (t,), tol)
-    return f1 - (1.0 - t) ** (1.0 - m) * f2
+    return f1 - _power(1.0 - t, 1.0 - m, "(1-t)^(1-m)") * f2
 
 
 def g_m_alt(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
@@ -253,7 +265,7 @@ def g_m_alt(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
     c = _series_c(b, 1)
     f1 = _hyp2f1_unit(HypParams(1 - a, b, c), t, tol)
     f2 = _hyp2f1_unit(HypParams(a + 2 * b, b, c), t, tol)
-    return f1 - (1.0 - t) ** (a + b - m) * f2
+    return f1 - _power(1.0 - t, a + b - m, "(1-t)^(a+b-m)") * f2
 
 
 def g_m_series_reduction_residual(t: float, triple: RegionTriple, tol: float = 1e-12) -> float:
@@ -446,7 +458,7 @@ def schur_condition_sample(
     h = DIFF_STEP * max(x, y)
     dm_dx = numkit.central_diff(lambda s: mean_series(s, y, mp, tol), x, h)
     dm_dy = numkit.central_diff(lambda s: mean_series(x, s, mp, tol), y, h)
-    return (y - x) * (y ** (1.0 - m) * dm_dy - x ** (1.0 - m) * dm_dx)
+    return (y - x) * (_power(y, 1.0 - m, "y^(1-m)") * dm_dy - _power(x, 1.0 - m, "x^(1-m)") * dm_dx)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +577,8 @@ def _scan_cell(mean: MeanParams, m_values, ts, tol: float, sign_tol: float) -> l
     ``hypergeom._hyp2f1_grid`` still holds them.  A cell that fails raises
     the first failure of that one read: F(1-a,b;2b+1;t) over ts and then the
     probes, then F(1-a,b+1;2b+1;t) likewise.  Nothing is read again, so each
-    point, the failing one included, is summed once.
+    point, the failing one included, is summed once.  A weight (1-t)^(1-m)
+    that leaves the double range raises :class:`NonConvergence`.
     """
     if not sign_tol >= 0:
         raise ParameterError(f"sign_tol must be nonnegative, got {sign_tol!r}")
@@ -579,7 +592,11 @@ def _scan_cell(mean: MeanParams, m_values, ts, tol: float, sign_tol: float) -> l
     reports = []
     for m in m_values:
         power = 1.0 - m
-        g_values = [u - y ** power * v for u, y, v in zip(f1, ys, f2)]
+        try:
+            g_values = [u - y ** power * v for u, y, v in zip(f1, ys, f2)]
+        except OverflowError:
+            # Again through _power, which names the first weight that overflowed.
+            g_values = [u - _power(y, power, "(1-t)^(1-m)") * v for u, y, v in zip(f1, ys, f2)]
         near = tuple(zip(NEAR_ONE_PROBES, g_values[n:]))
         reports.append(_build_report(RegionTriple(mean, m), ts, g_values[:n], near, sign_tol))
     return reports

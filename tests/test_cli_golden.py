@@ -160,13 +160,15 @@ _FAILURES = (
     (("mean", "--a", "0.5", "--b", "0.5", "--x", "1", "--y", "2", "--rational"), None),
     # A b so large that ln Gamma(b) overflows, far past B(b, b)'s underflow.
     (("mean", "--a", "0.5", "--b", "1e308", "--x", "1", "--y", "2", "--method", "quadrature"), None),
-    # The quadrature's (I/B)^(1/a) overflows a double at a tiny a.
+    # The quadrature's (I/B)^(1/a) overflows a double at a tiny a: exit 3,
+    # where a bare OverflowError once exited 1.
     (("mean", "--a", "1e-300", "--b", "0.5", "--x", "1", "--y", "2", "--method", "both"), None),
     (("gm-scan", "--a", "0.9", "--b", "0.5", "--m", "0", "--tgrid", "0,0.5"), None),
     (("gm-scan", "--a", "0.9", "--b", "0.5", "--m", "0", "--tgrid", "0.5,1.5"), None),
     (("gm-scan", "--a", "0.9", "--b", "0.5", "--m", "0", "--tgrid", " , "), None),
     (("gm-scan", "--a", "1.9", "--b", "0.5", "--m", "0"), None),
-    # The weight (1-t)^(1-m) overflows a double at the t = 0.999 probe.
+    # The weight (1-t)^(1-m) overflows a double at the t = 0.999 probe: exit 3,
+    # where a bare OverflowError once exited 1.
     (("gm-scan", "--a", "0.9", "--b", "0.5", "--m", "104"), None),
     (("qprofile", "--a", "0.9", "--b", "0.4", "--tgrid", "0.5,1"), None),
     (("qprofile", "--a", "0.9", "--b", "0", "--tgrid", "0.5"), None),

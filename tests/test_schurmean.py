@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -1018,3 +1019,28 @@ class TestScans:
     def test_csv_quotes_comma_branch(self, capsys):
         text = gm_scan_output(capsys, "csv", "0.9", "0.5", "1.0")
         assert '"a+b>=1,m>=1"' in text
+
+
+class TestOverflowedPowers:
+    """A power that leaves the double range raises NonConvergence naming it, not a bare OverflowError."""
+
+    CALLS = {
+        "g_m": (lambda: g_m(0.999, triple(0.9, 0.5, 104)), "(1-t)^(1-m) = 0.0010000000000000009 ** -103.0"),
+        "gm_sign_scan": (lambda: gm_sign_scan(triple(0.9, 0.5, 104)), "(1-t)^(1-m) = 0.0010000000000000009 ** -103.0"),
+        "g_m_alt": (lambda: g_m_alt(0.999, triple(0.3, 0.4, 200)), "(1-t)^(a+b-m) = 0.0010000000000000009 ** -199.3"),
+        "schur_condition_sample": (lambda: schur_condition_sample(0.5, 3.0, triple(0.5, 0.5, 5000)), "x^(1-m) = 0.5 ** -4999.0"),
+        "mean_quadrature": (lambda: mean_quadrature(1, 2, MeanParams(1e-300, 0.5)), "(integral / B(b, b))^(1/a) = "),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_the_error_names_the_power(self, name):
+        call, power = self.CALLS[name]
+        with pytest.raises(NonConvergence, match="^" + re.escape(power) + ".* overflows a double$") as info:
+            call()
+        assert isinstance(info.value.__cause__, OverflowError)
+
+    def test_a_scan_fails_where_its_weight_overflows(self):
+        # At m = 103 the t = 0.999 probe's weight 0.001^-102 is about 1e306, still a double.
+        assert gm_sign_scan(triple(0.9, 0.5, 103)).label == "E-"
+        with pytest.raises(NonConvergence, match="overflows a double"):
+            schur_grid_scan([0.9], [0.5], [1.0, 103.0, 104.0])
