@@ -1,14 +1,20 @@
 """Deterministic command-line front end.
 
-Subcommands: coeffs, eval, near-one, verify, classify, mean, gm-scan,
-qprofile.  Every numeric flag (--a --b --c --p --theta --x --y --m) accepts
-a decimal literal or an exact rational "p/q"; a rational literal (or
---rational) routes the coeffs and classify subcommands through exact
-arithmetic end to end.  The parser keeps each such flag as its text, and
-:func:`main` converts every one given, once and before dispatch, by that one
-rule: in coeffs and classify, all of them become Fractions when --rational
-is set or any of them holds a "/"; elsewhere a "p/q" literal is a Fraction
-and any other a float.  The handlers read numbers, and a flag that a
+Subcommands: coeffs, eval, near-one, classify, mean, gm-scan, qprofile,
+verify.  Each is declared once, as a row of :data:`COMMANDS`: its handler,
+its help, its required and optional numeric flags, and whether --rational
+applies.  :func:`build_parser` adds those flags, --rational (hidden where it
+does not apply) and --format from the rows, and the few options of one
+subcommand alone by hand; :func:`main` dispatches through the same rows.
+
+Every numeric flag (--a --b --c --p --theta --x --y --m) accepts a decimal
+literal or an exact rational "p/q"; a rational literal (or --rational)
+routes the coeffs and classify subcommands through exact arithmetic end to
+end.  The parser keeps each such flag as its text, and :func:`main`
+converts every one given, once and before dispatch, by that one rule: in
+coeffs and classify, all of them become Fractions when --rational is set or
+any of them holds a "/"; elsewhere a "p/q" literal is a Fraction and any
+other a float.  The handlers read numbers, and a flag that a
 subcommand ignores (near-one's --c or --x, by case) is checked all the same.
 Output is byte-identical for identical inputs.
 
@@ -39,6 +45,7 @@ import gc
 import io
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import verify as verify_mod
@@ -76,8 +83,6 @@ from .schurmean import (
 
 FORMATS = ("json", "csv", "plain")
 
-RATIONAL_COMMANDS = ("coeffs", "classify")
-
 
 class _Literal(str):
     """The text of a numeric flag, which :func:`main` converts before dispatch."""
@@ -90,15 +95,10 @@ def _parse_number(raw: str, exact: bool):
         raise ParameterError(f"cannot parse numeric literal {raw!r}: {exc}") from exc
 
 
-def _parse_t_grid(raw: str | None):
+def _parse_t_grid(raw: str | None) -> list[float] | None:
     if raw is None:
         return None
-    values = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if piece:
-            values.append(_parse_number(piece, False))
-    return values
+    return [float(_parse_number(piece, False)) for piece in map(str.strip, raw.split(",")) if piece]
 
 
 def _plain_lines(pairs) -> str:
@@ -257,7 +257,7 @@ def _run_gm_scan(args, sink) -> int:
 
 def _run_qprofile(args, sink) -> int:
     grid = _parse_t_grid(args.tgrid)
-    ts = list(DEFAULT_T_GRID) if grid is None else [float(t) for t in grid]
+    ts = list(DEFAULT_T_GRID) if grid is None else grid
     values = q_p0_profile(MeanParams(args.a, args.b), ts, args.tol)
     payload = {"q": [[t, v] for t, v in zip(ts, values)]}
     rows = [(format_number(t), format_number(v)) for t, v in zip(ts, values)]
@@ -297,111 +297,73 @@ def _run_verify(args, sink) -> int:
     return summary.exit_code
 
 
-_HANDLERS = {
-    "coeffs": _run_coeffs,
-    "eval": _run_eval,
-    "near-one": _run_near_one,
-    "classify": _run_classify,
-    "mean": _run_mean,
-    "gm-scan": _run_gm_scan,
-    "qprofile": _run_qprofile,
-    "verify": _run_verify,
+#: One row per subcommand, in help order: its handler, its help, its required
+#: and optional numeric literal flags, and whether --rational applies.
+_Command = namedtuple("_Command", "handler help required optional rational")
+COMMANDS = {
+    "coeffs": _Command(
+        _run_coeffs, "coefficient sequences by recurrence or oracle", ("a", "b", "c"), ("p", "theta"), True
+    ),
+    "eval": _Command(_run_eval, "evaluate F(a,b;c;x) or its derivative", ("a", "b", "c", "x"), (), False),
+    "near-one": _Command(
+        _run_near_one, "behavior near x=1 (three explicit regimes)", ("a", "b"), ("c", "x"), False
+    ),
+    "classify": _Command(_run_classify, "E+/E- membership of a triple (a,b,m)", ("a", "b", "m"), (), True),
+    "mean": _Command(_run_mean, "hypergeometric mean M(x,y)", ("a", "b", "x", "y"), (), False),
+    "gm-scan": _Command(_run_gm_scan, "sign scan of G_m over a t grid", ("a", "b", "m"), (), False),
+    "qprofile": _Command(_run_qprofile, "weighted ratio profile Q_p0 on a t grid", ("a", "b"), (), False),
+    "verify": _Command(_run_verify, "run the seeded property suites", (), (), False),
 }
+
+RATIONAL_COMMANDS = tuple(name for name, command in COMMANDS.items() if command.rational)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser: each subcommand's literal flags, --rational and --format from its row in :data:`COMMANDS`.
+
+    The options of one subcommand alone are added by hand between them.
+    near-one's --case comes first and --rational and --format come last, so
+    each subcommand's help lists its options in the order it always has.
+    """
     parser = argparse.ArgumentParser(
         prog="hyprec",
         description="Recurrence-based coefficients of weighted hypergeometric series "
         "and the Schur m-power convexity analysis of the hypergeometric mean.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default="json")
-
-    def add_rational_stub(p):
-        # Accepted everywhere so unsupported subcommands can reject it with a
-        # specific message instead of a generic argparse usage error.
-        p.add_argument("--rational", action="store_true", help=argparse.SUPPRESS)
-
-    p = sub.add_parser("coeffs", help="coefficient sequences by recurrence or oracle")
-    p.add_argument("--a", type=_Literal, required=True)
-    p.add_argument("--b", type=_Literal, required=True)
-    p.add_argument("--c", type=_Literal, required=True)
-    p.add_argument("--p", type=_Literal)
-    p.add_argument("--theta", type=_Literal)
-    p.add_argument("--n", type=int, default=DEFAULT_N)
-    p.add_argument(
-        "--family",
-        choices=("general", "theta1", "theta-1", "log", "oracle"),
-        default="general",
+    parsers = {name: sub.add_parser(name, help=command.help) for name, command in COMMANDS.items()}
+    parsers["near-one"].add_argument(
+        "--case", choices=("value-at-one", "zero-balanced", "euler"), required=True
     )
-    p.add_argument("--rational", action="store_true")
-    add_format(p)
+    for name, command in COMMANDS.items():
+        for flag in command.required + command.optional:
+            parsers[name].add_argument(f"--{flag}", type=_Literal, required=flag in command.required)
 
-    p = sub.add_parser("eval", help="evaluate F(a,b;c;x) or its derivative")
-    p.add_argument("--a", type=_Literal, required=True)
-    p.add_argument("--b", type=_Literal, required=True)
-    p.add_argument("--c", type=_Literal, required=True)
-    p.add_argument("--x", type=_Literal, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--deriv", action="store_true")
-    add_rational_stub(p)
-    add_format(p)
+    parsers["coeffs"].add_argument("--n", type=int, default=DEFAULT_N)
+    parsers["coeffs"].add_argument(
+        "--family", choices=("general", "theta1", "theta-1", "log", "oracle"), default="general"
+    )
+    parsers["eval"].add_argument("--tol", type=float, default=1e-12)
+    parsers["eval"].add_argument("--deriv", action="store_true")
+    parsers["near-one"].add_argument("--tol", type=float, default=1e-12)
+    parsers["classify"].add_argument("--fuzz", action="store_true")
+    parsers["mean"].add_argument("--method", choices=("series", "quadrature", "both"), default="series")
+    parsers["mean"].add_argument("--tol", type=float, default=None)
+    parsers["gm-scan"].add_argument("--tgrid", default=None, help="comma-separated t values in (0,1)")
+    parsers["gm-scan"].add_argument("--tol", type=float, default=1e-12)
+    parsers["gm-scan"].add_argument("--sign-tol", dest="sign_tol", type=float, default=1e-8)
+    parsers["qprofile"].add_argument("--tgrid", default=None)
+    parsers["qprofile"].add_argument("--tol", type=float, default=1e-12)
+    parsers["verify"].add_argument("--suite", choices=("all",) + verify_mod.SUITES, default="all")
+    parsers["verify"].add_argument("--seed", type=int, default=42)
 
-    p = sub.add_parser("near-one", help="behavior near x=1 (three explicit regimes)")
-    p.add_argument("--case", choices=("value-at-one", "zero-balanced", "euler"), required=True)
-    p.add_argument("--a", type=_Literal, required=True)
-    p.add_argument("--b", type=_Literal, required=True)
-    p.add_argument("--c", type=_Literal)
-    p.add_argument("--x", type=_Literal)
-    p.add_argument("--tol", type=float, default=1e-12)
-    add_rational_stub(p)
-    add_format(p)
-
-    p = sub.add_parser("classify", help="E+/E- membership of a triple (a,b,m)")
-    p.add_argument("--a", type=_Literal, required=True)
-    p.add_argument("--b", type=_Literal, required=True)
-    p.add_argument("--m", type=_Literal, required=True)
-    p.add_argument("--fuzz", action="store_true")
-    p.add_argument("--rational", action="store_true")
-    add_format(p)
-
-    p = sub.add_parser("mean", help="hypergeometric mean M(x,y)")
-    p.add_argument("--a", type=_Literal, required=True)
-    p.add_argument("--b", type=_Literal, required=True)
-    p.add_argument("--x", type=_Literal, required=True)
-    p.add_argument("--y", type=_Literal, required=True)
-    p.add_argument("--method", choices=("series", "quadrature", "both"), default="series")
-    p.add_argument("--tol", type=float, default=None)
-    add_rational_stub(p)
-    add_format(p)
-
-    p = sub.add_parser("gm-scan", help="sign scan of G_m over a t grid")
-    p.add_argument("--a", type=_Literal, required=True)
-    p.add_argument("--b", type=_Literal, required=True)
-    p.add_argument("--m", type=_Literal, required=True)
-    p.add_argument("--tgrid", default=None, help="comma-separated t values in (0,1)")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--sign-tol", dest="sign_tol", type=float, default=1e-8)
-    add_rational_stub(p)
-    add_format(p)
-
-    p = sub.add_parser("qprofile", help="weighted ratio profile Q_p0 on a t grid")
-    p.add_argument("--a", type=_Literal, required=True)
-    p.add_argument("--b", type=_Literal, required=True)
-    p.add_argument("--tgrid", default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
-    add_rational_stub(p)
-    add_format(p)
-
-    p = sub.add_parser("verify", help="run the seeded property suites")
-    p.add_argument("--suite", choices=("all",) + verify_mod.SUITES, default="all")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--format", choices=FORMATS, default="plain")
-    add_rational_stub(p)
-
+    for name, command in COMMANDS.items():
+        p = parsers[name]
+        # Accepted everywhere, so a subcommand it does not apply to rejects
+        # it with a specific message instead of a generic argparse usage
+        # error; hidden there.
+        p.add_argument("--rational", action="store_true", help=None if command.rational else argparse.SUPPRESS)
+        p.add_argument("--format", choices=FORMATS, default="plain" if name == "verify" else "json")
     return parser
 
 
@@ -419,7 +381,7 @@ def main(argv=None) -> int:
         )
         for name, raw in literals.items():
             setattr(args, name, _parse_number(raw, exact))
-        return _HANDLERS[args.command](args, sys.stdout)
+        return COMMANDS[args.command].handler(args, sys.stdout)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
