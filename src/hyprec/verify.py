@@ -52,8 +52,6 @@ from .specfn import pochhammer
 
 __all__ = ["SUITES", "PropertyResult", "VerifySummary", "verify_driver"]
 
-SUITES = ("recurrence", "corollaries", "special-cases", "mean", "regions", "monotone-ratio")
-
 PASS = "pass"
 FAIL = "fail"
 WARN = "warn"
@@ -615,6 +613,9 @@ _SUITE_FUNCS = {
     "regions": _suite_regions,
     "monotone-ratio": _suite_monotone_ratio,
 }
+
+#: The suite names, in the order ``--suite all`` runs them.
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def verify_driver(suite: str = "all", seed: int = 42) -> VerifySummary:
