@@ -552,3 +552,15 @@ class TestParserContract:
     def test_switches_take_no_value(self, command):
         switches = {action.dest for action in _subcommands()[command]._actions if action.nargs == 0}
         assert switches == {"help", "rational", *{"eval": ("deriv",), "classify": ("fuzz",)}.get(command, ())}
+
+
+def test_top_level_help_lists_each_subcommand_with_its_help(capsys):
+    # A subcommand's help string renders here, not in its own --help.
+    from hyprec.cli import COMMANDS
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for name, command in COMMANDS.items():
+        assert f"{name} {command.help}" in out
