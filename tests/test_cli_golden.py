@@ -112,6 +112,8 @@ _VERIFY = (
     ("--suite", "corollaries", "--seed", "42"),
     ("--suite", "regions", "--seed", "42"),
     ("--suite", "monotone-ratio", "--seed", "42"),
+    # The whole run: its header and summary line, and every suite in order.
+    ("--suite", "all", "--seed", "42"),
 )
 
 #: Invalid invocations: (argv, env).  Every one exits 2 or 3 with empty stdout.

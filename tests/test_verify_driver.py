@@ -25,6 +25,22 @@ def test_deterministic_rendering(verify_run, monkeypatch, capsys):
         assert render(monkeypatch, capsys, fresh, fmt) == expected
 
 
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_each_record_carries_its_suite(suite):
+    summary = verify.verify_driver(suite, 42)
+    assert summary.suite == suite
+    assert summary.results
+    assert all(r.suite == suite for r in summary.results)
+
+
+def test_an_all_run_names_each_property_once():
+    summary = verify.verify_driver("all", 42)
+    names = [r.name for r in summary.results]
+    assert len(names) == 32
+    assert len(set(names)) == len(names)
+    assert tuple(dict.fromkeys(r.suite for r in summary.results)) == verify.SUITES
+
+
 def test_seed_changes_samples_not_correctness():
     for seed in (1, 7, 2024):
         assert verify.verify_driver("mean", seed).failures == 0
