@@ -60,6 +60,56 @@ def test_csv_shape(verify_run, monkeypatch, capsys):
     assert len(lines) >= 3
 
 
+#: A summary holding every status but pass more than once, one failure
+#: without a number and one note with a comma in it.
+_MIXED = verify.VerifySummary("all", 7, (
+    verify.PropertyResult("recurrence", "holds", "pass", 0.0, note="fine"),
+    verify.PropertyResult("recurrence", "breaks", "fail", None, note="no number, so no margin"),
+    verify.PropertyResult("regions", "wobbles", "warn", -0.5),
+    verify.PropertyResult("regions", "differs", "note", 0.25, note="known, and kept"),
+    verify.PropertyResult("regions", "breaks-too", "fail", 3.0),
+))
+
+
+def test_failures_and_warnings_render_in_every_format(monkeypatch, capsys):
+    assert render(monkeypatch, capsys, _MIXED, "plain") == (
+        "verification suite=all seed=7\n"
+        "[recurrence]\n"
+        "  PASS  holds                            margin=0.0\n"
+        "        fine\n"
+        "  FAIL  breaks                           margin=-\n"
+        "        no number, so no margin\n"
+        "[regions]\n"
+        "  WARN  wobbles                          margin=-0.5\n"
+        "  NOTE  differs                          margin=0.25\n"
+        "        known, and kept\n"
+        "  FAIL  breaks-too                       margin=3.0\n"
+        "summary: 5 properties, 2 failures, 1 warnings\n"
+    )
+    assert render(monkeypatch, capsys, _MIXED, "csv") == (
+        "suite,property,status,margin,note\n"
+        "recurrence,holds,pass,0.0,fine\n"
+        'recurrence,breaks,fail,-,"no number, so no margin"\n'
+        "regions,wobbles,warn,-0.5,\n"
+        'regions,differs,note,0.25,"known, and kept"\n'
+        "regions,breaks-too,fail,3.0,\n"
+    )
+    payload = json.loads(render(monkeypatch, capsys, _MIXED, "json"))
+    assert (payload["suite"], payload["seed"], payload["failures"], payload["warnings"]) == ("all", 7, 2, 1)
+    assert [r["status"] for r in payload["results"]] == ["pass", "fail", "warn", "note", "fail"]
+    assert payload["results"][1]["margin"] is None
+
+
+def test_exit_code_is_the_failure_count_capped_at_99(monkeypatch, capsys):
+    # render asserts that main returns the summary's exit code.
+    assert _MIXED.exit_code == 2
+    render(monkeypatch, capsys, _MIXED, "plain")
+    failing = verify.PropertyResult("mean", "breaks", "fail", None)
+    many = verify.VerifySummary("mean", 42, (failing,) * 120)
+    assert (many.failures, many.exit_code) == (120, 99)
+    assert render(monkeypatch, capsys, many, "plain").endswith("summary: 120 properties, 120 failures, 0 warnings\n")
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         verify.verify_driver("nonsense", 42)
