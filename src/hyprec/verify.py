@@ -4,16 +4,17 @@ Each suite re-runs the mathematical guarantees of one layer of the package
 (recurrences against the convolution oracle, corollary specializations,
 special cases and closed forms, mean representations, region classification,
 monotone-ratio machinery) with a deterministic parameter sampler.  Failures
-are data, not exceptions: the driver returns one record per property with a
-status and a margin (what a margin holds differs by record; see
-:class:`PropertyResult`), and identical inputs produce byte-identical
-reports.
+are data, not exceptions: each suite yields one row per property, its name,
+status, margin and note (what a margin holds differs by record; see
+:class:`PropertyResult`), and the driver builds every record from a row and
+the suite's name.  Identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import coeffrec, schurmean
@@ -64,6 +65,9 @@ THETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 PARAM_BOX_EXACT = tuple(tuple(Fraction(str(v)) for v in abc) for abc in PARAM_BOX)
 THETAS_EXACT = tuple(Fraction(str(v)) for v in THETAS)
 
+#: What a suite yields per property: (name, status, margin, note).
+Row = tuple[str, str, float | None, str]
+
 
 def _p_set(a, b, c):
     """Weight exponents -1, 0, 1/2, 2 and c - a - b, in the field of a."""
@@ -76,7 +80,8 @@ class PropertyResult(Record):
 
     For most records the margin is the worst deviation found, an error or a
     residual, so smaller is better and 0.0 is an exact match; a pass/fail
-    check with no number reads 0.0 when it passes and None when it fails.
+    check with no number reads 0.0 when it passes and None when it fails
+    (the rule of ``_holds``).
     Four records hold something else:
 
     - ``classify-double-entry``: the number of triples whose two
@@ -119,16 +124,21 @@ class VerifySummary(Record):
         return min(self.failures, 99)
 
 
-def _result(suite, name, ok, margin, note="") -> PropertyResult:
-    return PropertyResult(suite, name, PASS if ok else FAIL, margin, note)
+def _check(name, ok, margin, note) -> Row:
+    """A pass/fail check's row."""
+    return name, PASS if ok else FAIL, margin, note
+
+
+def _holds(name, ok, note) -> Row:
+    """A check with no number: margin 0.0 when it passes, None when it fails."""
+    return _check(name, ok, 0.0 if ok else None, note)
 
 
 # ---------------------------------------------------------------------------
 # recurrence suite
 
 
-def _suite_recurrence(rng: random.Random) -> list[PropertyResult]:
-    out = []
+def _suite_recurrence(rng: random.Random) -> Iterator[Row]:
     worst = 0.0
     for a, b, c in PARAM_BOX:
         for p in _p_set(a, b, c):
@@ -137,10 +147,8 @@ def _suite_recurrence(rng: random.Random) -> list[PropertyResult]:
                 rec = u_general(spec, 30).coeffs
                 orc = cauchy_oracle(spec, 30).coeffs
                 worst = max(worst, max(rel_with_floor(x, y) for x, y in zip(rec, orc)))
-    out.append(
-        _result("recurrence", "oracle-equivalence-float", worst <= 1e-10, worst,
-                "third-order recurrence vs Cauchy convolution, N=30")
-    )
+    yield _check("oracle-equivalence-float", worst <= 1e-10, worst,
+                 "third-order recurrence vs Cauchy convolution, N=30")
     exact_ok = True
     for a, b, c in PARAM_BOX_EXACT:
         for p in _p_set(a, b, c):
@@ -148,32 +156,27 @@ def _suite_recurrence(rng: random.Random) -> list[PropertyResult]:
                 spec = WeightedSeriesSpec(HypParams(a, b, c), p, th)
                 if u_general(spec, 30).coeffs != cauchy_oracle(spec, 30).coeffs:
                     exact_ok = False
-    out.append(
-        _result("recurrence", "oracle-equivalence-exact", exact_ok,
-                0.0 if exact_ok else None, "identical rational coefficients")
-    )
+    yield _holds("oracle-equivalence-exact", exact_ok, "identical rational coefficients")
 
     a, b, c, p = 0.3, 0.7, 1.5, 2.0
     x = 0.3
     seq = u_theta_plus1(HypParams(a, b, c), p, 60)
     direct = (1 - x) ** p * hyp2f1(HypParams(a, b, c), x, 1e-14).value
     diff = abs(partial_sum(seq, x) - direct)
-    out.append(_result("recurrence", "partial-sum-weighted", diff <= 1e-8, diff,
-                       "sum of 60 recurrence terms vs (1-x)^p F at x=0.3"))
+    yield _check("partial-sum-weighted", diff <= 1e-8, diff,
+                 "sum of 60 recurrence terms vs (1-x)^p F at x=0.3")
     seq = v_log_product(HypParams(a, b, c), 60)
     direct = math.log1p(-x) * hyp2f1(HypParams(a, b, c), x, 1e-14).value
     diff = abs(partial_sum(seq, x) - direct)
-    out.append(_result("recurrence", "partial-sum-log", diff <= 1e-8, diff,
-                       "sum of 60 log-product terms vs ln(1-x) F at x=0.3"))
-    return out
+    yield _check("partial-sum-log", diff <= 1e-8, diff,
+                 "sum of 60 log-product terms vs ln(1-x) F at x=0.3")
 
 
 # ---------------------------------------------------------------------------
 # corollaries suite
 
 
-def _suite_corollaries(rng: random.Random) -> list[PropertyResult]:
-    out = []
+def _suite_corollaries(rng: random.Random) -> Iterator[Row]:
     worst_m = worst_p = 0.0
     for a, b, c in PARAM_BOX:
         for p in _p_set(a, b, c):
@@ -182,10 +185,10 @@ def _suite_corollaries(rng: random.Random) -> list[PropertyResult]:
             worst_m = max(worst_m, max(map(rel_with_floor, u_theta_minus1(params, p, 30).coeffs, gen)))
             gen = u_general(WeightedSeriesSpec(params, p, 1.0), 30).coeffs
             worst_p = max(worst_p, max(map(rel_with_floor, u_theta_plus1(params, p, 30).coeffs, gen)))
-    out.append(_result("corollaries", "theta-minus1-consistency", worst_m <= 1e-12, worst_m,
-                       "(1+x)^p specialization vs general recurrence"))
-    out.append(_result("corollaries", "theta-plus1-consistency", worst_p <= 1e-12, worst_p,
-                       "(1-x)^p specialization vs general recurrence"))
+    yield _check("theta-minus1-consistency", worst_m <= 1e-12, worst_m,
+                 "(1+x)^p specialization vs general recurrence")
+    yield _check("theta-plus1-consistency", worst_p <= 1e-12, worst_p,
+                 "(1-x)^p specialization vs general recurrence")
 
     exact_ok = True
     for a, b, c in PARAM_BOX_EXACT:
@@ -199,8 +202,7 @@ def _suite_corollaries(rng: random.Random) -> list[PropertyResult]:
                 WeightedSeriesSpec(params, p, Fraction(1)), 20
             ).coeffs:
                 exact_ok = False
-    out.append(_result("corollaries", "specialization-exact", exact_ok,
-                       0.0 if exact_ok else None, "rational mode, termwise equality"))
+    yield _holds("specialization-exact", exact_ok, "rational mode, termwise equality")
 
     worst = 0.0
     for a, b, c in PARAM_BOX:
@@ -210,8 +212,8 @@ def _suite_corollaries(rng: random.Random) -> list[PropertyResult]:
                 den, xi, eta, lam = general_step(a, b, c, p, 1, n)
                 res = u[n + 1] - (xi * u[n] - eta * u[n - 1] + lam * u[n - 2]) / den
                 worst = max(worst, abs(res))
-    out.append(_result("corollaries", "order-reduction-residual", worst <= 1e-12, worst,
-                       "second-order sequence satisfies the third-order recurrence at theta=1"))
+    yield _check("order-reduction-residual", worst <= 1e-12, worst,
+                 "second-order sequence satisfies the third-order recurrence at theta=1")
 
     worst = 0.0
     for a, b, c in PARAM_BOX:
@@ -222,9 +224,8 @@ def _suite_corollaries(rng: random.Random) -> list[PropertyResult]:
     exact = v_log_product(HypParams(Fraction(1), Fraction(1), Fraction(2)), 20).coeffs == cauchy_oracle(
         LogProductSpec(HypParams(Fraction(1), Fraction(1), Fraction(2))), 20
     ).coeffs
-    out.append(_result("corollaries", "log-product-oracle", worst <= 1e-11 and exact, worst,
-                       "log-product recurrence vs harmonic convolution; exact at (1,1,2)"))
-    return out
+    yield _check("log-product-oracle", worst <= 1e-11 and exact, worst,
+                 "log-product recurrence vs harmonic convolution; exact at (1,1,2)")
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +243,14 @@ def _elliptic_weight_literal(p: int, n_max: int) -> list[Fraction]:
     return a[: n_max + 1]
 
 
-def _suite_special_cases(rng: random.Random) -> list[PropertyResult]:
-    out = []
-
+def _suite_special_cases(rng: random.Random) -> Iterator[Row]:
     params = HypParams(Fraction(3, 10), Fraction(7, 10), Fraction(3, 2))
     w = hyp_series_coeffs(params, 25)
     collapse = all(
         u_general(WeightedSeriesSpec(params, p, Fraction(0)), 25).coeffs == tuple(w)
         for p in (Fraction(-1), Fraction(2), Fraction(7, 3))
     )
-    out.append(_result("special-cases", "theta0-collapse", collapse,
-                       0.0 if collapse else None,
-                       "theta=0 reduces to the plain series for every p"))
+    yield _holds("theta0-collapse", collapse, "theta=0 reduces to the plain series for every p")
 
     worst = 0.0
     for a, b, c in PARAM_BOX:
@@ -266,15 +263,14 @@ def _suite_special_cases(rng: random.Random) -> list[PropertyResult]:
             HypParams(Fraction(1), Fraction(1), Fraction(2)), Fraction(1, 2), 10
         )
     )
-    out.append(_result("special-cases", "p-minus1-identity", worst <= 1e-12 and exact, worst,
-                       "u_(n+1) - theta u_n telescopes to the plain series term"))
+    yield _check("p-minus1-identity", worst <= 1e-12 and exact, worst,
+                 "u_(n+1) - theta u_n telescopes to the plain series term")
 
     a, b, c, p = Fraction(3, 2), Fraction(4, 5), Fraction(3, 2), Fraction(3, 10)
     u = u_theta_plus1(HypParams(a, b, c), p, 12).coeffs
     ratio_ok = all(u[n] == (n - 1 + b - p) * u[n - 1] / n for n in range(1, 13 - 1))
-    out.append(_result("special-cases", "degenerate-c-equals-a", ratio_ok,
-                       0.0 if ratio_ok else None,
-                       "c=a collapses to the first-order ratio (n-1+b-p)/n"))
+    yield _holds("degenerate-c-equals-a", ratio_ok,
+                 "c=a collapses to the first-order ratio (n-1+b-p)/n")
 
     a, b, c = 0.7, 0.9, 1.2
     u = u_theta_plus1(HypParams(a, b, c), a + b - c, 15).coeffs
@@ -283,16 +279,16 @@ def _suite_special_cases(rng: random.Random) -> list[PropertyResult]:
                        / (math.factorial(n) * pochhammer(c, n)))
         for n in range(16)
     )
-    out.append(_result("special-cases", "euler-closed-form", worst <= 1e-11, worst,
-                       "p=a+b-c gives u_n=(c-a)_n(c-b)_n/(n!(c)_n) by the Euler transform"))
+    yield _check("euler-closed-form", worst <= 1e-11, worst,
+                 "p=a+b-c gives u_n=(c-a)_n(c-b)_n/(n!(c)_n) by the Euler transform")
 
     a, b, c, p = 0.4, 1.1, 1.1, 0.5
     u = u_theta_plus1(HypParams(a, b, c), p, 12).coeffs
     worst = max(
         rel_with_floor(u[n], pochhammer(a - p, n) / math.factorial(n)) for n in range(13)
     )
-    out.append(_result("special-cases", "binomial-closed-form", worst <= 1e-11, worst,
-                       "c=b gives u_n=(a-p)_n/n! since F(a,b;b;x)=(1-x)^(-a)"))
+    yield _check("binomial-closed-form", worst <= 1e-11, worst,
+                 "c=b gives u_n=(a-p)_n/n! since F(a,b;b;x)=(1-x)^(-a)")
 
     elliptic_ok = True
     for p in (1, 3):
@@ -302,22 +298,18 @@ def _suite_special_cases(rng: random.Random) -> list[PropertyResult]:
         ).coeffs
         if tuple(lit) != mapped or lit[1] != Fraction(1, 4) - Fraction(p, 2):
             elliptic_ok = False
-    out.append(_result("special-cases", "elliptic-weight-regression", elliptic_ok,
-                       0.0 if elliptic_ok else None,
-                       "weight exponent p/2 in x=r^2 reproduces the published a_n exactly, p in {1,3}"))
+    yield _holds("elliptic-weight-regression", elliptic_ok,
+                 "weight exponent p/2 in x=r^2 reproduces the published a_n exactly, p in {1,3}")
 
     literal, oracle = published_recurrence_pair(Fraction(1), 10)
     lit_u1, orc_u1 = literal.coeffs[1], oracle.coeffs[1]
     expected = lit_u1 == Fraction(7, 8) and orc_u1 == Fraction(9, 8)
-    out.append(
-        PropertyResult(
-            "special-cases",
-            "published-recurrence-divergence",
-            NOTE if expected else FAIL,
-            float(abs(lit_u1 - orc_u1)),
-            "known discrepancy: published seed u1=q-1/8 vs convolution oracle u1=q+1/8 "
-            "(q=1: 7/8 vs 9/8); the oracle is the pinned truth",
-        )
+    yield (
+        "published-recurrence-divergence",
+        NOTE if expected else FAIL,
+        float(abs(lit_u1 - orc_u1)),
+        "known discrepancy: published seed u1=q-1/8 vs convolution oracle u1=q+1/8 "
+        "(q=1: 7/8 vs 9/8); the oracle is the pinned truth",
     )
 
     pos_ok = True
@@ -327,18 +319,15 @@ def _suite_special_cases(rng: random.Random) -> list[PropertyResult]:
         u = u_theta_plus1(HypParams(alpha, beta_, c), p, 40).coeffs
         if not all(x > 0 for x in u):
             pos_ok = False
-    out.append(_result("special-cases", "positive-weight-coefficients", pos_ok,
-                       0.0 if pos_ok else None,
-                       "(1-x)^(-a/(2b+1)) F(a,b;2b+1;x) has positive coefficients"))
-    return out
+    yield _holds("positive-weight-coefficients", pos_ok,
+                 "(1-x)^(-a/(2b+1)) F(a,b;2b+1;x) has positive coefficients")
 
 
 # ---------------------------------------------------------------------------
 # mean suite
 
 
-def _suite_mean(rng: random.Random) -> list[PropertyResult]:
-    out = []
+def _suite_mean(rng: random.Random) -> Iterator[Row]:
     worst = 0.0
     ok = True
     for _ in range(25):
@@ -362,8 +351,8 @@ def _suite_mean(rng: random.Random) -> list[PropertyResult]:
         fixed = schurmean.mean_series(x, x, mp)
         worst = max(worst, abs(fixed - x))
         ok = ok and abs(fixed - x) <= 1e-10
-    out.append(_result("mean", "mean-axioms-series", ok, worst,
-                       "symmetry, homogeneity, min/max bounds, M(x,x)=x"))
+    yield _check("mean-axioms-series", ok, worst,
+                 "symmetry, homogeneity, min/max bounds, M(x,x)=x")
 
     worst = 0.0
     for x in (0.5, 1.0, 2.0):
@@ -374,9 +363,8 @@ def _suite_mean(rng: random.Random) -> list[PropertyResult]:
                     schurmean.mean_series(x, y, mp) - schurmean.mean_quadrature(x, y, mp)
                 )
                 worst = max(worst, diff)
-    out.append(_result("mean", "series-vs-quadrature", worst <= 1e-7, worst,
-                       "integral and series representations agree on the 3x3x3 grid"))
-    return out
+    yield _check("series-vs-quadrature", worst <= 1e-7, worst,
+                 "integral and series representations agree on the 3x3x3 grid")
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +392,7 @@ def _membership_from_label(triple) -> tuple[bool, bool]:
     return label.label is Region.EPLUS, label.label is Region.EMINUS
 
 
-def _suite_regions(rng: random.Random) -> list[PropertyResult]:
-    out = []
-
+def _suite_regions(rng: random.Random) -> Iterator[Row]:
     mismatches = 0
     checked = 0
     triples = []
@@ -430,8 +416,8 @@ def _suite_regions(rng: random.Random) -> list[PropertyResult]:
         if got != _reference_membership(a, b, m):
             mismatches += 1
         checked += 1
-    out.append(_result("regions", "classify-double-entry", mismatches == 0,
-                       float(mismatches), f"two independent set evaluations on {checked} triples"))
+    yield _check("classify-double-entry", mismatches == 0, float(mismatches),
+                 f"two independent set evaluations on {checked} triples")
 
     a_vals = [(i + 0.5) / 10 for i in range(10)]
     b_vals = [0.2 * j for j in range(1, 11)]
@@ -450,11 +436,11 @@ def _suite_regions(rng: random.Random) -> list[PropertyResult]:
             n_minus += 1
             worst_minus = max(worst_minus, r.gm_max)
             bad += 0 if r.consistent else 1
-    out.append(_result(
-        "regions", "sign-dichotomy-grid", bad == 0, max(worst_plus, worst_minus),
+    yield _check(
+        "sign-dichotomy-grid", bad == 0, max(worst_plus, worst_minus),
         f"10x10x10 grid, a+b>=1/2: {n_plus} E+ triples keep G_m >= -1e-8, "
         f"{n_minus} E- triples keep G_m <= 1e-8",
-    ))
+    )
 
     draws = 0
     agree_count = 0
@@ -479,9 +465,8 @@ def _suite_regions(rng: random.Random) -> list[PropertyResult]:
         draws += 1
         if sample * g > 0:
             agree_count += 1
-    out.append(_result("regions", "schur-differential-sign", agree_count == 20,
-                       float(agree_count),
-                       "finite-difference Schur differential matches sign(G_m) on 20 draws"))
+    yield _check("schur-differential-sign", agree_count == 20, float(agree_count),
+                 "finite-difference Schur differential matches sign(G_m) on 20 draws")
 
     zero_case = gamma_inequality_margin(0.2, 0.3)
     ok = abs(zero_case) <= 1e-12
@@ -496,8 +481,8 @@ def _suite_regions(rng: random.Random) -> list[PropertyResult]:
         margin = gamma_inequality_margin(a, b)
         if margin * (a + b - 0.5) >= 0:
             ok = False
-    out.append(_result("regions", "gamma-ratio-inequality", ok, worst,
-                       "margin sign is -sign(a+b-1/2) on 50 samples; zero at a+b=1/2"))
+    yield _check("gamma-ratio-inequality", ok, worst,
+                 "margin sign is -sign(a+b-1/2) on 50 samples; zero at a+b=1/2")
 
     worst = 0.0
     sampled = 0
@@ -511,16 +496,16 @@ def _suite_regions(rng: random.Random) -> list[PropertyResult]:
         t = rng.uniform(0.05, 0.95)
         triple = RegionTriple(MeanParams(a, b), m)
         worst = max(worst, abs(g_m(t, triple) - g_m_alt(t, triple)))
-    out.append(_result("regions", "gm-representation-agreement", worst <= 1e-9, worst,
-                       "direct and Euler-transformed forms of G_m agree for a+b<1"))
+    yield _check("gm-representation-agreement", worst <= 1e-9, worst,
+                 "direct and Euler-transformed forms of G_m agree for a+b<1")
 
     worst = 0.0
     for ab in ((0.5, 0.5), (0.9, 0.2), (0.3, 1.5), (0.7, 0.8)):
         triple = RegionTriple(MeanParams(*ab), 0.0)
         for t in (0.1, 0.4, 0.8):
             worst = max(worst, abs(g_m_series_reduction_residual(t, triple)))
-    out.append(_result("regions", "gm-series-reduction", worst <= 1e-9, worst,
-                       "2F(-a,b;2b;t) - (1-t)F(1-a,b+1;2b+1;t) = F(1-a,b;2b+1;t)"))
+    yield _check("gm-series-reduction", worst <= 1e-9, worst,
+                 "2F(-a,b;2b;t) - (1-t)F(1-a,b+1;2b+1;t) = F(1-a,b;2b+1;t)")
 
     g1_ok = True
     for ab in ((0.5, 0.5), (0.9, 0.2), (0.2, 1.4)):
@@ -528,38 +513,34 @@ def _suite_regions(rng: random.Random) -> list[PropertyResult]:
         for t in [0.1 * k for k in range(1, 10)]:
             if not g_m(t, triple) < 0:
                 g1_ok = False
-    out.append(_result("regions", "g1-negative", g1_ok, 0.0 if g1_ok else None,
-                       "G_1 < 0 on (0,1) for every valid (a,b)"))
+    yield _holds("g1-negative", g1_ok, "G_1 < 0 on (0,1) for every valid (a,b)")
 
     triple = RegionTriple(MeanParams(0.5, 0.5), 0.3)
     slope = g_m(1e-5, triple) / 1e-5
     m0 = (0.5 + 1.0) / 2.0
     diff = abs(slope - (m0 - 0.3))
-    out.append(_result("regions", "gm-slope-at-zero", diff <= 1e-3, diff,
-                       "G_m(t)/t -> (a+2b)/(1+2b) - m as t -> 0"))
-    return out
+    yield _check("gm-slope-at-zero", diff <= 1e-3, diff, "G_m(t)/t -> (a+2b)/(1+2b) - m as t -> 0")
 
 
 # ---------------------------------------------------------------------------
 # monotone-ratio suite
 
 
-def _suite_monotone_ratio(rng: random.Random) -> list[PropertyResult]:
-    out = []
+def _suite_monotone_ratio(rng: random.Random) -> Iterator[Row]:
     grid = (0.1, 0.3, 0.5, 0.7, 0.9)
 
     q = q_p0_profile(MeanParams(0.9, 0.4), grid)
     worst = max(abs(v - 1.0) for v in q)
-    out.append(_result("monotone-ratio", "q-constant-at-half-gap", worst <= 1e-10, worst,
-                       "a-b=1/2 makes the weighted ratio identically 1"))
+    yield _check("q-constant-at-half-gap", worst <= 1e-10, worst,
+                 "a-b=1/2 makes the weighted ratio identically 1")
 
     q_down = q_p0_profile(MeanParams(0.9, 0.2), grid)
     q_up = q_p0_profile(MeanParams(0.3, 0.5), grid)
     mono = all(q_down[i] > q_down[i + 1] for i in range(len(grid) - 1)) and all(
         q_up[i] < q_up[i + 1] for i in range(len(grid) - 1)
     )
-    out.append(_result("monotone-ratio", "q-monotone-directions", mono, 0.0 if mono else None,
-                       "strictly decreasing for a-b>1/2, increasing for a-b<1/2"))
+    yield _holds("q-monotone-directions", mono,
+                 "strictly decreasing for a-b>1/2, increasing for a-b<1/2")
 
     ok = True
     for a, b, expect_sign in (
@@ -571,8 +552,8 @@ def _suite_monotone_ratio(rng: random.Random) -> list[PropertyResult]:
             ok = False
         if not all((x > 0) == (expect_sign > 0) and x != 0 for x in d[2:]):
             ok = False
-    out.append(_result("monotone-ratio", "dn-seeds-and-signs", ok, 0.0 if ok else None,
-                       "d_0=d_1=0 exactly; sign(d_n) = -sign(a-b-1/2) for n>=2"))
+    yield _holds("dn-seeds-and-signs", ok,
+                 "d_0=d_1=0 exactly; sign(d_n) = -sign(a-b-1/2) for n>=2")
 
     violations = 0
     min_alpha = math.inf
@@ -585,8 +566,8 @@ def _suite_monotone_ratio(rng: random.Random) -> list[PropertyResult]:
             if alpha_p <= 0:
                 violations += 1
     status = PASS if violations == 0 else WARN
-    out.append(PropertyResult("monotone-ratio", "alpha-prime-positivity", status, min_alpha,
-                              f"{violations} nonpositive alpha'_n found (claimed positive for n>=1)"))
+    yield ("alpha-prime-positivity", status, min_alpha,
+           f"{violations} nonpositive alpha'_n found (claimed positive for n>=1)")
 
     ineq_ok = True
     for a, b in ((0.9, 0.2), (0.8, 0.1), (0.3, 0.5), (0.2, 1.0)):
@@ -599,10 +580,8 @@ def _suite_monotone_ratio(rng: random.Random) -> list[PropertyResult]:
                 ineq_ok = False
             if not want_less and not lhs > rhs:
                 ineq_ok = False
-    out.append(_result("monotone-ratio", "weighted-series-inequality", ineq_ok,
-                       0.0 if ineq_ok else None,
-                       "F(a,b;2b+1;t) vs (1-t)^(p0) F(a,b+1;2b+1;t) per sign(a-b-1/2)"))
-    return out
+    yield _holds("weighted-series-inequality", ineq_ok,
+                 "F(a,b;2b+1;t) vs (1-t)^(p0) F(a,b+1;2b+1;t) per sign(a-b-1/2)")
 
 
 _SUITE_FUNCS = {
@@ -619,7 +598,11 @@ SUITES = tuple(_SUITE_FUNCS)
 
 
 def verify_driver(suite: str = "all", seed: int = 42) -> VerifySummary:
-    """Run the named property suite (or all of them) with a seeded sampler."""
+    """Run the named property suite (or all of them) with a seeded sampler.
+
+    Each row a suite yields becomes one :class:`PropertyResult` that names
+    the suite.
+    """
     if suite != "all" and suite not in _SUITE_FUNCS:
         raise ParameterError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     names = SUITES if suite == "all" else (suite,)
@@ -628,5 +611,5 @@ def verify_driver(suite: str = "all", seed: int = 42) -> VerifySummary:
         # One independent stream per suite keeps single-suite runs identical
         # to their slice of an --suite all run.
         rng = random.Random(f"{seed}:{name}")
-        results.extend(_SUITE_FUNCS[name](rng))
+        results.extend(PropertyResult(name, *row) for row in _SUITE_FUNCS[name](rng))
     return VerifySummary(suite, seed, tuple(results))
