@@ -60,8 +60,8 @@ def test_csv_shape(verify_run, monkeypatch, capsys):
     assert len(lines) >= 3
 
 
-#: A summary holding every status but pass more than once, one failure
-#: without a number and one note with a comma in it.
+#: A summary with every status, two failures (one without a margin) and
+#: notes that hold commas.
 _MIXED = verify.VerifySummary("all", 7, (
     verify.PropertyResult("recurrence", "holds", "pass", 0.0, note="fine"),
     verify.PropertyResult("recurrence", "breaks", "fail", None, note="no number, so no margin"),
