@@ -40,16 +40,19 @@ passed the entry's ratios and whose value is kept.  Every sum stops at
 ``DEFAULT_TERM_CAP`` terms, a constant that no setting changes.
 
 Every float series, public ``hyp2f1`` and both connection series, is summed
-by ``_sum_series`` in one loop body.  It runs on a float counter and tests
-the tail rule without ``abs``, and gives the same results and messages as
-the plain loop with an int counter and ``abs``, bit for bit, except that a
-partial sum no longer finite at the end of a block of ``_RATIO_TERMS``
-steps raises at once instead of summing on to the term cap.  Only a grid
-read passes it a list of term ratios, the entry's list for the series it
-sums: each step reads its ratio from the list while there is one, and
-otherwise forms it and appends it while the list is shorter than
-``_RATIO_TERMS`` and the cap, so the list never holds a ratio that no sum
-has used.  A one-off sum, public ``hyp2f1`` and its relatives, keeps
+by ``_sum_series`` in one loop body.  It returns a plain (value, bound,
+terms) triple: only ``hyp2f1`` wraps it in an ``EvalResult``, so each
+direct point of a grid read is still one traced ``hyp2f1`` call, and the
+two sums of a connection point build no record.  It runs on a float
+counter and tests the tail rule without ``abs``, and gives the same results
+and messages as the plain loop with an int counter and ``abs``, bit for bit,
+except that a partial sum no longer finite at the end of a block of
+``_RATIO_TERMS`` steps raises at once instead of summing on to the term
+cap.  Only a grid read passes it a list of term ratios, the entry's list
+for the series it sums: each step reads its ratio from the list while there
+is one, and otherwise forms it and appends it while the list is shorter
+than ``_RATIO_TERMS`` and the cap, so the list never holds a ratio that no
+sum has used.  A one-off sum, public ``hyp2f1`` and its relatives, keeps
 nothing.
 """
 
@@ -174,14 +177,16 @@ def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, *, _ratios=None) -> 
     When a or b is a nonpositive integer the series terminates and the result
     is exact up to rounding (error_bound 0).
 
-    At most ``DEFAULT_TERM_CAP`` terms are summed.  ``_ratios`` is the
-    pass-through of ``_hyp2f1_grid``, its memo entry's term ratios of this
-    series (see ``_sum_series``); every other caller leaves it None.
+    At most ``DEFAULT_TERM_CAP`` terms are summed, by ``_sum_series``, whose
+    (value, bound, terms) triple this wraps; it is the one evaluator that
+    builds the record.  ``_ratios`` is the pass-through of ``_hyp2f1_grid``,
+    its memo entry's term ratios of this series (see ``_sum_series``); every
+    other caller leaves it None.
     """
     _require_tol(tol)
     if not abs(x) < 1:
         raise ParameterError(f"series evaluation requires |x| < 1, got x={x!r}")
-    return _sum_series(params.a, params.b, params.c, float(x), tol, DEFAULT_TERM_CAP, _ratios)
+    return EvalResult(*_sum_series(params.a, params.b, params.c, float(x), tol, DEFAULT_TERM_CAP, _ratios))
 
 
 #: Each list of term ratios a grid series keeps (its direct series and the
@@ -196,13 +201,18 @@ def _blocks(cap: int) -> tuple[range, ...]:
     return tuple(range(s, min(s + _RATIO_TERMS, cap)) for s in range(0, cap, _RATIO_TERMS))
 
 
-def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalResult:
+def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> tuple[float, float, int]:
     """The direct series of ``hyp2f1``, summed past the pole of 1/(c)_n, in at most cap terms.
+
+    Returns the plain triple (value, error bound, terms used) that
+    ``hyp2f1`` wraps in its :class:`EvalResult`; the connection formula's
+    two series in y read the value alone and build no record.
 
     One loop takes term k + 1 = term k * q_k * x for k = 0, 1, ..., cap - 1,
     with the term ratio q_k = (a+k)(b+k) / ((c+k)(k+1)).  The tail rule
     counts no term before the ``settle``-th, the first n with every later
-    denominator c + n positive; for c > -1 that is no constraint.  The loop
+    denominator c + n positive.  It is formed only where c <= -1: for c > -1
+    it would be 0 or 1, and k >= settle - 1 holds at every step.  The loop
     is the hot path of every float series in the package, so it keeps its
     arithmetic float-float: the counter is a float when a, b and c are,
     which forms each a + k, c + k and k + 1 exactly as an int counter does,
@@ -230,7 +240,7 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalRes
     ratios, and q_k * x is the same float product whether q_k was read or
     formed.  With None, as for every one-off sum, nothing is stored.
     """
-    settle = max(0, math.floor(-c) + 1)
+    settle = math.floor(-c) + 1 if c <= -1 else 0
     total = 1.0
     term = 1.0
     streak = 0
@@ -259,7 +269,7 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> EvalRes
                     if not math.isfinite(total):
                         break
                     ratio = abs(q * x)
-                    return EvalResult(total, abs(term) * ratio / (1.0 - ratio), k + 2)
+                    return total, abs(term) * ratio / (1.0 - ratio), k + 2
             else:
                 streak = 0
         if not math.isfinite(total):
@@ -475,8 +485,8 @@ def _hyp2f1_grid(params: HypParams, points, tol: float) -> list[float]:
                 log_scale = s * math.log(y) if y > 0 else -s * math.inf
                 weight = specfn.scaled_gamma_ratio(sign, logs, log_scale)
                 if accurate:
-                    first = _sum_series(a, b, 1 - s, y, tol, DEFAULT_TERM_CAP, entry.first_ratios).value
-                    second = _sum_series(c - a, c - b, 1 + s, y, tol, DEFAULT_TERM_CAP, entry.second_ratios).value
+                    first = _sum_series(a, b, 1 - s, y, tol, DEFAULT_TERM_CAP, entry.first_ratios)[0]
+                    second = _sum_series(c - a, c - b, 1 + s, y, tol, DEFAULT_TERM_CAP, entry.second_ratios)[0]
                     result = scale * first + weight * second
             if result is None:
                 if x >= 1:

@@ -131,7 +131,8 @@ def _plain_sum_series(a, b, c, x, tol, cap):
     """``hypergeom._sum_series`` written plainly, with an int counter and ``abs``.
 
     The loop as it read before its float counter, kept verbatim as the
-    reference the faster loop must reproduce bit for bit.
+    reference the faster loop must reproduce bit for bit, but that it
+    returns the same (value, bound, terms) triple.
     """
     settle = max(0, math.floor(-c) + 1)
     total = 1.0
@@ -148,7 +149,7 @@ def _plain_sum_series(a, b, c, x, tol, cap):
             streak += 1
             if streak >= 3:
                 bound = abs(term) * ratio / (1.0 - ratio)
-                return EvalResult(total, bound, n + 1)
+                return total, bound, n + 1
         else:
             streak = 0
     raise NonConvergence(
@@ -157,12 +158,12 @@ def _plain_sum_series(a, b, c, x, tol, cap):
 
 
 def _summed(fn, *args):
-    """fn's ``EvalResult`` with the bits of its value and bound, or the message of its NonConvergence."""
+    """fn's (value, bound, terms) triple, value and bound as bits, or the message of its NonConvergence."""
     try:
-        result = fn(*args)
+        value, bound, terms = fn(*args)
     except NonConvergence as exc:
         return str(exc)
-    return result, result.value.hex(), result.error_bound.hex()
+    return value.hex(), bound.hex(), terms
 
 
 class TestSumSeriesLoop:
@@ -230,7 +231,7 @@ class TestSumSeriesLoop:
         # Once a term is inf, tol * inf passes every comparison, so three
         # steps with |q_k x| < 1 meet the tail rule inside the first block.
         plain = _plain_sum_series(*abc, x, 1e-12, hypergeom.DEFAULT_TERM_CAP)
-        assert (plain.value, plain.error_bound) == (math.inf, math.inf)
+        assert plain[:2] == (math.inf, math.inf)
         with pytest.raises(NonConvergence, match=rf"overflowed to inf by term {last}$"):
             if grid:
                 hypergeom._hyp2f1_grid(HypParams(*abc), [(x, None)], 1e-12)
@@ -245,7 +246,7 @@ class TestSumSeriesLoop:
         # F(-3.5,1;0.5;x) turns negative for x near 1: the tail rule then
         # compares against tol * |total| through the sign of total.
         args = (-3.5, 1.0, 0.5, 0.95, 1e-12, hypergeom.DEFAULT_TERM_CAP)
-        assert hypergeom._sum_series(*args).value < 0
+        assert hypergeom._sum_series(*args)[0] < 0
         assert _summed(hypergeom._sum_series, *args) == _summed(_plain_sum_series, *args)
 
     @given(
@@ -290,8 +291,22 @@ class TestSumSeriesLoop:
             before = len(ratios)
             summed = _summed(hypergeom._sum_series, *args, ratios)
             assert summed == _summed(_plain_sum_series, *args)
-            terms = cap if isinstance(summed, str) else summed[0].terms_used - 1
+            terms = cap if isinstance(summed, str) else summed[2] - 1
             assert len(ratios) == min(max(before, terms), hypergeom._RATIO_TERMS, cap)
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["one-off", "grid"])
+    @pytest.mark.parametrize("c", [-0.5, -1.5, -29.5])
+    def test_settle_is_formed_only_past_c_of_minus_one(self, c, grid):
+        # settle is 0 and k >= settle - 1 always holds for c > -1; from c <= -1
+        # the streak starts at n = floor(-c) + 1.  At x = 0 and 1e-20 the tail
+        # rule passes from the first step, so the settle point alone decides
+        # the stop, and at 0.1 with c = -29.5 the terms shrink before the pole.
+        ratios = [] if grid else None
+        for x in (0.0, 1e-20, 0.1, 0.5, -0.5) * 2:
+            args = (0.5, 30.0, c, x, 1e-12, hypergeom.DEFAULT_TERM_CAP)
+            summed = _summed(hypergeom._sum_series, *args, ratios)
+            assert summed == _summed(_plain_sum_series, *args)
+            assert summed[2] >= max(0, math.floor(-c) + 1) + 3
 
     def test_equal_parameters_of_other_types_keep_their_own_ratios(self):
         # Each typed triple is its own grid series, with its own memo entry
@@ -302,7 +317,7 @@ class TestSumSeriesLoop:
             for abc in triples:
                 (value,) = hypergeom._hyp2f1_grid(HypParams(*abc), [(x, None)], 1e-12)
                 plain = _plain_sum_series(*abc, x, 1e-12, hypergeom.DEFAULT_TERM_CAP)
-                assert value.hex() == plain.value.hex()
+                assert value.hex() == plain[0].hex()
         entries = list(hypergeom._MEMO.series.values())
         assert len(entries) == 3
         assert len({id(entry.ratios) for entry in entries}) == 3
@@ -324,7 +339,7 @@ class TestSumSeriesLoop:
         # reaches this thread's memo.
         triple = (0.5, 1.5, 3.0)  # c - a - b = 1: the direct series near one
         xs = [0.9 + 0.001 * k for k in range(96)]
-        expected = {x: _plain_sum_series(*triple, x, 1e-12, hypergeom.DEFAULT_TERM_CAP).value.hex() for x in xs}
+        expected = {x: _plain_sum_series(*triple, x, 1e-12, hypergeom.DEFAULT_TERM_CAP)[0].hex() for x in xs}
         hypergeom._MEMO.clear()
         got = {}
 
@@ -569,7 +584,7 @@ CONNECTION_REL_TOL = 5e-12
 
 @contextlib.contextmanager
 def _summed_terms():
-    """A list that collects the ``terms_used`` of every ``_sum_series`` call made inside the block.
+    """A list that collects the term count of every ``_sum_series`` call made inside the block.
 
     ``hyp2f1`` and the connection formula's two series in y all sum through
     ``_sum_series``, so the list counts every term a read sums.
@@ -579,7 +594,7 @@ def _summed_terms():
 
     def counted(*args):
         result = summed(*args)
-        terms.append(result.terms_used)
+        terms.append(result[2])
         return result
 
     hypergeom._sum_series = counted
@@ -857,8 +872,8 @@ def _head_unit_eval(a, b, c, x, tol, y, cap):
         scale, scale_size = _head_gamma_ratio((c, s), (c - a, c - b), 0.0)
         weight, weight_size = _head_gamma_ratio((c, -s), (a, b), s * math.log(y) if y > 0 else -s * math.inf)
         if sys.float_info.epsilon * max(scale_size, weight_size) <= tol:
-            first = _plain_sum_series(a, b, 1 - s, y, tol, cap)
-            second = _plain_sum_series(c - a, c - b, 1 + s, y, tol, cap)
+            first = EvalResult(*_plain_sum_series(a, b, 1 - s, y, tol, cap))
+            second = EvalResult(*_plain_sum_series(c - a, c - b, 1 + s, y, tol, cap))
             return EvalResult(
                 scale * first.value + weight * second.value,
                 abs(scale) * first.error_bound + abs(weight) * second.error_bound,
@@ -869,7 +884,7 @@ def _head_unit_eval(a, b, c, x, tol, y, cap):
             f"F({a},{b};{c};x) at 1-x={y!r}: x rounds to 1, where the direct series "
             "cannot answer, and the connection formula does not apply"
         )
-    return _plain_sum_series(a, b, c, float(x), tol, cap)
+    return EvalResult(*_plain_sum_series(a, b, c, float(x), tol, cap))
 
 
 def _grid_outcome(params, points, tol):
