@@ -174,7 +174,8 @@ def mean_quadrature(x: float, y: float, mp: MeanParams, tol: float = 1e-10) -> f
     where ``weighted_quad`` grades its panels from; a ratio so large that r
     underflows to 0 turns at the smallest positive float instead.  No
     hypergeometric series is summed, so this stays an independent check on
-    ``mean_series``.
+    ``mean_series``.  Equal arguments give that argument exactly, as in
+    ``mean_series``: the rule's rounding put M(2, 2) at 2.0000000000000018.
 
     The integral is about B(b, b), which leaves the normal double range from
     b of about 510 and is 0 from about 537; the rule's weights shrink with
@@ -187,6 +188,8 @@ def mean_quadrature(x: float, y: float, mp: MeanParams, tol: float = 1e-10) -> f
     _require_positive_args(x, y)
     hi, lo = (x, y) if x >= y else (y, x)
     ratio = lo / hi
+    if ratio == 1.0:
+        return float(hi)
     a, b = mp.a, mp.b
     try:
         norm = specfn.beta(b, b)
@@ -197,7 +200,7 @@ def mean_quadrature(x: float, y: float, mp: MeanParams, tol: float = 1e-10) -> f
             f"B(b, b) = {norm!r} at b={b!r} underflows the normal double range, and the "
             "quadrature weights with it, so the integral keeps too few digits"
         )
-    turn = max(ratio / (1.0 - ratio), math.ulp(0.0)) if ratio < 1.0 else 0.5
+    turn = max(ratio / (1.0 - ratio), math.ulp(0.0))
     quad = numkit.weighted_quad(lambda s: (ratio + s * (1.0 - ratio)) ** a, b, tol, turn)
     return hi * _power(quad.value / norm, 1.0 / a, "(integral / B(b, b))^(1/a)")
 
@@ -551,17 +554,8 @@ def _build_report(
         else:
             warning = "sampled signs contradict the region label"
     return GmScanReport(
-        a=float(a),
-        b=float(b),
-        m=float(m),
-        label=label.label.value,
-        branch=label.branch,
-        gm_min=gm_min,
-        gm_max=gm_max,
-        consistent=consistent,
-        sign_change_t=sign_change_t,
-        near_one=tuple(near_one),
-        warning=warning,
+        float(a), float(b), float(m), label.label.value, label.branch, gm_min, gm_max,
+        consistent, sign_change_t, tuple(near_one), warning,
     )
 
 

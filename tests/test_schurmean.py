@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hyprec import hypergeom, schurmean
 from hyprec.cli import main
 from hyprec.errors import DomainError, NonConvergence, ParameterError
-from hyprec.hypergeom import HypParams, _hyp2f1_unit, hyp2f1
+from hyprec.hypergeom import EvalResult, HypParams, _hyp2f1_unit, hyp2f1
 from hyprec.schurmean import (
     DEFAULT_T_GRID,
     NEAR_ONE_PROBES,
@@ -66,6 +66,14 @@ class TestMean:
         mp = MeanParams(0.5, 0.5)
         assert mean_series(x, x, mp) == x
         assert abs(mean_quadrature(x, x, mp) - x) <= 1e-10
+
+    @pytest.mark.parametrize("ab", [(0.5, 0.5), (0.7, 0.8), (0.05, 2.0), (0.95, 0.1)])
+    def test_quadrature_fixed_point_is_exact(self, ab):
+        # Both methods return M(x, x) = x bit for bit, never a rounding above
+        # max(x, y) such as 2.0000000000000018 at (0.7, 0.8), x = y = 2.
+        mp = MeanParams(*ab)
+        for x in (1e-3, 0.5, 1.0, 2.0, 3.7, 1e5):
+            assert mean_quadrature(x, x, mp).hex() == mean_series(x, x, mp).hex() == x.hex()
 
     def test_symmetry_and_homogeneity(self):
         mp = MeanParams(0.5, 1.0)
@@ -1006,6 +1014,26 @@ class TestScans:
             q_p0_profile(q_params_for_mean(tr.mean), DEFAULT_T_GRID)
             g_m(DEFAULT_T_GRID[24], tr)
         assert calls == []
+
+    def test_a_cell_read_builds_one_record_per_direct_point(self, monkeypatch):
+        # Only public hyp2f1 wraps a sum in an EvalResult: a cold cell on the
+        # default grid builds one per direct point of its two series and none
+        # for the two sums in y of each connection point.
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return EvalResult(*args)
+
+        a, b = 0.9, 0.5  # c - a - b is 1.4 and 0.4: both series connect
+        points = set(GRID)
+        connection = {t for t in points if t >= hypergeom.CONNECTION_X}
+        assert (len(points) - len(connection), len(connection)) == (44, 7)
+        monkeypatch.setattr(hypergeom, "EvalResult", counted)
+        hypergeom._MEMO.clear()
+        gm_sign_scan(triple(a, b, 0.3))
+        assert hypergeom._MEMO.misses == 2 * len(points)
+        assert len(built) == 2 * (len(points) - len(connection)) == 88
 
     def test_report_serialization(self, capsys):
         text = gm_scan_output(capsys, "csv", "0.9", "0.5", "0.0")
