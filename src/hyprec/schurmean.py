@@ -175,7 +175,8 @@ def mean_quadrature(x: float, y: float, mp: MeanParams, tol: float = 1e-10) -> f
     underflows to 0 turns at the smallest positive float instead.  No
     hypergeometric series is summed, so this stays an independent check on
     ``mean_series``.  Equal arguments give that argument exactly, as in
-    ``mean_series``: the rule's rounding put M(2, 2) at 2.0000000000000018.
+    ``mean_series``, since the rule's rounding can land above max(x, y);
+    tol is checked first, so a bad one is refused there too.
 
     The integral is about B(b, b), which leaves the normal double range from
     b of about 510 and is 0 from about 537; the rule's weights shrink with
@@ -186,6 +187,7 @@ def mean_quadrature(x: float, y: float, mp: MeanParams, tol: float = 1e-10) -> f
     1.1e-308, where the rule itself refuses the weight.
     """
     _require_positive_args(x, y)
+    numkit._require_tol(tol)
     hi, lo = (x, y) if x >= y else (y, x)
     ratio = lo / hi
     if ratio == 1.0:

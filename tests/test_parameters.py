@@ -276,10 +276,11 @@ def test_negative_or_nan_sign_tol_is_a_parameter_error(sign_tol):
     [
         lambda tol: hyp2f1(HypParams(1, 1, 2), 0.5, tol),
         lambda tol: mean_quadrature(1.0, 2.0, MeanParams(0.5, 0.5), tol),
+        lambda tol: mean_quadrature(2.0, 2.0, MeanParams(0.5, 0.5), tol),
         lambda tol: mean_series(1.0, 2.0, MeanParams(0.5, 0.5), tol),
         lambda tol: gm_sign_scan(*_scan_cell_args(), tol=tol),
     ],
-    ids=["hyp2f1", "mean-quadrature", "mean-series", "gm-scan"],
+    ids=["hyp2f1", "mean-quadrature", "mean-quadrature-equal-args", "mean-series", "gm-scan"],
 )
 def test_tolerance_not_positive_is_a_parameter_error(evaluate, tol):
     with pytest.raises(ParameterError, match="tol must be positive"):
