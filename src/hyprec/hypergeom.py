@@ -65,7 +65,7 @@ import threading
 from fractions import Fraction
 
 from . import specfn
-from ._record import Record, set_field
+from ._record import Record, field_setters
 from .errors import NonConvergence, ParameterError
 from .numkit import _require_tol
 
@@ -127,9 +127,9 @@ class HypParams(Record):
         _require_finite("b", b)
         _require_finite("c", c)
         _require_off_poles(c, POLE_TOL)
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
 
     @classmethod
     def _derived(cls, a, b, c) -> "HypParams":
@@ -142,10 +142,13 @@ class HypParams(Record):
         _require_finite("c", c)
         _require_off_poles(c, 0.0)
         params = object.__new__(cls)
-        set_field(params, "a", a)
-        set_field(params, "b", b)
-        set_field(params, "c", c)
+        _set_a(params, a)
+        _set_b(params, b)
+        _set_c(params, c)
         return params
+
+
+_set_a, _set_b, _set_c = field_setters(HypParams)
 
 
 class EvalResult(Record):
@@ -158,9 +161,12 @@ class EvalResult(Record):
             raise ValueError("error_bound must be nonnegative")
         if terms_used < 1:
             raise ValueError("terms_used must be at least 1")
-        set_field(self, "value", value)
-        set_field(self, "error_bound", error_bound)
-        set_field(self, "terms_used", terms_used)
+        _set_value(self, value)
+        _set_bound(self, error_bound)
+        _set_terms(self, terms_used)
+
+
+_set_value, _set_bound, _set_terms = field_setters(EvalResult)
 
 
 def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, *, _ratios=None) -> EvalResult:
@@ -247,8 +253,11 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> tuple[f
     stored = record = 0
     if ratios is not None:
         stored = len(ratios)
-        record = min(_RATIO_TERMS, cap)
-    n, one = (float(stored), 1.0) if type(a) is type(b) is type(c) is float else (stored, 1)
+        record = cap if cap < _RATIO_TERMS else _RATIO_TERMS
+    if type(a) is type(b) is type(c) is float:
+        n, one = float(stored), 1.0
+    else:
+        n, one = stored, 1
     for block in _blocks(cap):
         for k in block:
             if k < stored:

@@ -2,8 +2,9 @@
 
 Each record keeps the behaviour callers rely on: its repr (pinned below as
 literal strings, character for character), equality and hashing by its
-fields, no assignment or deletion, and pickle and copy round trips that do
-not rerun the constructor's checks.  The import test pins that a fresh
+fields, no assignment or deletion, pickle and copy round trips that do
+not rerun the constructor's checks, and a rebuild field by field through
+``field_setters``.  The import test pins that a fresh
 ``hyprec.cli`` loads none of the heavy standard-library modules that used to
 cost every CLI process its cold start.
 """
@@ -31,7 +32,7 @@ from hyprec import (
     RegionTriple,
     WeightedSeriesSpec,
 )
-from hyprec._record import as_dict
+from hyprec._record import as_dict, field_setters
 from hyprec.errors import ParameterError
 from hyprec.verify import PropertyResult, VerifySummary
 
@@ -183,6 +184,15 @@ def test_copy_round_trip(make, other, text, how):
     r = make()
     back = how(r)
     assert type(back) is type(r) and back == r and repr(back) == text
+
+
+@cases
+def test_field_setters_store_each_field_in_order(make, other, text):
+    r = make()
+    back = object.__new__(type(r))
+    for setter, value in zip(field_setters(type(r)), as_dict(r).values(), strict=True):
+        setter(back, value)
+    assert back == r and repr(back) == text
 
 
 def test_derived_params_survive_pickle_and_copy_without_the_public_check():
