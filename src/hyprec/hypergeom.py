@@ -241,7 +241,7 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> tuple[f
     with their types, as the counter's type depends on them.  Step k reads
     q_k from that list while k is below its length on entry, and otherwise
     forms q_k on the counter, which moves only then, and appends it while k
-    is below min(``_RATIO_TERMS``, cap).  So after a sum of s terms the
+    is below ``_RATIO_TERMS`` (every k is below cap).  So after a sum of s terms the
     list holds min(max(its length before, s), ``_RATIO_TERMS``, cap)
     ratios, and q_k * x is the same float product whether q_k was read or
     formed.  With None, as for every one-off sum, nothing is stored.
@@ -253,7 +253,7 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> tuple[f
     stored = record = 0
     if ratios is not None:
         stored = len(ratios)
-        record = cap if cap < _RATIO_TERMS else _RATIO_TERMS
+        record = _RATIO_TERMS
     if type(a) is type(b) is type(c) is float:
         n, one = float(stored), 1.0
     else:
