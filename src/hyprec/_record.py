@@ -3,11 +3,12 @@
 A record lists its fields, in order, in ``__slots__`` and writes its own
 ``__init__``, which checks the arguments and stores each field through
 :data:`set_field`, or, for a record built once per series sum or grid
-read, through the setters :func:`field_setters` gives.  :class:`Record` gives it the rest of an immutable value
-type: assignment and deletion raise ``AttributeError``, equality and hashing
-go by the field tuple, the repr is ``Name(field=value, ...)``, ``match``
-takes the fields positionally, and pickling and copying restore the fields
-without running ``__init__`` again.  It imports only ``operator``, which
+read, through the setters :func:`field_setters` gives.  :class:`Record`
+gives it the rest of an immutable value type: assignment and deletion
+raise ``AttributeError``, equality and hashing go by the field tuple, the
+repr is ``Name(field=value, ...)``, ``match`` takes the fields
+positionally, and pickling and copying restore the fields without running
+``__init__`` again.  It imports only ``operator``, which
 ``functools`` and ``fractions`` load anyway, so building the records costs
 every process no more than their class statements.
 """

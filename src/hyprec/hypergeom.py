@@ -241,10 +241,10 @@ def _sum_series(a, b, c, x: float, tol: float, cap: int, ratios=None) -> tuple[f
     with their types, as the counter's type depends on them.  Step k reads
     q_k from that list while k is below its length on entry, and otherwise
     forms q_k on the counter, which moves only then, and appends it while k
-    is below ``_RATIO_TERMS`` (every k is below cap).  So after a sum of s terms the
-    list holds min(max(its length before, s), ``_RATIO_TERMS``, cap)
-    ratios, and q_k * x is the same float product whether q_k was read or
-    formed.  With None, as for every one-off sum, nothing is stored.
+    is below ``_RATIO_TERMS`` (every k is below cap).  So after a sum of s
+    terms the list holds min(max(its length before, s), ``_RATIO_TERMS``,
+    cap) ratios, and q_k * x is the same float product whether q_k was read
+    or formed.  With None, as for every one-off sum, nothing is stored.
     """
     settle = math.floor(-c) + 1 if c <= -1 else 0
     total = 1.0

@@ -130,9 +130,9 @@ class TestSeries:
 def _plain_sum_series(a, b, c, x, tol, cap):
     """``hypergeom._sum_series`` written plainly, with an int counter and ``abs``.
 
-    The loop as it read before its float counter, kept verbatim as the
-    reference the faster loop must reproduce bit for bit, but that it
-    returns the same (value, bound, terms) triple.
+    The loop as it read before its float counter, kept verbatim but for
+    returning the same (value, bound, terms) triple, as the reference the
+    faster loop must reproduce bit for bit.
     """
     settle = max(0, math.floor(-c) + 1)
     total = 1.0
