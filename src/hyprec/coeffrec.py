@@ -60,7 +60,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import DomainError, ParameterError
 from .hypergeom import HypParams, _require_finite
 
@@ -111,18 +111,13 @@ class WeightedSeriesSpec(Record):
         if not -1 <= theta <= 1:
             raise ParameterError(f"theta must lie in [-1, 1], got {theta!r}")
         _require_finite("p", p)
-        set_field(self, "params", params)
-        set_field(self, "p", p)
-        set_field(self, "theta", theta)
+        Record.__init__(self, params, p, theta)
 
 
 class LogProductSpec(Record):
     """Marker spec for the log product ln(1-x) * F(a,b;c;x)."""
 
     __slots__ = ("params",)
-
-    def __init__(self, params: HypParams):
-        set_field(self, "params", params)
 
 
 class CoeffSequence(Record):
@@ -136,9 +131,7 @@ class CoeffSequence(Record):
         expected = 0 if isinstance(spec, LogProductSpec) else 1
         if coeffs[0] != expected:
             raise ValueError(f"leading coefficient must be {expected}, got {coeffs[0]!r}")
-        set_field(self, "spec", spec)
-        set_field(self, "coeffs", coeffs)
-        set_field(self, "method", method)
+        Record.__init__(self, spec, coeffs, method)
 
 
 def _check_n(n: int) -> None:

@@ -15,7 +15,7 @@ import math
 import types
 from collections.abc import Callable
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import DomainError, NonConvergence, ParameterError
 
 __all__ = ["QuadResult", "weighted_quad", "central_diff"]
@@ -131,9 +131,7 @@ class QuadResult(Record):
     def __init__(self, value: float, error_estimate: float, evaluations: int):
         if error_estimate < 0:
             raise ValueError("error_estimate must be nonnegative")
-        set_field(self, "value", value)
-        set_field(self, "error_estimate", error_estimate)
-        set_field(self, "evaluations", evaluations)
+        Record.__init__(self, value, error_estimate, evaluations)
 
 
 def _panel_edges(turn: float) -> list[float]:

@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import numkit, specfn
-from ._record import Record, set_field
+from ._record import Record
 from .compare import rel_with_floor
 from .coeffrec import is_exact, u_theta_plus1
 from .errors import DomainError, NonConvergence, ParameterError
@@ -86,8 +86,7 @@ class MeanParams(Record):
         _require_finite("b", b)
         if not 0 < b:
             raise ParameterError(f"b must be positive, got {b!r}")
-        set_field(self, "a", a)
-        set_field(self, "b", b)
+        Record.__init__(self, a, b)
 
 
 class RegionTriple(Record):
@@ -97,8 +96,7 @@ class RegionTriple(Record):
 
     def __init__(self, mean: MeanParams, m: float):
         _require_finite("m", m)
-        set_field(self, "mean", mean)
-        set_field(self, "m", m)
+        Record.__init__(self, mean, m)
 
 
 class Region(str, Enum):
@@ -111,11 +109,6 @@ class RegionLabel(Record):
     """Classification of a triple, the threshold m0 and the clause that fired."""
 
     __slots__ = ("label", "m0", "branch")
-
-    def __init__(self, label: Region, m0: float, branch: str):
-        set_field(self, "label", label)
-        set_field(self, "m0", m0)
-        set_field(self, "branch", branch)
 
 
 def _require_positive_args(x: float, y: float) -> None:
@@ -471,38 +464,19 @@ def schur_condition_sample(
 
 
 class GmScanReport(Record):
-    """Result of sampling G_m over a grid for one (a, b, m) triple."""
+    """Result of sampling G_m over a grid for one (a, b, m) triple.
+
+    a, b and m are floats; label and branch are the region label's value
+    and clause; gm_min and gm_max bound G_m over the grid; consistent says
+    whether the sampled signs agree with the label; sign_change_t is the
+    first t where the sign changed, or None; near_one holds the probes'
+    (t, G_m) pairs; warning is a message, or None.
+    """
 
     __slots__ = (
         "a", "b", "m", "label", "branch", "gm_min", "gm_max",
         "consistent", "sign_change_t", "near_one", "warning",
     )
-
-    def __init__(
-        self,
-        a: float,
-        b: float,
-        m: float,
-        label: str,
-        branch: str,
-        gm_min: float,
-        gm_max: float,
-        consistent: bool,
-        sign_change_t: float | None,
-        near_one: tuple[tuple[float, float], ...],
-        warning: str | None,
-    ):
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "m", m)
-        set_field(self, "label", label)
-        set_field(self, "branch", branch)
-        set_field(self, "gm_min", gm_min)
-        set_field(self, "gm_max", gm_max)
-        set_field(self, "consistent", consistent)
-        set_field(self, "sign_change_t", sign_change_t)
-        set_field(self, "near_one", near_one)
-        set_field(self, "warning", warning)
 
 
 def _build_report(

@@ -18,7 +18,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from . import coeffrec, schurmean
-from ._record import Record, set_field
+from ._record import Record
 from .compare import rel_with_floor
 from .coeffrec import (
     LogProductSpec,
@@ -96,20 +96,11 @@ class PropertyResult(Record):
     __slots__ = ("suite", "name", "status", "margin", "note")
 
     def __init__(self, suite: str, name: str, status: str, margin: float | None, note: str = ""):
-        set_field(self, "suite", suite)
-        set_field(self, "name", name)
-        set_field(self, "status", status)
-        set_field(self, "margin", margin)
-        set_field(self, "note", note)
+        Record.__init__(self, suite, name, status, margin, note)
 
 
 class VerifySummary(Record):
     __slots__ = ("suite", "seed", "results")
-
-    def __init__(self, suite: str, seed: int, results: tuple[PropertyResult, ...]):
-        set_field(self, "suite", suite)
-        set_field(self, "seed", seed)
-        set_field(self, "results", results)
 
     @property
     def failures(self) -> int:

@@ -4,7 +4,9 @@ Each record keeps the behaviour callers rely on: its repr (pinned below as
 literal strings, character for character), equality and hashing by its
 fields, no assignment or deletion, pickle and copy round trips that do
 not rerun the constructor's checks, and a rebuild field by field through
-``field_setters``.  The import test pins that a fresh
+``field_setters``.  Every record but ``HypParams`` and ``EvalResult`` stores
+its fields through ``Record.__init__``, which refuses too few or too many
+values with a ``TypeError`` naming the class.  The import test pins that a fresh
 ``hyprec.cli`` loads none of the heavy standard-library modules that used to
 cost every CLI process its cold start.
 """
@@ -32,7 +34,7 @@ from hyprec import (
     RegionTriple,
     WeightedSeriesSpec,
 )
-from hyprec._record import as_dict, field_setters
+from hyprec._record import Record, as_dict, field_setters
 from hyprec.errors import ParameterError
 from hyprec.verify import PropertyResult, VerifySummary
 
@@ -193,6 +195,30 @@ def test_field_setters_store_each_field_in_order(make, other, text):
     for setter, value in zip(field_setters(type(r)), as_dict(r).values(), strict=True):
         setter(back, value)
     assert back == r and repr(back) == text
+
+
+#: The cases whose record stores its fields through ``Record.__init__``.
+BUILT_BY_RECORD = [name for name in CASES if not name.startswith(("HypParams", "EvalResult"))]
+
+
+@pytest.mark.parametrize("name", BUILT_BY_RECORD)
+def test_the_record_constructor_refuses_a_wrong_value_count(name):
+    record = CASES[name][0]()
+    cls, values = type(record), tuple(as_dict(record).values())
+    for wrong in (values[:-1], (*values, None)):
+        message = f"^{cls.__qualname__} takes {len(values)} field values, got {len(wrong)}$"
+        with pytest.raises(TypeError, match=message):
+            Record.__init__(object.__new__(cls), *wrong)
+        if cls.__init__ is Record.__init__:
+            with pytest.raises(TypeError, match=message):
+                cls(*wrong)
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+
+def test_records_that_check_nothing_take_the_record_constructor():
+    for cls in (GmScanReport, RegionLabel, LogProductSpec, VerifySummary):
+        assert cls.__init__ is Record.__init__, cls
 
 
 def test_derived_params_survive_pickle_and_copy_without_the_public_check():

@@ -649,17 +649,8 @@ def _old_build_report(triple, t_values, g_values, near_one, sign_tol):
         else:
             warning = "sampled signs contradict the region label"
     return GmScanReport(
-        a=float(a),
-        b=float(b),
-        m=float(m),
-        label=label.label.value,
-        branch=label.branch,
-        gm_min=gm_min,
-        gm_max=gm_max,
-        consistent=consistent,
-        sign_change_t=sign_change_t,
-        near_one=tuple(near_one),
-        warning=warning,
+        float(a), float(b), float(m), label.label.value, label.branch, gm_min, gm_max,
+        consistent, sign_change_t, tuple(near_one), warning,
     )
 
 
