@@ -155,6 +155,19 @@ _FAILURES = (
     (("near-one", "--case", "euler", "--a", "0.7", "--b", "0.9", "--c", "1.2"), None),
     (("near-one", "--case", "euler", "--a", "0.7", "--b", "0.9", "--c", "1.2", "--x", "1"), None),
     (("near-one", "--case", "euler", "--a", "0.7", "--b", "0.9", "--c", "1.2", "--x=-1.5"), None),
+    # A double overflows on the way to each of these values.  ln Gamma(c) at
+    # c = 1e308, where the value is about 1.0:
+    (("near-one", "--case", "value-at-one", "--a", "1", "--b", "1", "--c", "1e308"), None),
+    # B(a, b) at a = 1e-320, where the value is about 1.0:
+    (("near-one", "--case", "zero-balanced", "--a", "1e-320", "--b", "1", "--x", "0.5"), None),
+    # R(a, b)'s sum of two digammas near -1e308:
+    (("near-one", "--case", "zero-balanced", "--a", "1e-308", "--b", "1e-308", "--x", "0.5"), None),
+    # B(a, b) underflows to 0 at b = 1e300:
+    (("near-one", "--case", "zero-balanced", "--a", "3", "--b", "1e300", "--x", "0.5"), None),
+    # The weight (1-x)^(c-a-b) at 1 - x = 0.001 and c-a-b = -599:
+    (("near-one", "--case", "euler", "--a", "300", "--b", "300", "--c", "1", "--x", "0.999"), None),
+    # The weight times the transformed series:
+    (("near-one", "--case", "euler", "--a", "3", "--b", "300", "--c=-0.5", "--x", "0.9"), None),
     # A malformed literal in a flag that the case ignores.
     (("near-one", "--case", "zero-balanced", "--a", "0.5", "--b", "0.5", "--x", "0.99", "--c", "bogus"), None),
     (("near-one", "--case", "value-at-one", "--a", "0.5", "--b", "0.5", "--c", "2", "--x", "bogus"), None),
