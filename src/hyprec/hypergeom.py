@@ -67,7 +67,7 @@ from fractions import Fraction
 from . import specfn
 from ._record import Record, field_setters
 from .errors import NonConvergence, ParameterError
-from .numkit import _require_tol
+from .numkit import _finite, _power, _require_tol
 
 __all__ = [
     "DEFAULT_TERM_CAP",
@@ -300,7 +300,9 @@ def gauss_value_at_one(params: HypParams) -> float:
     """F(a,b;c;1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)) for c > a+b.
 
     All four gamma arguments must be positive; anything else raises
-    :class:`ParameterError` rather than silently extending the domain.
+    :class:`ParameterError` rather than silently extending the domain.  Where
+    a ln Gamma, their sum or its exp overflows a double, it raises
+    :class:`NonConvergence` naming which.
     """
     a, b, c = params.a, params.b, params.c
     if not c > a + b:
@@ -308,12 +310,11 @@ def gauss_value_at_one(params: HypParams) -> float:
     for name, arg in (("c", c), ("c-a-b", c - a - b), ("c-a", c - a), ("c-b", c - b)):
         if not arg > 0:
             raise ParameterError(f"gamma argument {name}={arg!r} must be positive")
-    return math.exp(
-        specfn.ln_gamma(c)
-        + specfn.ln_gamma(c - a - b)
-        - specfn.ln_gamma(c - a)
-        - specfn.ln_gamma(c - b)
+    log_value = _finite(
+        "ln Gamma(c) + ln Gamma(c-a-b) - ln Gamma(c-a) - ln Gamma(c-b)",
+        lambda: specfn.ln_gamma(c) + specfn.ln_gamma(c - a - b) - specfn.ln_gamma(c - a) - specfn.ln_gamma(c - b),
     )
+    return _finite("F(a,b;c;1)", math.exp, log_value)
 
 
 def zero_balanced_asymptote(a: float, b: float, x: float) -> float:
@@ -321,6 +322,9 @@ def zero_balanced_asymptote(a: float, b: float, x: float) -> float:
 
     Valid for finite a, b > 0 and 0 < x < 1; the neglected remainder is
     O((1-x) ln(1-x)), so the approximation is only meaningful near x = 1.
+    Where R(a, b), B(a, b) or the quotient overflows a double (as the
+    quotient does where B(a, b) underflows to 0), it raises
+    :class:`NonConvergence` naming which.
     """
     _require_finite("a", a)
     _require_finite("b", b)
@@ -328,7 +332,9 @@ def zero_balanced_asymptote(a: float, b: float, x: float) -> float:
         raise ParameterError(f"asymptote requires a, b > 0, got a={a!r}, b={b!r}")
     if not 0 < x < 1:
         raise ParameterError(f"asymptote requires 0 < x < 1, got x={x!r}")
-    return (specfn.r_zero_balanced(a, b) - math.log1p(-x)) / specfn.beta(a, b)
+    r = _finite("R(a, b)", specfn.r_zero_balanced, a, b)
+    scale = _finite("B(a, b)", specfn.beta, a, b)
+    return _finite("(R(a, b) - ln(1-x)) / B(a, b)", lambda: (r - math.log1p(-x)) / scale)
 
 
 def euler_transform_eval(params: HypParams, x: float, tol: float = 1e-12) -> EvalResult:
@@ -336,14 +342,18 @@ def euler_transform_eval(params: HypParams, x: float, tol: float = 1e-12) -> Eva
 
     The transformed series converges where the direct one does; for c < a+b it
     additionally exposes the (1-x)^(c-a-b) blow-up explicitly, which is the
-    point of using it near x = 1.
+    point of using it near x = 1.  Where the weight (1-x)^(c-a-b), or its
+    product with the transformed series' value or bound, overflows a double,
+    it raises :class:`NonConvergence` naming which.
     """
     a, b, c = params.a, params.b, params.c
     if not abs(x) < 1:
         raise ParameterError(f"Euler transform evaluation requires |x| < 1, got x={x!r}")
-    weight = (1.0 - x) ** (c - a - b)
+    weight = _power(1.0 - x, c - a - b, "(1-x)^(c-a-b)")
     inner = hyp2f1(HypParams(c - a, c - b, c), x, tol)
-    return EvalResult(weight * inner.value, weight * inner.error_bound, inner.terms_used)
+    value = _finite("(1-x)^(c-a-b) F(c-a,c-b;c;x)", lambda: weight * inner.value)
+    bound = _finite("(1-x)^(c-a-b) times the bound of F(c-a,c-b;c;x)", lambda: weight * inner.error_bound)
+    return EvalResult(value, bound, inner.terms_used)
 
 
 #: ``_hyp2f1_unit`` answers x >= CONNECTION_X through the connection formula.

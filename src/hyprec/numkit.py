@@ -27,6 +27,36 @@ def _require_tol(tol) -> None:
         raise ParameterError(f"tol must be positive, got {tol!r}")
 
 
+def _power(base: float, exponent: float, name: str) -> float:
+    """base ** exponent, the power its caller's formula calls ``name``.
+
+    Float ``**`` raises a bare ``OverflowError`` where the power leaves the
+    double range; this raises :class:`NonConvergence` naming the power.
+    """
+    try:
+        return base ** exponent
+    except OverflowError as exc:
+        raise NonConvergence(f"{name} = {base!r} ** {exponent!r} overflows a double") from exc
+
+
+def _finite(name: str, compute, *args) -> float:
+    """compute(*args), the value its caller's formula calls ``name``, where it is a finite double.
+
+    Float arithmetic leaves the double range in three ways: ``math``'s
+    functions and ``math.fsum`` raise a bare ``OverflowError``, a quotient by
+    a divisor that underflowed to 0 raises ``ZeroDivisionError``, and ``*``,
+    ``+``, ``-`` and ``/`` give inf or NaN.  Each raises
+    :class:`NonConvergence` naming the value instead.
+    """
+    try:
+        value = compute(*args)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonConvergence(f"{name} overflows a double ({exc})") from exc
+    if not math.isfinite(value):
+        raise NonConvergence(f"{name} = {value!r} overflows a double")
+    return value
+
+
 def _jacobi_matrix(n: int, alpha: float, beta: float) -> tuple[list[float], list[float], float]:
     """Diagonal and off-diagonal of the n x n Jacobi matrix, and the weight's mass.
 

@@ -32,6 +32,7 @@ from .coeffrec import is_exact, u_theta_plus1
 from .errors import DomainError, NonConvergence, ParameterError
 from .hypergeom import HypParams, _hyp2f1_grid, _hyp2f1_unit, _require_finite
 from .hypergeom import hyp2f1  # noqa: F401  (kept as schurmean.hyp2f1, the binding perfbench's tracer wraps)
+from .numkit import _power
 
 __all__ = [
     "DEFAULT_T_GRID",
@@ -114,18 +115,6 @@ class RegionLabel(Record):
 def _require_positive_args(x: float, y: float) -> None:
     if not (0 < x < math.inf and 0 < y < math.inf):
         raise ParameterError(f"mean arguments must be finite and positive, got ({x!r}, {y!r})")
-
-
-def _power(base: float, exponent: float, name: str) -> float:
-    """base ** exponent, the power its caller's formula calls ``name``.
-
-    Float ``**`` raises a bare ``OverflowError`` where the power leaves the
-    double range; this raises :class:`NonConvergence` naming the power.
-    """
-    try:
-        return base ** exponent
-    except OverflowError as exc:
-        raise NonConvergence(f"{name} = {base!r} ** {exponent!r} overflows a double") from exc
 
 
 def _series_c(b, shift: int):

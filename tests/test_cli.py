@@ -2,7 +2,9 @@ import argparse
 import csv
 import gc
 import io
+import itertools
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -235,6 +237,66 @@ class TestEvalAndNearOne:
         )
         assert code == 2
         assert "c > a+b" in err
+
+
+class TestExitCodes:
+    """Overflow in a double is a numerical failure (exit 3), never an internal error (exit 1)."""
+
+    #: near-one cases where a double overflows on the way to the value, and
+    #: the quantity each error names.  All but the last exited 1 with a bare
+    #: OverflowError or ZeroDivisionError, and the last printed inf.
+    NEAR_ONE_OVERFLOWS = {
+        ("value-at-one", "--a", "1", "--b", "1", "--c", "1e308"):
+            "ln Gamma(c) + ln Gamma(c-a-b) - ln Gamma(c-a) - ln Gamma(c-b)",
+        ("zero-balanced", "--a", "1e-320", "--b", "1", "--x", "0.5"): "R(a, b)",
+        ("zero-balanced", "--a", "1e-308", "--b", "1e-308", "--x", "0.5"): "R(a, b)",
+        ("zero-balanced", "--a", "3", "--b", "1e300", "--x", "0.5"): "(R(a, b) - ln(1-x)) / B(a, b)",
+        ("euler", "--a", "300", "--b", "300", "--c", "1", "--x", "0.999"): "(1-x)^(c-a-b)",
+        ("euler", "--a", "3", "--b", "300", "--c=-0.5", "--x", "0.9"): "(1-x)^(c-a-b) F(c-a,c-b;c;x)",
+    }
+
+    @pytest.mark.parametrize("case", list(NEAR_ONE_OVERFLOWS), ids=" ".join)
+    def test_near_one_overflow_exits_3_naming_the_quantity(self, case, capsys):
+        code, out, err = run_main(capsys, "near-one", "--case", *case)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"numerical failure: {self.NEAR_ONE_OVERFLOWS[case]} ")
+        assert "overflows a double" in err
+
+    #: Literals at the edges of the double range and of each parameter domain.
+    EXTREMES = ("1e-320", "1e-308", "1e-300", "0.5", "3", "200", "1e300", "1e308", "-300.5", "-0.5")
+
+    #: Each subcommand that takes a numeric literal, in each of its modes: its
+    #: fixed arguments and its literal flags.  verify takes none, and its exit
+    #: code counts failing properties.
+    VARIANTS = (
+        (("coeffs", "--n", "8"), ("a", "b", "c", "p", "theta")),
+        (("coeffs", "--n", "8", "--family", "oracle"), ("a", "b", "c", "p", "theta")),
+        (("coeffs", "--n", "8", "--family", "log"), ("a", "b", "c")),
+        (("coeffs", "--n", "8", "--family", "theta1"), ("a", "b", "c", "p")),
+        (("coeffs", "--n", "8", "--family", "theta-1"), ("a", "b", "c", "p")),
+        (("eval",), ("a", "b", "c", "x")),
+        (("eval", "--deriv"), ("a", "b", "c", "x")),
+        (("near-one", "--case", "value-at-one"), ("a", "b", "c")),
+        (("near-one", "--case", "zero-balanced"), ("a", "b", "x")),
+        (("near-one", "--case", "euler"), ("a", "b", "c", "x")),
+        (("classify",), ("a", "b", "m")),
+        (("classify", "--fuzz"), ("a", "b", "m")),
+        (("mean", "--method", "both"), ("a", "b", "x", "y")),
+        (("gm-scan",), ("a", "b", "m")),
+        (("qprofile",), ("a", "b")),
+    )
+
+    @pytest.mark.parametrize("fixed, flags", VARIANTS, ids=[" ".join(fixed) for fixed, _ in VARIANTS])
+    def test_extreme_literals_never_exit_1(self, fixed, flags, capsys):
+        # A fixed sample of 100 points of the grid EXTREMES ** len(flags).
+        grid = list(itertools.product(self.EXTREMES, repeat=len(flags)))
+        internal = []
+        for values in random.Random(0).sample(grid, min(100, len(grid))):
+            argv = [*fixed, *(f"--{flag}={value}" for flag, value in zip(flags, values))]
+            code, _, err = run_main(capsys, *argv)
+            if code == 1:
+                internal.append((" ".join(argv), err))
+        assert internal == []
 
 
 class TestClassifyAndScans:

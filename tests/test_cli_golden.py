@@ -155,8 +155,9 @@ _FAILURES = (
     (("near-one", "--case", "euler", "--a", "0.7", "--b", "0.9", "--c", "1.2"), None),
     (("near-one", "--case", "euler", "--a", "0.7", "--b", "0.9", "--c", "1.2", "--x", "1"), None),
     (("near-one", "--case", "euler", "--a", "0.7", "--b", "0.9", "--c", "1.2", "--x=-1.5"), None),
-    # A double overflows on the way to each of these values.  ln Gamma(c) at
-    # c = 1e308, where the value is about 1.0:
+    # A double overflows on the way to each of these values: exit 3, where a
+    # bare OverflowError or ZeroDivisionError once exited 1 and the last case
+    # printed inf.  ln Gamma(c) at c = 1e308, where the value is about 1.0:
     (("near-one", "--case", "value-at-one", "--a", "1", "--b", "1", "--c", "1e308"), None),
     # B(a, b) at a = 1e-320, where the value is about 1.0:
     (("near-one", "--case", "zero-balanced", "--a", "1e-320", "--b", "1", "--x", "0.5"), None),

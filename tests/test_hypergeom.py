@@ -504,6 +504,27 @@ class TestNearOne:
     def test_euler_transform_at_zero(self):
         assert euler_transform_eval(HypParams(0.7, 0.9, 1.2), 0.0).value == 1.0
 
+    @pytest.mark.parametrize(
+        "call, quantity",
+        [
+            # ln Gamma(1e308) overflows; at c = 2e305 each ln Gamma is finite and their sum is not.
+            (lambda: gauss_value_at_one(HypParams(1.0, 1.0, 1e308)), "ln Gamma(c) + "),
+            (lambda: gauss_value_at_one(HypParams(1.0, 1.0, 2e305)), "ln Gamma(c) + "),
+            # F(-600,-600;1;1) = C(1200, 600), about 1e359: the exp overflows.
+            (lambda: gauss_value_at_one(HypParams(-600.0, -600.0, 1.0)), "F(a,b;c;1) "),
+            (lambda: zero_balanced_asymptote(1e-320, 1.0, 0.5), "R(a, b) "),
+            (lambda: zero_balanced_asymptote(1e-308, 1e-308, 0.5), "R(a, b) "),
+            (lambda: zero_balanced_asymptote(1e308, 1e308, 0.5), "B(a, b) "),
+            (lambda: zero_balanced_asymptote(3.0, 1e300, 0.5), "(R(a, b) - ln(1-x)) / B(a, b) "),
+            (lambda: euler_transform_eval(HypParams(300.0, 300.0, 1.0), 0.999), "(1-x)^(c-a-b) = "),
+            (lambda: euler_transform_eval(HypParams(3.0, 300.0, -0.5), 0.9), "(1-x)^(c-a-b) F(c-a,c-b;c;x) = inf"),
+        ],
+    )
+    def test_an_overflowed_double_raises_nonconvergence_naming_it(self, call, quantity):
+        with pytest.raises(NonConvergence, match="overflows a double") as info:
+            call()
+        assert str(info.value).startswith(quantity)
+
 
 class TestContiguousAndDerivativeRelations:
     def test_residual_zero_at_origin(self):

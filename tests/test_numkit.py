@@ -159,6 +159,31 @@ class TestMeanQuadratureProperty:
         assert abs(got - ref) <= 1e-12 * ref
 
 
+class TestFinite:
+    """numkit._finite: a value past the double range raises NonConvergence naming it."""
+
+    def test_a_finite_value_passes_as_it_is(self):
+        assert numkit._finite("e", math.exp, 1.0) == math.exp(1.0)
+
+    @pytest.mark.parametrize(
+        "compute, args, cause",
+        [
+            (math.exp, (800.0,), OverflowError),
+            (math.fsum, ([1e308, 1e308],), OverflowError),
+            (lambda: 1.0 / 0.0, (), ZeroDivisionError),
+        ],
+    )
+    def test_a_raised_overflow_names_the_value(self, compute, args, cause):
+        with pytest.raises(NonConvergence, match=r"^the value overflows a double \(") as info:
+            numkit._finite("the value", compute, *args)
+        assert isinstance(info.value.__cause__, cause)
+
+    @pytest.mark.parametrize("compute", [lambda: 1e308 * 10.0, lambda: math.inf - math.inf])
+    def test_an_inf_or_nan_result_names_the_value(self, compute):
+        with pytest.raises(NonConvergence, match=r"^the value = (inf|nan) overflows a double$"):
+            numkit._finite("the value", compute)
+
+
 class TestCentralDiff:
     def test_square(self):
         assert abs(central_diff(lambda x: x * x, 3.0, 1e-3) - 6.0) <= 1e-10
