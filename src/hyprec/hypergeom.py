@@ -65,7 +65,7 @@ import threading
 from fractions import Fraction
 
 from . import specfn
-from ._record import Record, field_setters
+from ._record import Record
 from .errors import NonConvergence, ParameterError
 from .numkit import _finite, _power, _require_tol
 
@@ -148,7 +148,7 @@ class HypParams(Record):
         return params
 
 
-_set_a, _set_b, _set_c = field_setters(HypParams)
+_set_a, _set_b, _set_c = HypParams._setters
 
 
 class EvalResult(Record):
@@ -166,7 +166,7 @@ class EvalResult(Record):
         _set_terms(self, terms_used)
 
 
-_set_value, _set_bound, _set_terms = field_setters(EvalResult)
+_set_value, _set_bound, _set_terms = EvalResult._setters
 
 
 def hyp2f1(params: HypParams, x: float, tol: float = 1e-12, *, _ratios=None) -> EvalResult:
