@@ -98,6 +98,10 @@ _MEAN = (
     ("--a", "1e-12", "--b", "0.5", "--x", "1", "--y", "2", "--method", "both"),
     ("--a", "1e-16", "--b", "0.5", "--x", "1", "--y", "2", "--method", "both"),
     ("--a", "1e-18", "--b", "0.5", "--x", "1", "--y", "2", "--method", "both"),
+    # A subnormal a, where 1/a overflows to inf and (integral / B(b, b))^(1/a)
+    # comes out inf without raising.
+    ("--a", "1e-320", "--b", "0.5", "--x", "0.9", "--y", "1e-320", "--method", "quadrature"),
+    ("--a", "1e-320", "--b", "0.5", "--x", "0.9", "--y", "1e-320", "--method", "both"),
 )
 _GM_SCAN = (
     ("--a", "0.9", "--b", "0.5", "--m", "0"),
