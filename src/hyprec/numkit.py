@@ -31,12 +31,18 @@ def _power(base: float, exponent: float, name: str) -> float:
     """base ** exponent, the power its caller's formula calls ``name``.
 
     Float ``**`` raises a bare ``OverflowError`` where the power leaves the
-    double range; this raises :class:`NonConvergence` naming the power.
+    double range, and returns inf or NaN where an operand already is one
+    (an exponent 1/a is inf at a subnormal a); both raise
+    :class:`NonConvergence` naming the power.
     """
+    cause = None
     try:
-        return base ** exponent
+        value = base ** exponent
+        if math.isfinite(value):
+            return value
     except OverflowError as exc:
-        raise NonConvergence(f"{name} = {base!r} ** {exponent!r} overflows a double") from exc
+        cause = exc
+    raise NonConvergence(f"{name} = {base!r} ** {exponent!r} overflows a double") from cause
 
 
 def _finite(name: str, compute, *args) -> float:

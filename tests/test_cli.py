@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -286,17 +287,41 @@ class TestExitCodes:
         (("qprofile",), ("a", "b")),
     )
 
+    #: A number printed as inf or nan, in any of the three formats.
+    NON_FINITE = re.compile(r"\b(inf|nan)\b", re.IGNORECASE)
+
     @pytest.mark.parametrize("fixed, flags", VARIANTS, ids=[" ".join(fixed) for fixed, _ in VARIANTS])
     def test_extreme_literals_never_exit_1(self, fixed, flags, capsys):
         # A fixed sample of 100 points of the grid EXTREMES ** len(flags).
+        # Outside coeffs, whose float families still print inf and nan, an
+        # exit of 0 also prints no non-finite number.
         grid = list(itertools.product(self.EXTREMES, repeat=len(flags)))
         internal = []
+        non_finite = []
         for values in random.Random(0).sample(grid, min(100, len(grid))):
             argv = [*fixed, *(f"--{flag}={value}" for flag, value in zip(flags, values))]
-            code, _, err = run_main(capsys, *argv)
+            code, out, err = run_main(capsys, *argv)
             if code == 1:
                 internal.append((" ".join(argv), err))
+            if code == 0 and fixed[0] != "coeffs" and self.NON_FINITE.search(out):
+                non_finite.append((" ".join(argv), out))
         assert internal == []
+        assert non_finite == []
+
+    #: Invocations that once printed inf at exit 0: 1/a overflows to inf at a
+    #: subnormal a, and the quadrature's (integral / B(b, b))^(1/a) with it.
+    NON_FINITE_AT_EXIT_0 = (
+        ("mean", "--a", "1e-320", "--b", "0.5", "--x", "0.9", "--y", "1e-320", "--method", "quadrature"),
+        ("mean", "--a", "1e-320", "--b", "0.5", "--x", "0.9", "--y", "1e-320", "--method", "both"),
+    )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    @pytest.mark.parametrize("argv", NON_FINITE_AT_EXIT_0, ids=" ".join)
+    def test_exit_0_prints_no_non_finite_number(self, argv, fmt, capsys):
+        code, out, err = run_main(capsys, *argv, "--format", fmt)
+        assert code != 0 or not self.NON_FINITE.search(out), out
+        assert (code, out) == (3, "")
+        assert "overflows a double" in err
 
 
 class TestClassifyAndScans:

@@ -98,8 +98,9 @@ _MEAN = (
     ("--a", "1e-12", "--b", "0.5", "--x", "1", "--y", "2", "--method", "both"),
     ("--a", "1e-16", "--b", "0.5", "--x", "1", "--y", "2", "--method", "both"),
     ("--a", "1e-18", "--b", "0.5", "--x", "1", "--y", "2", "--method", "both"),
-    # A subnormal a, where 1/a overflows to inf and (integral / B(b, b))^(1/a)
-    # comes out inf without raising.
+    # A subnormal a, where 1/a overflows to inf and so does the quadrature's
+    # (integral / B(b, b))^(1/a): exit 3 in every format, where inf once
+    # printed at exit 0.
     ("--a", "1e-320", "--b", "0.5", "--x", "0.9", "--y", "1e-320", "--method", "quadrature"),
     ("--a", "1e-320", "--b", "0.5", "--x", "0.9", "--y", "1e-320", "--method", "both"),
 )
