@@ -5,7 +5,6 @@ recurrence, certified against an exact-rational convolution oracle, plus the
 Schur m-power convexity analysis of the hypergeometric mean they enable.
 """
 
-from .compare import rel_with_floor
 from .coeffrec import (
     CoeffSequence,
     LogProductSpec,
@@ -32,7 +31,7 @@ from .hypergeom import (
     hyp2f1_derivative,
     zero_balanced_asymptote,
 )
-from .numkit import QuadResult, central_diff, weighted_quad
+from .numkit import QuadResult, central_diff, rel_with_floor, weighted_quad
 from .schurmean import (
     GmScanReport,
     MeanParams,

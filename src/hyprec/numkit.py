@@ -1,4 +1,5 @@
-"""Generic numerics: Beta-weighted quadrature and Richardson differentiation.
+"""Generic numerics: Beta-weighted quadrature, Richardson differentiation and
+the floored relative difference the verification suites compare by.
 
 Gauss rules are built here in pure Python, so neither scipy nor numpy is
 needed: each n-point rule for the Jacobi weight (1-u)^alpha (1+u)^beta on
@@ -18,13 +19,27 @@ from collections.abc import Callable
 from ._record import Record
 from .errors import DomainError, NonConvergence, ParameterError
 
-__all__ = ["QuadResult", "weighted_quad", "central_diff"]
+__all__ = ["QuadResult", "weighted_quad", "central_diff", "rel_with_floor"]
 
 
 def _require_tol(tol) -> None:
     """The package's one tolerance rule: tol > 0, so 0, negative values and NaN are refused."""
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol!r}")
+
+
+def rel_with_floor(x, y, floor: float = 1e-14) -> float:
+    """Relative difference of x and y, zeroed below an absolute floor.
+
+    Plain relative error is meaningless for coefficients that cross zero; the
+    absolute floor keeps those comparable.  Returns 0.0 when |x - y| <= floor,
+    otherwise |x - y| / max(|x|, |y|).
+    """
+    diff = abs(x - y)
+    if diff <= floor:
+        return 0.0
+    mag = max(abs(x), abs(y))
+    return float(diff / mag) if mag else float("inf")
 
 
 def _power(base: float, exponent: float, name: str) -> float:

@@ -27,12 +27,11 @@ from fractions import Fraction
 
 from . import numkit, specfn
 from ._record import Record
-from .compare import rel_with_floor
 from .coeffrec import is_exact, u_theta_plus1
 from .errors import DomainError, NonConvergence, ParameterError
 from .hypergeom import HypParams, _hyp2f1_grid, _hyp2f1_unit, _require_finite
 from .hypergeom import hyp2f1  # noqa: F401  (kept as schurmean.hyp2f1, the binding perfbench's tracer wraps)
-from .numkit import _power
+from .numkit import _power, rel_with_floor
 
 __all__ = [
     "DEFAULT_T_GRID",

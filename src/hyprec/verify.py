@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from . import coeffrec, schurmean
 from ._record import Record
-from .compare import rel_with_floor
 from .coeffrec import (
     LogProductSpec,
     WeightedSeriesSpec,
@@ -35,6 +34,7 @@ from .coeffrec import (
 )
 from .errors import ParameterError
 from .hypergeom import HypParams, hyp2f1
+from .numkit import rel_with_floor
 from .schurmean import (
     MeanParams,
     Region,

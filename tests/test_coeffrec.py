@@ -25,9 +25,9 @@ from hyprec.coeffrec import (
     v_log_product,
     published_recurrence_pair,
 )
-from hyprec.compare import rel_with_floor
 from hyprec.errors import DomainError, ParameterError
 from hyprec.hypergeom import HypParams, hyp2f1
+from hyprec.numkit import rel_with_floor
 from hyprec.specfn import pochhammer
 from hyprec.verify import PARAM_BOX, PARAM_BOX_EXACT, THETAS, THETAS_EXACT
 
