@@ -8,6 +8,13 @@ are data, not exceptions: each suite yields one row per property, its name,
 status, margin and note (what a margin holds differs by record; see
 :class:`PropertyResult`), and the driver builds every record from a row and
 the suite's name.  Identical inputs produce byte-identical reports.
+
+The recurrence-level records (the recurrence and corollaries suites) draw
+their specs from one sampler, ``_specs``: the parameter box ``PARAM_BOX``
+times the weight exponents -1, 0, 1/2, 2 and c - a - b times ``THETAS``, or
+the same box as exact rationals, each theta or only the ones a record asks
+for.  A record that checks the box reads it there, so each sample set is
+written once.
 """
 
 from __future__ import annotations
@@ -69,10 +76,19 @@ THETAS_EXACT = tuple(Fraction(str(v)) for v in THETAS)
 Row = tuple[str, str, float | None, str]
 
 
-def _p_set(a, b, c):
-    """Weight exponents -1, 0, 1/2, 2 and c - a - b, in the field of a."""
-    one = coeffrec._one(a)
-    return (-one, 0 * one, one / 2, 2 * one, c - a - b)
+def _specs(exact: bool, thetas=None) -> Iterator[WeightedSeriesSpec]:
+    """The box's specs, the one sample set of the recurrence-level checks.
+
+    Each (a, b, c) of ``PARAM_BOX`` (``PARAM_BOX_EXACT`` when ``exact``),
+    each weight exponent -1, 0, 1/2, 2 and c - a - b in the field of a, and
+    each theta of ``THETAS`` (``THETAS_EXACT``), or of ``thetas`` when given.
+    """
+    box, box_thetas = (PARAM_BOX_EXACT, THETAS_EXACT) if exact else (PARAM_BOX, THETAS)
+    for a, b, c in box:
+        one = coeffrec._one(a)
+        for p in (-one, 0 * one, one / 2, 2 * one, c - a - b):
+            for th in box_thetas if thetas is None else thetas:
+                yield WeightedSeriesSpec(HypParams(a, b, c), p, th)
 
 
 class PropertyResult(Record):
@@ -125,42 +141,39 @@ def _holds(name, ok, note) -> Row:
     return _check(name, ok, 0.0 if ok else None, note)
 
 
+def _worst_rel(pairs) -> float:
+    """The largest rel_with_floor between the terms of any (got, want) pair of float sequences."""
+    worst = 0.0
+    for got, want in pairs:
+        worst = max(worst, max(map(rel_with_floor, got, want)))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # recurrence suite
 
 
 def _suite_recurrence(rng: random.Random) -> Iterator[Row]:
-    worst = 0.0
-    for a, b, c in PARAM_BOX:
-        for p in _p_set(a, b, c):
-            for th in THETAS:
-                spec = WeightedSeriesSpec(HypParams(a, b, c), p, th)
-                rec = u_general(spec, 30).coeffs
-                orc = cauchy_oracle(spec, 30).coeffs
-                worst = max(worst, max(rel_with_floor(x, y) for x, y in zip(rec, orc)))
+    worst = _worst_rel((u_general(s, 30).coeffs, cauchy_oracle(s, 30).coeffs) for s in _specs(False))
     yield _check("oracle-equivalence-float", worst <= 1e-10, worst,
                  "third-order recurrence vs Cauchy convolution, N=30")
     exact_ok = True
-    for a, b, c in PARAM_BOX_EXACT:
-        for p in _p_set(a, b, c):
-            for th in THETAS_EXACT:
-                spec = WeightedSeriesSpec(HypParams(a, b, c), p, th)
-                if u_general(spec, 30).coeffs != cauchy_oracle(spec, 30).coeffs:
-                    exact_ok = False
+    for spec in _specs(True):
+        if u_general(spec, 30).coeffs != cauchy_oracle(spec, 30).coeffs:
+            exact_ok = False
     yield _holds("oracle-equivalence-exact", exact_ok, "identical rational coefficients")
 
-    a, b, c, p = 0.3, 0.7, 1.5, 2.0
+    params = HypParams(0.3, 0.7, 1.5)
     x = 0.3
-    seq = u_theta_plus1(HypParams(a, b, c), p, 60)
-    direct = (1 - x) ** p * hyp2f1(HypParams(a, b, c), x, 1e-14).value
-    diff = abs(partial_sum(seq, x) - direct)
-    yield _check("partial-sum-weighted", diff <= 1e-8, diff,
-                 "sum of 60 recurrence terms vs (1-x)^p F at x=0.3")
-    seq = v_log_product(HypParams(a, b, c), 60)
-    direct = math.log1p(-x) * hyp2f1(HypParams(a, b, c), x, 1e-14).value
-    diff = abs(partial_sum(seq, x) - direct)
-    yield _check("partial-sum-log", diff <= 1e-8, diff,
-                 "sum of 60 log-product terms vs ln(1-x) F at x=0.3")
+    f = hyp2f1(params, x, 1e-14).value
+    for name, seq, weight, note in (
+        ("partial-sum-weighted", u_theta_plus1(params, 2.0, 60), (1 - x) ** 2.0,
+         "sum of 60 recurrence terms vs (1-x)^p F at x=0.3"),
+        ("partial-sum-log", v_log_product(params, 60), math.log1p(-x),
+         "sum of 60 log-product terms vs ln(1-x) F at x=0.3"),
+    ):
+        diff = abs(partial_sum(seq, x) - weight * f)
+        yield _check(name, diff <= 1e-8, diff, note)
 
 
 # ---------------------------------------------------------------------------
@@ -168,50 +181,33 @@ def _suite_recurrence(rng: random.Random) -> Iterator[Row]:
 
 
 def _suite_corollaries(rng: random.Random) -> Iterator[Row]:
-    worst_m = worst_p = 0.0
-    for a, b, c in PARAM_BOX:
-        for p in _p_set(a, b, c):
-            params = HypParams(a, b, c)
-            gen = u_general(WeightedSeriesSpec(params, p, -1.0), 30).coeffs
-            worst_m = max(worst_m, max(map(rel_with_floor, u_theta_minus1(params, p, 30).coeffs, gen)))
-            gen = u_general(WeightedSeriesSpec(params, p, 1.0), 30).coeffs
-            worst_p = max(worst_p, max(map(rel_with_floor, u_theta_plus1(params, p, 30).coeffs, gen)))
-    yield _check("theta-minus1-consistency", worst_m <= 1e-12, worst_m,
-                 "(1+x)^p specialization vs general recurrence")
-    yield _check("theta-plus1-consistency", worst_p <= 1e-12, worst_p,
-                 "(1-x)^p specialization vs general recurrence")
-
     exact_ok = True
-    for a, b, c in PARAM_BOX_EXACT:
-        for p in _p_set(a, b, c):
-            params = HypParams(a, b, c)
-            if u_theta_minus1(params, p, 20).coeffs != u_general(
-                WeightedSeriesSpec(params, p, Fraction(-1)), 20
-            ).coeffs:
-                exact_ok = False
-            if u_theta_plus1(params, p, 20).coeffs != u_general(
-                WeightedSeriesSpec(params, p, Fraction(1)), 20
-            ).coeffs:
+    # Each specialization of the general recurrence, at its theta, in floats and exactly.
+    for special, theta, name, weight in (
+        (u_theta_minus1, -1, "theta-minus1-consistency", "(1+x)^p"),
+        (u_theta_plus1, 1, "theta-plus1-consistency", "(1-x)^p"),
+    ):
+        specs = _specs(False, (float(theta),))
+        worst = _worst_rel((special(s.params, s.p, 30).coeffs, u_general(s, 30).coeffs) for s in specs)
+        yield _check(name, worst <= 1e-12, worst, f"{weight} specialization vs general recurrence")
+        for spec in _specs(True, (Fraction(theta),)):
+            if special(spec.params, spec.p, 20).coeffs != u_general(spec, 20).coeffs:
                 exact_ok = False
     yield _holds("specialization-exact", exact_ok, "rational mode, termwise equality")
 
     worst = 0.0
-    for a, b, c in PARAM_BOX:
-        for p in _p_set(a, b, c):
-            u = u_theta_plus1(HypParams(a, b, c), p, 31).coeffs
-            for n in range(2, 30):
-                den, xi, eta, lam = general_step(a, b, c, p, 1, n)
-                res = u[n + 1] - (xi * u[n] - eta * u[n - 1] + lam * u[n - 2]) / den
-                worst = max(worst, abs(res))
+    for spec in _specs(False, (1.0,)):
+        u = u_theta_plus1(spec.params, spec.p, 31).coeffs
+        for n in range(2, 30):
+            den, xi, eta, lam = general_step(spec.params.a, spec.params.b, spec.params.c, spec.p, 1, n)
+            res = u[n + 1] - (xi * u[n] - eta * u[n - 1] + lam * u[n - 2]) / den
+            worst = max(worst, abs(res))
     yield _check("order-reduction-residual", worst <= 1e-12, worst,
                  "second-order sequence satisfies the third-order recurrence at theta=1")
 
-    worst = 0.0
-    for a, b, c in PARAM_BOX:
-        params = HypParams(a, b, c)
-        rec = v_log_product(params, 30).coeffs
-        orc = cauchy_oracle(LogProductSpec(params), 30).coeffs
-        worst = max(worst, max(rel_with_floor(x, y) for x, y in zip(rec, orc)))
+    box = [HypParams(a, b, c) for a, b, c in PARAM_BOX]
+    worst = _worst_rel((v_log_product(params, 30).coeffs, cauchy_oracle(LogProductSpec(params), 30).coeffs)
+                       for params in box)
     exact = v_log_product(HypParams(Fraction(1), Fraction(1), Fraction(2)), 20).coeffs == cauchy_oracle(
         LogProductSpec(HypParams(Fraction(1), Fraction(1), Fraction(2))), 20
     ).coeffs

@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from hyprec import verify
 from hyprec.cli import main
+from hyprec.coeffrec import WeightedSeriesSpec
 from hyprec.errors import ParameterError
+from hyprec.hypergeom import HypParams
 
 
 def render(monkeypatch, capsys, summary, fmt):
@@ -115,3 +118,53 @@ def test_unknown_suite_rejected():
         verify.verify_driver("nonsense", 42)
     with pytest.raises(ParameterError):
         verify.verify_driver("nonsense", 42)
+
+
+
+def _box(exact, thetas):
+    """The box's specs, written out apart from verify's sampler: (a, b, c) x p x theta.
+
+    A set: c - a - b repeats another exponent at two of the four triples.
+    """
+    one = Fraction(1) if exact else 1.0
+    return {
+        WeightedSeriesSpec(HypParams(a, b, c), p, theta)
+        for a, b, c in (verify.PARAM_BOX_EXACT if exact else verify.PARAM_BOX)
+        for p in (-one, 0 * one, one / 2, 2 * one, c - a - b)
+        for theta in thetas
+    }
+
+
+def _general_calls(monkeypatch, suite):
+    """The (spec, N) of each call the suite makes to verify's u_general, float and exact apart.
+
+    A float spec and an exact one can compare equal, (1.0, 1.0, 2.0) against
+    (1, 1, 2), so the two modes are told apart by the type of a.
+    """
+    calls = {False: [], True: []}
+    general = verify.u_general
+
+    def recorder(spec, n):
+        calls[isinstance(spec.params.a, Fraction)].append((spec, n))
+        return general(spec, n)
+
+    monkeypatch.setattr(verify, "u_general", recorder)
+    assert verify.verify_driver(suite, 42).failures == 0
+    return calls
+
+
+def test_recurrence_suite_checks_the_whole_box(monkeypatch):
+    # 4 triples x 5 exponents x 5 thetas, in floats and as exact rationals.
+    calls = _general_calls(monkeypatch, "recurrence")
+    assert len(calls[False]) == len(calls[True]) == 100
+    assert set(calls[False]) == {(spec, 30) for spec in _box(False, verify.THETAS)}
+    assert set(calls[True]) == {(spec, 30) for spec in _box(True, verify.THETAS_EXACT)}
+
+
+def test_corollaries_suite_checks_both_specializations_over_the_box(monkeypatch):
+    # 4 triples x 5 exponents at theta = -1 and at theta = +1: N = 30 in
+    # floats, N = 20 exact.
+    calls = _general_calls(monkeypatch, "corollaries")
+    assert len(calls[False]) == len(calls[True]) == 40
+    assert set(calls[False]) == {(spec, 30) for spec in _box(False, (-1.0, 1.0))}
+    assert set(calls[True]) == {(spec, 20) for spec in _box(True, (Fraction(-1), Fraction(1)))}
