@@ -1,5 +1,5 @@
-"""Generic numerics: Beta-weighted quadrature, Richardson differentiation and
-the floored relative difference the verification suites compare by.
+"""Generic numerics: Beta-weighted quadrature, Richardson differentiation and a
+floored relative difference.
 
 Gauss rules are built here in pure Python, so neither scipy nor numpy is
 needed: each n-point rule for the Jacobi weight (1-u)^alpha (1+u)^beta on

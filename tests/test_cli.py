@@ -319,7 +319,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", NON_FINITE_AT_EXIT_0, ids=" ".join)
     def test_exit_0_prints_no_non_finite_number(self, argv, fmt, capsys):
         code, out, err = run_main(capsys, *argv, "--format", fmt)
-        assert code != 0 or not self.NON_FINITE.search(out), out
         assert (code, out) == (3, "")
         assert "overflows a double" in err
 
